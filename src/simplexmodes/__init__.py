@@ -49,6 +49,7 @@ from .weylaction import (
     GroupOperator,
     WeylVector,
     act_on_point,
+    class_character,
     class_character_table,
     class_representatives,
     compose,

@@ -11,14 +11,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .modes import cyclic_projector, periodic_basis, verify_invariance
+from .modes import MAX_TWO_J_MODES, cyclic_projector, periodic_basis, verify_invariance
 from .permgroup import (
     ConsistencyError,
     CycleType,
@@ -29,7 +28,6 @@ from .permgroup import (
     trivial_multiplicity,
 )
 from .reduction import (
-    ROUND_TOL,
     MultiplicityTable,
     O2Label,
     o2_multiplicity_table,
@@ -37,7 +35,7 @@ from .reduction import (
     o4_multiplicity_table,
     o2_reduce,
 )
-from .weylaction import class_character_table, weyl_vectors_s5
+from .weylaction import ROUND_TOL, class_character_table, class_periods, weyl_vectors_s5
 from .youngrep import (
     fixed_subspace,
     generator_matrix,
@@ -52,6 +50,9 @@ EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
 REAL_TOL = 1e-9
+MAX_ROWS = 10_000  # largest --max of reduce and --two-j-max of classchars
+#: largest accepted value of each bounded option; all of them start at 0
+LIMITS = {"max": MAX_ROWS, "two_j_max": MAX_ROWS, "two_j": MAX_TWO_J_MODES}
 
 
 class UsageError(Exception):
@@ -187,13 +188,9 @@ def _table_csv(table: MultiplicityTable) -> str:
 
 
 def cmd_reduce(args) -> dict | str:
-    workers = _num_threads()
-    if args.chain == "o2s3c3":
-        table = o2_multiplicity_table(args.max)
-    elif args.chain == "o3s4c4":
-        table = o3_multiplicity_table(args.max)
-    else:
-        table = o4_multiplicity_table(args.max, max_workers=workers)
+    tables = {"o2s3c3": o2_multiplicity_table, "o3s4c4": o3_multiplicity_table,
+              "o4s5c5": o4_multiplicity_table}
+    table = tables[args.chain](args.max)
     if args.format == "csv":
         return _table_csv(table)
     checks = []
@@ -258,18 +255,11 @@ def cmd_classchars(args) -> dict:
             for r in rows
         ],
     }
-    periods = {(3, 1, 1): 3, (2, 2, 1): 2, (3, 2): 3, (4, 1): 4, (5,): 5}
-    checks = []
-    for r in rows:
-        period = periods.get(r.cycle_type.parts)
-        if period is None:
-            continue
-        dev = 0.0
-        for t in range(len(r.values) - period):
-            dev = max(dev, abs(r.values[t + period] - r.values[t]))
-        checks.append(
-            _check(f"period_{period}_class_{r.cycle_type}", dev < 1e-8, residual=dev)
-        )
+    # the rows repeat one tabulated period; residual is its rounding margin
+    checks = [
+        _check(f"period_{len(values)}_class_{k}", margin <= ROUND_TOL, residual=margin)
+        for k, (values, margin) in class_periods().items()
+    ]
     return report_document(
         "classchars", {"two_j_max": args.two_j_max}, payload, checks
     )
@@ -300,14 +290,17 @@ class _FaultInjector:
 
     def __init__(self, spec: str | None):
         self.spec = None
+        self.hit = False
         if spec:
             name, *idx = spec.split(":")
-            if name not in {"chartable", "o4", "classchars"} or len(idx) not in (2, 3):
-                raise UsageError(f"bad --inject-fault spec: {spec!r}")
-            self.spec = (name, tuple(int(i) for i in idx))
+            try:
+                self.spec = (name, tuple(int(i) for i in idx))
+            except ValueError:
+                raise UsageError(f"bad --inject-fault spec: {spec!r}") from None
 
     def bump(self, name: str, key, value):
-        if self.spec and self.spec[0] == name and self.spec[1] == key:
+        if self.spec == (name, key):
+            self.hit = True
             return value + 1
         return value
 
@@ -432,21 +425,16 @@ def _verify_classchars(golden, fault, results):
             bad.append(f"{row.cycle_type}: half angles {got_angles} vs {want_angles}")
         for t, want in enumerate(gold["values"][i]):
             got = fault.bump("classchars", (i, t), row.values[t])
-            if abs(got - want) > 1e-8:
+            if got != want:
                 bad.append(f"{row.cycle_type}: 2j={t} {got} != {want}")
         period = gold["periods_two_j"][i]
-        if period:
-            dev = max(
-                abs(row.values[t + period] - row.values[t])
-                for t in range(len(row.values) - period)
-            )
-            if dev > 1e-8:
-                bad.append(f"{row.cycle_type}: period {period} violated ({dev})")
+        if period and row.values[period:] != row.values[:-period]:
+            bad.append(f"{row.cycle_type}: period {period} violated")
     closed = rows[(1, 1, 1, 1, 1)], rows[(2, 1, 1, 1)]
     for t in range(61):
-        if abs(closed[0].values[t] - (t + 1) ** 2) > 1e-8:
+        if closed[0].values[t] != (t + 1) ** 2:
             bad.append(f"(1)^5 closed form at 2j={t}")
-        if abs(closed[1].values[t] - (t + 1)) > 1e-8:
+        if closed[1].values[t] != t + 1:
             bad.append(f"(2)(1)^3 closed form at 2j={t}")
     results.append(_check("class_characters", not bad, detail="; ".join(bad[:8])))
 
@@ -570,6 +558,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     _verify_classchars(golden, fault, results)
     _verify_weyl(golden, results)
     _verify_young(golden, results)
+    if fault.spec and not fault.hit:
+        raise UsageError(f"--inject-fault {args.inject_fault} matches no computed entry")
     failed = [r for r in results if not r["passed"]]
     payload = {
         "golden_version": golden["version"],
@@ -583,19 +573,6 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 # --------------------------------------------------------------------- main
-
-def _num_threads() -> int | None:
-    raw = os.environ.get("MODES_NUM_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"MODES_NUM_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise UsageError("MODES_NUM_THREADS must be >= 1")
-    return n
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -656,30 +633,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command != "reduce":
             raise UsageError("--format csv is only available for reduce")
-        if args.command == "chartable":
-            _emit(cmd_chartable(args), args)
-        elif args.command == "branch":
-            _emit(cmd_branch(args), args)
-        elif args.command == "reduce":
-            if args.max < 0:
-                raise UsageError("--max must be non-negative")
-            _emit(cmd_reduce(args), args)
-        elif args.command == "modes":
-            if not 0 <= args.two_j <= 12:
-                raise UsageError("--two-j must lie in 0..12")
-            _emit(cmd_modes(args), args)
-        elif args.command == "classchars":
-            if args.two_j_max < 0:
-                raise UsageError("--two-j-max must be non-negative")
-            _emit(cmd_classchars(args), args)
-        elif args.command == "verify":
+        for dest, high in LIMITS.items():
+            if not 0 <= getattr(args, dest, 0) <= high:
+                raise UsageError(f"--{dest.replace('_', '-')} must lie in 0..{high}")
+        if getattr(args, "verify_points", 1) < 1:
+            raise UsageError("--verify-points must be at least 1")
+        if args.command == "verify":
             doc, code = cmd_verify(args)
             _emit(doc, args)
             if code != EXIT_OK:
                 failed = [c["name"] for c in doc["checks"] if not c["passed"]]
                 print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
             return code
-    except UsageError as exc:
+        commands = {"chartable": cmd_chartable, "branch": cmd_branch, "reduce": cmd_reduce,
+                    "modes": cmd_modes, "classchars": cmd_classchars}
+        _emit(commands[args.command](args), args)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

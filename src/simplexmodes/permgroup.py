@@ -97,9 +97,6 @@ class CycleType:
             denom *= length**mult * math.factorial(mult)
         return math.factorial(self.n) // denom
 
-    def as_partition(self) -> Partition:
-        return Partition(self.parts)
-
     def __str__(self) -> str:
         counts = Counter(self.parts)
         out = []
@@ -311,16 +308,20 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, tuple(parts), tuple(classes), values)
 
 
+def exact_quotient(total: int, order: int, what: str) -> int:
+    """total / order for a character sum that the group order must divide."""
+    quotient, remainder = divmod(total, order)
+    if remainder:
+        raise ConsistencyError(f"{what}: {total}/{order} is not an integer")
+    return quotient
+
+
 def trivial_multiplicity(f: Partition) -> int:
     """Multiplicity of the identity representation of the cyclic subgroup
     C_n < S(n) (generated by the full cycle) in the restriction of f."""
     n = f.n
     total = sum(character(f, h.cycle_type()) for h in cyclic_elements(n))
-    if total % n != 0:
-        raise ConsistencyError(
-            f"character sum {total} over C_{n} not divisible by {n} for {f}"
-        )
-    m = total // n
+    m = exact_quotient(total, n, f"character sum over C_{n} for {f}")
     if m < 0:
         raise ConsistencyError(f"negative multiplicity {m} for {f}")
     return m

@@ -2,15 +2,15 @@
 
     O(2) > S(3) > C_3,   O(3) > S(4) > C_4,   O(4) > S(5) > C_5.
 
-Each multiplicity is a weighted character inner product, rounded from a
-float that must sit within ROUND_TOL of an integer; anything else raises
-ConsistencyError.
+Each multiplicity is a character inner product in integers.  Every class
+character is either a closed form in the degree or repeats with a short
+period, tabulated once from the float characters; a character sum that the
+group order does not divide raises ConsistencyError.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -21,20 +21,26 @@ from .permgroup import (
     Partition,
     Permutation,
     character,
+    exact_quotient,
+    partitions_of,
     trivial_multiplicity,
 )
 from .su2wigner import chebyshev_u
-from .weylaction import CLASS_ORDER_S5, class_operators, operator_character
+from .weylaction import (
+    CLASS_PERIODS,
+    class_character,
+    class_operators,
+    operator_character,
+    round_period,
+)
 from .youngrep import primed_rep_matrix
 
-ROUND_TOL = 1e-6  # still resolves integers at 2j = 200
 
-
-def _round_int(value: float, what: str) -> int:
-    out = round(value)
-    if abs(value - out) > ROUND_TOL:
-        raise ConsistencyError(f"{what} = {value} is not an integer")
-    return int(out)
+@lru_cache(maxsize=None)
+def _class_weights(f: Partition) -> dict[CycleType, int]:
+    """|k| chi_f(k) for each class k of S(n): m_f = sum_k weight * chi(k) / n!."""
+    classes = (CycleType(p.parts) for p in partitions_of(f.n))
+    return {k: k.class_size * character(f, k) for k in classes}
 
 
 # ---------------------------------------------------------------- O(2) chain
@@ -92,37 +98,36 @@ S4_PARTITION_ORDER = tuple(
     Partition(p) for p in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 )
 
-_S4_CLASS_STRINGS = {
-    (1, 1, 1, 1): [],
-    (2, 1, 1): [(1, 2)],
-    (2, 2): [(1, 2), (3, 4)],
-    (3, 1): [(1, 2), (2, 3)],
-    (4,): [(1, 2), (2, 3), (3, 4)],
+#: transposition string of each class of S(4), and the period in l of its
+#: rotation character (the identity's is 2l+1)
+_S4_CLASSES = {
+    (1, 1, 1, 1): ([], None),
+    (2, 1, 1): ([(1, 2)], 2),
+    (2, 2): ([(1, 2), (3, 4)], 2),
+    (3, 1): ([(1, 2), (2, 3)], 3),
+    (4,): ([(1, 2), (2, 3), (3, 4)], 4),
 }
 
 
 @lru_cache(maxsize=None)
-def _s4_class_data() -> list[tuple[CycleType, float, int]]:
-    """(class, rotation half-angle, parity) for the five classes of S(4),
-    read off the 3x3 tetrahedral-axis matrices.  Odd permutations are
+def _s4_class_data() -> dict[CycleType, tuple[int, tuple[int, ...] | None]]:
+    """Parity and one period of the rotation character of each class of
+    S(4), read off the 3x3 tetrahedral-axis matrices.  Odd permutations are
     improper; factoring out the central inversion leaves a rotation whose
-    angle enters the character with the parity sign kappa."""
-    out = []
-    for parts, cycles in _S4_CLASS_STRINGS.items():
+    character enters with the parity sign kappa."""
+    out = {}
+    for parts, (cycles, period) in _S4_CLASSES.items():
         p = Permutation.from_cycles(4, cycles)
-        k = p.cycle_type()
-        assert k.parts == parts
-        mat = primed_rep_matrix(Partition.of(3, 1), p).matrix
-        parity = p.parity()
-        rot = -mat if parity else mat
-        cos_phi = min(1.0, max(-1.0, (rot.trace() - 1.0) / 2.0))
-        out.append((k, math.acos(cos_phi) / 2.0, parity))
+        assert p.cycle_type().parts == parts
+        chars = None
+        if period:
+            mat = primed_rep_matrix(Partition.of(3, 1), p).matrix
+            rot = -mat if p.parity() else mat
+            x = math.sqrt(max(0.0, rot.trace() + 1.0)) / 2.0  # cos(angle / 2)
+            chis = [chebyshev_u(2 * l, x) for l in range(2 * period)]
+            chars, _ = round_period(chis, period, f"chi_l({p.cycle_type()})")
+        out[p.cycle_type()] = (p.parity(), chars)
     return out
-
-
-def _chi_o3(label: O3Label, phi_half: float, parity: int) -> float:
-    value = chebyshev_u(2 * label.l, math.cos(phi_half))
-    return label.kappa * value if parity else value
 
 
 def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
@@ -130,10 +135,13 @@ def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
     O(3) representation (l, kappa), from first principles."""
     if f.n != 4:
         raise ValueError(f"expected a partition of 4, got {f}")
-    total = 0.0
-    for k, phi_half, parity in _s4_class_data():
-        total += k.class_size * _chi_o3(label, phi_half, parity) * character(f, k)
-    return _round_int(total / 24.0, f"m(({label.l},{label.kappa}),{f})")
+    data = _s4_class_data()
+    total = 0
+    for k, weight in _class_weights(f).items():
+        parity, chars = data[k]
+        chi = 2 * label.l + 1 if chars is None else chars[label.l % len(chars)]
+        total += weight * (label.kappa * chi if parity else chi)
+    return exact_quotient(total, 24, f"m(({label.l},{label.kappa}),{f})")
 
 
 # ---------------------------------------------------------------- O(4) chain
@@ -157,12 +165,6 @@ def _branch_weights_s5() -> dict[Partition, int]:
     return {f: trivial_multiplicity(f) for f in S5_PARTITION_ORDER}
 
 
-def _chi_o4(two_j: int) -> list[tuple[CycleType, float]]:
-    ops = class_operators()
-    j = Fraction(two_j, 2)
-    return [(k, operator_character(j, ops[k])) for k in CLASS_ORDER_S5]
-
-
 def multiplicity_o4_s5(two_j: int, f: Partition) -> int:
     """Number of times S(5) partition f occurs in the restriction of the
     degree-2j harmonic representation of O(4)."""
@@ -170,10 +172,10 @@ def multiplicity_o4_s5(two_j: int, f: Partition) -> int:
         raise ValueError(f"expected a partition of 5, got {f}")
     if two_j < 0:
         raise ValueError("two_j must be non-negative")
-    total = 0.0
-    for k, chi in _chi_o4(two_j):
-        total += k.class_size * chi * character(f, k)
-    return _round_int(total / 120.0, f"m((j,j),{f}) at 2j={two_j}")
+    total = sum(
+        weight * class_character(k, two_j) for k, weight in _class_weights(f).items()
+    )
+    return exact_quotient(total, 120, f"m((j,j),{f}) at 2j={two_j}")
 
 
 def periodic_count_o4(two_j: int) -> int:
@@ -228,6 +230,7 @@ def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
     """Reduction rows for O(3) labels (l, (-1)^l) with l <= l_max; only
     these parities occur on single-valued spherical harmonics."""
     weights = {f: trivial_multiplicity(f) for f in S4_PARTITION_ORDER}
+    dims = [f.dimension for f in S4_PARTITION_ORDER]
     labels = []
     entries = []
     periodic = []
@@ -235,7 +238,7 @@ def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
         kappa = 1 if l % 2 == 0 else -1
         lab = O3Label(l, kappa)
         row = tuple(multiplicity_o3_s4(lab, f) for f in S4_PARTITION_ORDER)
-        dim_sum = sum(m * f.dimension for m, f in zip(row, S4_PARTITION_ORDER))
+        dim_sum = sum(m * d for m, d in zip(row, dims))
         if dim_sum != 2 * l + 1:
             raise ConsistencyError(
                 f"dimension audit failed at l={l}: {dim_sum} != {2 * l + 1}"
@@ -248,31 +251,18 @@ def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
     )
 
 
-def _o4_row(two_j: int) -> tuple[int, ...]:
-    return tuple(multiplicity_o4_s5(two_j, f) for f in S5_PARTITION_ORDER)
-
-
-def o4_multiplicity_table(
-    two_j_max: int, max_workers: int | None = None
-) -> MultiplicityTable:
+def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     """Reduction table for degrees 2j = 0..two_j_max, with the per-partition
     totals row (periodic modes attributable to each partition) and the
-    grand total of periodic modes.
-
-    Rows are independent; with max_workers > 1 they are computed on a
-    thread pool and merged back in row order.
-    """
-    if two_j_max > 200:
-        raise ValueError("two_j_max beyond 200 is not supported")
+    grand total of periodic modes."""
     degrees = range(two_j_max + 1)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = tuple(pool.map(_o4_row, degrees))
-    else:
-        entries = tuple(_o4_row(t) for t in degrees)
+    entries = tuple(
+        tuple(multiplicity_o4_s5(t, f) for f in S5_PARTITION_ORDER) for t in degrees
+    )
     weights = _branch_weights_s5()
+    dims = [f.dimension for f in S5_PARTITION_ORDER]
     for two_j, row in zip(degrees, entries):
-        dim_sum = sum(m * f.dimension for m, f in zip(row, S5_PARTITION_ORDER))
+        dim_sum = sum(m * d for m, d in zip(row, dims))
         if dim_sum != (two_j + 1) ** 2:
             raise ConsistencyError(
                 f"dimension audit failed at 2j={two_j}: {dim_sum}"
@@ -299,9 +289,7 @@ def o4_multiplicity_table(
 # ---------------------------------------------------------------- recursion
 
 #: classes whose characters repeat with period 60 in 2j
-PERIODIC_CLASSES = tuple(
-    CycleType(p) for p in [(3, 1, 1), (2, 2, 1), (3, 2), (4, 1), (5,)]
-)
+PERIODIC_CLASSES = tuple(CLASS_PERIODS)
 
 
 @dataclass(frozen=True)

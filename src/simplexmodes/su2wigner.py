@@ -68,10 +68,6 @@ class SU2Element:
     def identity(cls) -> SU2Element:
         return cls(1.0 + 0j, 0j)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> SU2Element:
-        return cls(complex(m[0, 0]), complex(m[0, 1]))
-
     def matrix(self) -> np.ndarray:
         return np.array(
             [[self.z1, self.z2], [-np.conj(self.z2), np.conj(self.z1)]],

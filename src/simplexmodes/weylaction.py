@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permgroup import CycleType, Permutation
+from .permgroup import ConsistencyError, CycleType, Permutation
 from .su2wigner import (
     Point4,
     Q_ELEMENT,
@@ -185,6 +185,52 @@ def class_operators() -> dict[CycleType, GroupOperator]:
     }
 
 
+#: period in 2j of each class character but the closed forms, (2j+1)^2 for
+#: the identity and 2j+1 for a transposition
+CLASS_PERIODS: dict[CycleType, int] = {
+    CycleType((3, 1, 1)): 3, CycleType((2, 2, 1)): 2, CycleType((3, 2)): 3,
+    CycleType((4, 1)): 4, CycleType((5,)): 5,
+}
+
+ROUND_TOL = 1e-6  # largest accepted distance of a float character from its integer
+
+
+def round_period(
+    values: list[float], period: int, what: str
+) -> tuple[tuple[int, ...], float]:
+    """One period of integers from two periods of float character values, and
+    the rounding margin max |x - round(x)|; ConsistencyError unless that is
+    within ROUND_TOL and the second period repeats the first."""
+    ints = tuple(round(v) for v in values)
+    margin = max(abs(v - i) for v, i in zip(values, ints))
+    if margin > ROUND_TOL or ints[:period] != ints[period:]:
+        raise ConsistencyError(f"{what}: {values} are not integers of period {period}")
+    return ints[:period], margin
+
+
+@lru_cache(maxsize=None)
+def class_periods() -> dict[CycleType, tuple[tuple[int, ...], float]]:
+    """One period of each periodic class character and its rounding margin,
+    from the float characters on 2j = 0 .. 2*period - 1."""
+    ops = class_operators()
+    return {
+        k: round_period([operator_character(t / 2, ops[k]) for t in range(2 * p)], p, str(k))
+        for k, p in CLASS_PERIODS.items()
+    }
+
+
+def class_character(k: CycleType, two_j: int) -> int:
+    """Exact character of the S(5) class k on the degree-2j harmonics."""
+    if two_j < 0:
+        raise ValueError("two_j must be non-negative")
+    if k.parts == (1, 1, 1, 1, 1):
+        return (two_j + 1) ** 2
+    if k.parts == (2, 1, 1, 1):
+        return two_j + 1
+    values, _ = class_periods()[k]
+    return values[two_j % len(values)]
+
+
 @dataclass(frozen=True)
 class ClassCharacterRow:
     """Characters chi^{(j,j)}(k) of one S(5) class for 2j = 0..two_j_max."""
@@ -192,11 +238,11 @@ class ClassCharacterRow:
     cycle_type: CycleType
     reflective: bool
     half_angles: tuple[float, ...]  # (phi_l/2, phi_r/2) or (phi(g_r g_l)/2,)
-    values: tuple[float, ...]
+    values: tuple[int, ...]
 
 
 def class_character_table(two_j_max: int) -> list[ClassCharacterRow]:
-    """Characters of all seven classes on the degree-2j harmonic spaces."""
+    """Exact characters of all seven classes on the degree-2j harmonic spaces."""
     if two_j_max < 0:
         raise ValueError("two_j_max must be non-negative")
     rows = []
@@ -205,8 +251,6 @@ def class_character_table(two_j_max: int) -> list[ClassCharacterRow]:
             angles = (half_angle(op.g_r * op.g_l),)
         else:
             angles = (half_angle(op.g_l), half_angle(op.g_r))
-        values = tuple(
-            operator_character(Fraction(t, 2), op) for t in range(two_j_max + 1)
-        )
+        values = tuple(class_character(k, t) for t in range(two_j_max + 1))
         rows.append(ClassCharacterRow(k, op.reflective, angles, values))
     return rows

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from simplexmodes import cli
-from simplexmodes.cli import main
+from simplexmodes.cli import MAX_ROWS, main
+from simplexmodes.modes import MAX_TWO_J_MODES
+from simplexmodes.weylaction import ROUND_TOL
 
 
 def run(capsys, *argv):
@@ -70,16 +72,17 @@ class TestReduce:
         assert lines[0].endswith("periodic")
         assert lines[-1].startswith("totals,")
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MODES_NUM_THREADS", "3")
-        rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "8")
+    def test_o4_beyond_200(self, capsys):
+        rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "201")
         assert rc == 0
-        assert doc["payload"]["periodic"] == [1, 0, 1, 4, 5, 8, 9, 12, 17]
+        assert len(doc["payload"]["entries"]) == 202
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MODES_NUM_THREADS", "zero")
-        rc, _ = run(capsys, "reduce", "--chain", "o4s5c5", "--max", "2")
+    @pytest.mark.parametrize("chain", ["o2s3c3", "o3s4c4", "o4s5c5"])
+    @pytest.mark.parametrize("top", [-1, MAX_ROWS + 1])
+    def test_row_limit(self, capsys, chain, top):
+        rc = main(["reduce", "--chain", chain, "--max", str(top)])
         assert rc == 2
+        assert f"0..{MAX_ROWS}" in capsys.readouterr().err
 
 
 class TestModes:
@@ -102,7 +105,13 @@ class TestModes:
         assert all(c["passed"] for c in doc["checks"])
 
     def test_range_guard(self, capsys):
-        rc, _ = run(capsys, "modes", "--two-j", "13")
+        rc = main(["modes", "--two-j", str(MAX_TWO_J_MODES + 1)])
+        assert rc == 2
+        assert f"0..{MAX_TWO_J_MODES}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_no_verify_points_exits_2(self, capsys, points):
+        rc, _ = run(capsys, "modes", "--two-j", "2", "--verify-points", points)
         assert rc == 2
 
 
@@ -113,7 +122,17 @@ class TestClassChars:
         rows = {tuple(r["class"]): r["values"] for r in doc["payload"]["rows"]}
         assert rows[(5,)] == [1, -1, -1, 1, 0, 1]
         assert rows[(3, 1, 1)] == [1, 1, 0, 1, 1, 0]
+        assert all(type(v) is int for values in rows.values() for v in values)
         assert all(c["passed"] for c in doc["checks"])
+        # the period checks report the rounding margin of the tabulated period
+        assert len(doc["checks"]) == 5
+        assert all(0 <= c["residual"] < ROUND_TOL for c in doc["checks"])
+
+    @pytest.mark.parametrize("top", [-1, MAX_ROWS + 1])
+    def test_row_limit(self, capsys, top):
+        rc = main(["classchars", "--two-j-max", str(top)])
+        assert rc == 2
+        assert f"0..{MAX_ROWS}" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -156,6 +175,16 @@ class TestVerify:
         rc, _ = run(capsys, "verify", "--all", "--inject-fault", "nonsense")
         assert rc == 2
 
+    @pytest.mark.parametrize("fault", ["chartable:x:0:0", "o4:999:0", "o4:10:5:1"])
+    def test_fault_that_perturbs_nothing_exits_2(self, capsys, fault):
+        rc, _ = run(capsys, "verify", "--all", "--inject-fault", fault)
+        assert rc == 2
+
+    def test_fault_trips_only_its_check(self, capsys):
+        rc, doc = run_json(capsys, "verify", "--all", "--inject-fault", "o4:10:5")
+        assert rc == 3
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["o4_s5_entries"]
+
 
 class TestInterface:
     def test_unknown_flag_exits_2(self, capsys):
@@ -171,6 +200,12 @@ class TestInterface:
     def test_csv_rejected_elsewhere(self, capsys):
         rc, _ = run(capsys, "chartable", "--n", "3", "--format", "csv")
         assert rc == 2
+
+    def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        rc = main(["chartable", "--n", "3", "--output", str(target)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"

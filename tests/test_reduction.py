@@ -1,10 +1,28 @@
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from simplexmodes.permgroup import Partition
+from simplexmodes import reduction
+from simplexmodes.permgroup import (
+    ConsistencyError,
+    CycleType,
+    Partition,
+    Permutation,
+    character,
+)
+from simplexmodes.su2wigner import chebyshev_u
+from simplexmodes.weylaction import (
+    CLASS_ORDER_S5,
+    ROUND_TOL,
+    class_operators,
+    operator_character,
+)
+from simplexmodes.youngrep import primed_rep_matrix
 from simplexmodes.reduction import (
     S4_PARTITION_ORDER,
     S5_PARTITION_ORDER,
@@ -149,11 +167,6 @@ class TestThreeSphereChain:
         table = o4_multiplicity_table(60)
         assert len(table.entries) == 61
 
-    def test_threaded_equals_serial(self):
-        serial = o4_multiplicity_table(12)
-        threaded = o4_multiplicity_table(12, max_workers=4)
-        assert serial == threaded
-
     def test_forbidden_partitions_never_contribute(self):
         table = o4_multiplicity_table(40)
         idx = [
@@ -202,3 +215,118 @@ class TestRecursionReport:
             p.partition.dimension * p.samples[0][1] for p in report.partitions
         )
         assert total == 61**2 - 1**2
+
+
+# ------------------------------------------------ float oracle, 2j, l <= 200
+
+def _rounded(value: float, what: str) -> int:
+    out = round(value)
+    assert abs(value - out) <= ROUND_TOL, f"{what} = {value} is not an integer"
+    return out
+
+
+def float_o4_row(two_j: int) -> tuple[int, ...]:
+    """Multiplicities (1/120) sum_k |k| chi_k(2j) chi_f(k), with the class
+    characters chi_k summed in floats from the Chebyshev recurrence."""
+    ops = class_operators()
+    chis = {k: operator_character(Fraction(two_j, 2), ops[k]) for k in CLASS_ORDER_S5}
+    return tuple(
+        _rounded(
+            sum(k.class_size * chis[k] * character(f, k) for k in CLASS_ORDER_S5) / 120,
+            f"m(2j={two_j}, {f})",
+        )
+        for f in S5_PARTITION_ORDER
+    )
+
+
+def _s4_rotation_cosines() -> list[tuple[Permutation, int, float]]:
+    """(p, parity, cos of the half rotation angle) for all 24 elements of S(4)
+    acting on the tetrahedral axes; odd p act as inversion times a rotation."""
+    out = []
+    for images in itertools.permutations(range(1, 5)):
+        p = Permutation(images)
+        mat = primed_rep_matrix(Partition.of(3, 1), p).matrix
+        rot = -mat if p.parity() else mat
+        cos_phi = min(1.0, max(-1.0, (np.trace(rot) - 1.0) / 2.0))
+        out.append((p, p.parity(), math.cos(math.acos(cos_phi) / 2.0)))
+    return out
+
+
+def float_o3_row(l: int, kappa: int, elements) -> tuple[int, ...]:
+    """Multiplicities (1/24) sum_p chi_(l,kappa)(p) chi_f(p) over every element."""
+    chis = [
+        (p, (kappa if parity else 1) * chebyshev_u(2 * l, x)) for p, parity, x in elements
+    ]
+    return tuple(
+        _rounded(
+            sum(chi * character(f, p.cycle_type()) for p, chi in chis) / 24,
+            f"m(({l},{kappa}), {f})",
+        )
+        for f in S4_PARTITION_ORDER
+    )
+
+
+class TestFloatOracle:
+    def test_o4_table_to_200(self):
+        table = o4_multiplicity_table(200)
+        assert list(table.entries) == [float_o4_row(t) for t in range(201)]
+
+    def test_o3_to_200_both_parities(self):
+        elements = _s4_rotation_cosines()
+        for l in range(201):
+            for kappa in (1, -1):
+                exact = tuple(multiplicity_o3_s4(O3Label(l, kappa), f) for f in S4_PARTITION_ORDER)
+                assert exact == float_o3_row(l, kappa, elements), (l, kappa)
+
+
+# --------------------------------------------- exact properties to 10^6
+
+BIG = 10**6
+TRANSPOSITION = CycleType((2, 1, 1, 1))
+
+
+class TestExactProperties:
+    @given(st.integers(0, BIG))
+    def test_o4_audit_and_non_negative(self, two_j):
+        row = [multiplicity_o4_s5(two_j, f) for f in S5_PARTITION_ORDER]
+        assert min(row) >= 0
+        assert sum(m * f.dimension for m, f in zip(row, S5_PARTITION_ORDER)) == (two_j + 1) ** 2
+
+    @given(st.integers(0, BIG), st.sampled_from([1, -1]))
+    def test_o3_audit_and_non_negative(self, l, kappa):
+        row = [multiplicity_o3_s4(O3Label(l, kappa), f) for f in S4_PARTITION_ORDER]
+        assert min(row) >= 0
+        assert sum(m * f.dimension for m, f in zip(row, S4_PARTITION_ORDER)) == 2 * l + 1
+
+    @given(st.integers(0, BIG - 60))
+    def test_o4_degree_sixty_increment(self, two_j):
+        for f in S5_PARTITION_ORDER:
+            delta = multiplicity_o4_s5(two_j + 60, f) - multiplicity_o4_s5(two_j, f)
+            assert delta == (two_j + 31) * f.dimension + 5 * character(f, TRANSPOSITION)
+
+    @given(st.integers(0, BIG - 12), st.sampled_from([1, -1]))
+    def test_o3_degree_twelve_increment(self, l, kappa):
+        for f in S4_PARTITION_ORDER:
+            delta = multiplicity_o3_s4(O3Label(l + 12, kappa), f) - multiplicity_o3_s4(
+                O3Label(l, kappa), f
+            )
+            assert delta == f.dimension
+
+
+class TestExactDivision:
+    def test_o4_remainder_raises(self, monkeypatch):
+        exact = reduction.class_character
+        monkeypatch.setattr(
+            reduction, "class_character",
+            lambda k, t: exact(k, t) + (1 if k == CycleType((5,)) else 0),
+        )
+        with pytest.raises(ConsistencyError):
+            multiplicity_o4_s5(3, Partition.of(5))
+
+    def test_o3_remainder_raises(self, monkeypatch):
+        data = dict(reduction._s4_class_data())
+        parity, _ = data[CycleType((3, 1))]
+        data[CycleType((3, 1))] = (parity, (2, 0, -1))
+        monkeypatch.setattr(reduction, "_s4_class_data", lambda: data)
+        with pytest.raises(ConsistencyError):
+            multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))

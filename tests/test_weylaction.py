@@ -1,17 +1,25 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from simplexmodes.permgroup import CycleType, Permutation, coxeter_element
+from simplexmodes.permgroup import ConsistencyError, CycleType, Permutation, coxeter_element
 from simplexmodes.su2wigner import Point4, SU2Element, wigner_d
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
+    CLASS_PERIODS,
+    ROUND_TOL,
     GroupOperator,
     WeylVector,
     act_on_point,
+    class_character,
     class_character_table,
+    class_periods,
     class_operators,
     class_representatives,
     compose,
@@ -19,6 +27,7 @@ from simplexmodes.weylaction import (
     operator_matrix,
     permutation_operator,
     reflection_operator,
+    round_period,
     weyl_vectors_s5,
 )
 
@@ -371,3 +380,65 @@ class TestCharactersAndMatrices:
                     w_here = wigner_d(j, u).matrix.reshape(-1)
                     w_there = wigner_d(j, act_on_point(op, u)).matrix.reshape(-1)
                     assert abs((m @ c) @ w_here - c @ w_there) < 1e-9
+
+
+class TestExactClassCharacters:
+    def test_equal_float_characters(self):
+        ops = class_operators()
+        for k in CLASS_ORDER_S5:
+            for two_j in range(121):
+                exact = class_character(k, two_j)
+                assert isinstance(exact, int)
+                assert abs(exact - operator_character(Fraction(two_j, 2), ops[k])) < 1e-8
+
+    def test_closed_forms_far_out(self):
+        assert class_character(CycleType((1, 1, 1, 1, 1)), 10**6) == (10**6 + 1) ** 2
+        assert class_character(CycleType((2, 1, 1, 1)), 10**6) == 10**6 + 1
+        assert class_character(CycleType((5,)), 10**6 + 3) == CLASS_CHARACTERS[(5,)][3]
+
+    def test_table_values_are_integers(self):
+        for row in class_character_table(12):
+            assert all(type(v) is int for v in row.values)
+
+    def test_tabulation_margin(self):
+        periods = class_periods()
+        assert list(periods) == list(CLASS_PERIODS)
+        for k, (values, margin) in periods.items():
+            assert len(values) == CLASS_PERIODS[k]
+            assert margin < 1e-12
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            class_character(CycleType((5,)), -1)
+        with pytest.raises(KeyError):
+            class_character(CycleType((2, 2)), 3)
+
+    def test_round_period(self):
+        assert round_period([1.0, 1e-9, 1.0, 0.0], 2, "chi") == ((1, 0), 1e-9)
+        with pytest.raises(ConsistencyError):  # not an integer
+            round_period([1.0, 2 * ROUND_TOL, 1.0, 0.0], 2, "chi")
+        with pytest.raises(ConsistencyError):  # does not repeat
+            round_period([1.0, 0.0, 0.0, 1.0], 2, "chi")
+
+    def test_wrong_period_raises(self, monkeypatch):
+        monkeypatch.setitem(CLASS_PERIODS, CycleType((5,)), 4)
+        class_periods.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError):
+                class_periods()
+        finally:
+            monkeypatch.undo()
+            class_periods.cache_clear()
+
+    def test_tabulation_is_lazy(self):
+        # importing the package must not tabulate: it would slow every start-up
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = (
+            "import simplexmodes.cli, simplexmodes.weylaction as w; "
+            "print(w.class_periods.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "0"
