@@ -110,24 +110,29 @@ _S4_CLASSES = {
 
 
 @lru_cache(maxsize=None)
-def _s4_class_data() -> dict[CycleType, tuple[int, tuple[int, ...] | None]]:
-    """Parity and one period of the rotation character of each class of
-    S(4), read off the 3x3 tetrahedral-axis matrices.  Odd permutations are
-    improper; factoring out the central inversion leaves a rotation whose
-    character enters with the parity sign kappa."""
+def _s4_class_data() -> dict[CycleType, tuple[int, tuple[int, ...] | None, float]]:
+    """Parity, one period of the rotation character and its rounding margin
+    for each class of S(4), read off the 3x3 tetrahedral-axis matrices.  Odd
+    permutations are improper; factoring out the central inversion leaves a
+    rotation whose character enters with the parity sign kappa."""
     out = {}
     for parts, (cycles, period) in _S4_CLASSES.items():
         p = Permutation.from_cycles(4, cycles)
         assert p.cycle_type().parts == parts
-        chars = None
+        chars, margin = None, 0.0
         if period:
             mat = primed_rep_matrix(Partition.of(3, 1), p).matrix
             rot = -mat if p.parity() else mat
             x = math.sqrt(max(0.0, rot.trace() + 1.0)) / 2.0  # cos(angle / 2)
             chis = [chebyshev_u(2 * l, x) for l in range(2 * period)]
-            chars, _ = round_period(chis, period, f"chi_l({p.cycle_type()})")
-        out[p.cycle_type()] = (p.parity(), chars)
+            chars, margin = round_period(chis, period, f"chi_l({p.cycle_type()})")
+        out[p.cycle_type()] = (p.parity(), chars, margin)
     return out
+
+
+def s4_class_periods() -> dict[CycleType, tuple[tuple[int, ...], float]]:
+    """One period of each periodic S(4) class character and its rounding margin."""
+    return {k: (chars, margin) for k, (_, chars, margin) in _s4_class_data().items() if chars}
 
 
 def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
@@ -138,7 +143,7 @@ def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
     data = _s4_class_data()
     total = 0
     for k, weight in _class_weights(f).items():
-        parity, chars = data[k]
+        parity, chars, _ = data[k]
         chi = 2 * label.l + 1 if chars is None else chars[label.l % len(chars)]
         total += weight * (label.kappa * chi if parity else chi)
     return exact_quotient(total, 24, f"m(({label.l},{label.kappa}),{f})")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simplexmodes import cli
+from simplexmodes import cli, golden
 from simplexmodes.cli import MAX_ROWS, main
 from simplexmodes.modes import MAX_TWO_J_MODES
 from simplexmodes.weylaction import ROUND_TOL
@@ -63,6 +63,17 @@ class TestReduce:
         _, doc = run_json(capsys, "reduce", "--chain", "o2s3c3", "--max", "3")
         assert doc["payload"]["periodic"] == [1, 0, 0, 0, 0, 1, 1]
 
+    @pytest.mark.parametrize("chain, periods", [("o3s4c4", 4), ("o4s5c5", 0)])
+    def test_checks_report_margins(self, capsys, chain, periods):
+        rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", "30")
+        assert rc == 0
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["dimension_audit"]["residual"] == 0
+        assert checks["dimension_audit"]["tolerance"] == 0
+        margins = [c for name, c in checks.items() if name.startswith("period_")]
+        assert len(margins) == periods
+        assert all(0 <= c["residual"] < c["tolerance"] == ROUND_TOL for c in margins)
+
     def test_csv_format(self, capsys):
         rc, out = run(capsys, "reduce", "--chain", "o4s5c5", "--max", "3",
                       "--format", "csv")
@@ -109,10 +120,27 @@ class TestModes:
         assert rc == 2
         assert f"0..{MAX_TWO_J_MODES}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("points", ["0", "-1"])
+    @pytest.mark.parametrize("points", ["0", "-1", str(MAX_ROWS + 1), "100000000"])
     def test_no_verify_points_exits_2(self, capsys, points):
-        rc, _ = run(capsys, "modes", "--two-j", "2", "--verify-points", points)
+        rc = main(["modes", "--two-j", "2", "--verify-points", points])
         assert rc == 2
+        assert f"1..{MAX_ROWS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        rc = main(["modes", "--two-j", "2", "--seed", seed])
+        assert rc == 2
+        assert f"0..{2**63 - 1}" in capsys.readouterr().err
+
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_invariance", lambda *args: 1.0)
+        rc = main(["modes", "--two-j", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "invariance_max_deviation" in err
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["invariance_max_deviation"]
+        assert failed[0]["residual"] == 1.0 and failed[0]["tolerance"] == 1e-9
 
 
 class TestClassChars:
@@ -135,6 +163,28 @@ class TestClassChars:
         assert f"0..{MAX_ROWS}" in capsys.readouterr().err
 
 
+VERIFY_CHECKS = [
+    "characters_s3", "class_sizes_s3", "branch_column_s3",
+    "characters_s4", "class_sizes_s4", "branch_column_s4", "erratum_s4_[211]",
+    "characters_s5", "class_sizes_s5", "branch_column_s5",
+    "circle_rules", "o3_s4_table",
+    "o4_s5_entries", "o4_s5_periodic", "o4_s5_totals", "o4_s5_grand_total",
+    "o4_s5_harmonics_count", "erratum_o4_s5",
+    "class_characters", "weyl_gram", "weyl_v_matrices", "weyl_class_matrices",
+    "young_golden",
+]
+
+#: each documented fault spec and the one check it must trip
+FAULTS = {
+    "chartable:5:2:3": "characters_s5",
+    "chartable:3:0:0": "characters_s3",
+    "o4:10:5": "o4_s5_entries",
+    "o4:0:0": "o4_s5_entries",
+    "classchars:6:0": "class_characters",
+    "classchars:6:3": "class_characters",
+}
+
+
 class TestVerify:
     def test_clean_build_passes(self, capsys):
         rc, doc = run_json(capsys, "verify", "--all")
@@ -144,14 +194,17 @@ class TestVerify:
         assert "erratum_s4_[211]" in names
         assert "erratum_o4_s5" in names
 
-    @pytest.mark.parametrize(
-        "fault",
-        ["chartable:5:2:3", "chartable:3:0:0", "o4:10:5", "o4:0:0", "classchars:6:0"],
-    )
+    def test_every_check_reports_its_margin(self, capsys):
+        _, doc = run_json(capsys, "verify", "--all")
+        assert [c["name"] for c in doc["checks"]] == VERIFY_CHECKS
+        for c in doc["checks"]:
+            assert 0 <= c["residual"] <= c["tolerance"], c
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
     def test_fault_injection_trips(self, capsys, fault):
-        rc, _ = run(capsys, "verify", "--all", "--inject-fault", fault)
-        err = capsys.readouterr()
+        rc = main(["verify", "--all", "--inject-fault", fault])
         assert rc == 3
+        assert FAULTS[fault] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "pick, tripped",
@@ -164,9 +217,9 @@ class TestVerify:
     def test_erratum_record_disagreeing_with_table_trips(
         self, capsys, monkeypatch, pick, tripped
     ):
-        golden = cli._load_golden()
-        pick(golden)["value"] += 1
-        monkeypatch.setattr(cli, "_load_golden", lambda: golden)
+        data = golden.load()
+        pick(data)["value"] += 1
+        monkeypatch.setattr(golden, "load", lambda: data)
         rc, doc = run_json(capsys, "verify", "--all")
         assert rc == 3
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [tripped]
@@ -180,10 +233,17 @@ class TestVerify:
         rc, _ = run(capsys, "verify", "--all", "--inject-fault", fault)
         assert rc == 2
 
-    def test_fault_trips_only_its_check(self, capsys):
-        rc, doc = run_json(capsys, "verify", "--all", "--inject-fault", "o4:10:5")
+    @pytest.mark.parametrize("fault, tripped", list(FAULTS.items()))
+    def test_fault_trips_only_its_check(self, capsys, fault, tripped):
+        rc, doc = run_json(capsys, "verify", "--all", "--inject-fault", fault)
         assert rc == 3
-        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["o4_s5_entries"]
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [tripped]
+
+    def test_fault_detail_names_its_index(self, capsys):
+        _, doc = run_json(capsys, "verify", "--all", "--inject-fault", "o4:10:5")
+        failed = next(c for c in doc["checks"] if not c["passed"])
+        assert failed["detail"] == "index (10, 5): computed 5, golden 4"
+        assert failed["residual"] == 1 and failed["tolerance"] == 0
 
 
 class TestInterface:

@@ -325,8 +325,8 @@ class TestExactDivision:
 
     def test_o3_remainder_raises(self, monkeypatch):
         data = dict(reduction._s4_class_data())
-        parity, _ = data[CycleType((3, 1))]
-        data[CycleType((3, 1))] = (parity, (2, 0, -1))
+        parity, _, margin = data[CycleType((3, 1))]
+        data[CycleType((3, 1))] = (parity, (2, 0, -1), margin)
         monkeypatch.setattr(reduction, "_s4_class_data", lambda: data)
         with pytest.raises(ConsistencyError):
             multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))
