@@ -43,17 +43,20 @@ from .su2wigner import (
     su2_character,
     su2_from_point,
     wigner_d,
+    wigner_rows,
 )
 from .weylaction import (
     ClassCharacterRow,
     GroupOperator,
     WeylVector,
     act_on_point,
+    act_on_points,
     class_character,
     class_character_table,
     class_representatives,
     compose,
     operator_character,
+    operator_matrices,
     operator_matrix,
     permutation_operator,
     reflection_operator,

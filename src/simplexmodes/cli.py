@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,7 +59,8 @@ class UsageError(Exception):
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(format(obj, ".15g"))
+        # JSON has no infinity or NaN: a residual that measured nothing is null
+        return float(format(obj, ".15g")) if math.isfinite(obj) else None
     if isinstance(obj, complex):
         return [_round_floats(obj.real), _round_floats(obj.imag)]
     if isinstance(obj, dict):

@@ -17,7 +17,14 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .permgroup import CycleType, Partition, character_table, coxeter_element, trivial_multiplicity
+from .permgroup import (
+    ConsistencyError,
+    CycleType,
+    Partition,
+    character_table,
+    coxeter_element,
+    trivial_multiplicity,
+)
 from .reduction import O2Label, o2_reduce, o3_multiplicity_table, o4_multiplicity_table
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
@@ -220,6 +227,18 @@ def _young(gold):
 
 SECTIONS = (_character_tables, _circle_rules, _o3, _o4, _class_characters, _weyl, _young)
 
+#: every check of the gate, in report order; one that gets no rows fails
+CHECKS = (
+    "characters_s3", "class_sizes_s3", "branch_column_s3",
+    "characters_s4", "class_sizes_s4", "branch_column_s4", "erratum_s4_[211]",
+    "characters_s5", "class_sizes_s5", "branch_column_s5",
+    "circle_rules", "o3_s4_table",
+    "o4_s5_entries", "o4_s5_periodic", "o4_s5_totals", "o4_s5_grand_total",
+    "o4_s5_harmonics_count", "erratum_o4_s5",
+    "class_characters", "weyl_gram", "weyl_v_matrices", "weyl_class_matrices",
+    "young_golden",
+)
+
 
 # --------------------------------------------------------------------- gate
 
@@ -261,19 +280,25 @@ def _compare(row: Row, fault: str | None) -> tuple[float, str, bool]:
 
 
 def run(gold: dict, fault: str | None = None) -> tuple[list[dict], bool]:
-    """Every check of the gate in golden-file order, and whether `fault`
-    perturbed a computed entry.  A check reports the largest deviation of its
-    rows with that row's tolerance (a failing row first), its first failure,
-    and every detail."""
-    results: dict[str, list[tuple[Row, float, str]]] = {}
+    """Every check of CHECKS in order, and whether `fault` perturbed a
+    computed entry.  A check reports the largest deviation of its rows with
+    that row's tolerance (a failing row first), its first failure, and every
+    detail; a check without rows fails.  A row naming an unregistered check
+    raises ConsistencyError."""
+    results: dict[str, list[tuple[Row, float, str]]] = {name: [] for name in CHECKS}
     hit = False
     for section in SECTIONS:
         for row in section(gold):
+            if row.check not in results:
+                raise ConsistencyError(f"row for unregistered check {row.check!r}")
             residual, problem, faulted = _compare(row, fault)
             hit = hit or faulted
-            results.setdefault(row.check, []).append((row, residual, problem))
+            results[row.check].append((row, residual, problem))
     checks = []
     for name, rows in results.items():
+        if not rows:
+            checks.append(check(name, math.inf, 0, "no rows"))
+            continue
         row, residual, _ = max(rows, key=lambda r: (bool(r[2]), r[1]))
         problems = [p for _, _, p in rows if p][:1]
         details = [r.detail for r, _, _ in rows if r.detail]

@@ -31,12 +31,12 @@ from .reduction import (
     o2_reduce,
     periodic_count_o4,
 )
-from .su2wigner import SU2Element, wigner_d
+from .su2wigner import SU2Element, _complex, block_points, wigner_d, wigner_rows
 from .weylaction import (
     GroupOperator,
-    act_on_point,
+    act_on_points,
     compose,
-    operator_matrix,
+    operator_matrices,
     permutation_operator,
 )
 from .youngrep import RANK_CUTOFF, fixed_subspace, rep_matrix
@@ -95,9 +95,7 @@ def cyclic_projector(two_j: int) -> np.ndarray:
     projecting onto the periodic subspace of degree 2j."""
     if not 0 <= two_j <= MAX_TWO_J_MODES:
         raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
-    j = Fraction(two_j, 2)
-    mats = [operator_matrix(j, op) for op in cyclic_operators()]
-    return sum(mats) / 5.0
+    return sum(operator_matrices(Fraction(two_j, 2), cyclic_operators())) / 5.0
 
 
 def _all_s5() -> list[Permutation]:
@@ -111,8 +109,9 @@ def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
     Shared by the Young-operator and isotypic routes; treat the cached
     arrays as read-only.
     """
-    j = Fraction(two_j, 2)
-    return {p: operator_matrix(j, permutation_operator(p)) for p in _all_s5()}
+    perms = _all_s5()
+    ops = [permutation_operator(p) for p in perms]
+    return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
@@ -204,17 +203,22 @@ def young_rank(two_j: int, f: Partition) -> int:
     return ranks.pop()
 
 
+def _sample_pairs(num_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z1, z2) of N uniform points of S^3: normalized 4-dimensional
+    Gaussian draws x of a seeded generator, z1 = x0 - i x3, z2 = -x2 - i x1."""
+    x = np.random.default_rng(seed).normal(size=(num_points, 4))
+    # each row's squared norm by the same BLAS dot as np.linalg.norm(row)
+    x = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    return _complex(x[:, 0], -x[:, 3]), _complex(-x[:, 2], -x[:, 1])
+
+
 def sample_points(num_points: int, seed: int) -> list[SamplePoint]:
     """Uniform points of S^3 from normalized 4-dimensional Gaussian draws
     of a seeded generator."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(num_points):
-        x = rng.normal(size=4)
-        x /= np.linalg.norm(x)
-        u = SU2Element(complex(x[0], -x[3]), complex(-x[2], -x[1]))
-        out.append(SamplePoint(u, seed, i))
-    return out
+    return [
+        SamplePoint(SU2Element(complex(z1), complex(z2)), seed, i)
+        for i, (z1, z2) in enumerate(zip(*_sample_pairs(num_points, seed)))
+    ]
 
 
 def evaluate_modes(basis: ModeBasis, u: SU2Element) -> np.ndarray:
@@ -225,12 +229,22 @@ def evaluate_modes(basis: ModeBasis, u: SU2Element) -> np.ndarray:
 
 def verify_invariance(basis: ModeBasis, num_points: int, seed: int) -> float:
     """Largest |psi(g u) - psi(u)| over the sample, all deck operators g,
-    and all modes; exactly zero up to roundoff for a periodic basis."""
+    and all modes; exactly zero up to roundoff for a periodic basis.
+
+    Points are evaluated in blocks of `block_points(2j)`, one Wigner kernel
+    call and one matrix product per block and operator.
+    """
+    if num_points < 1:
+        raise ValueError(f"need at least one sample point, got {num_points}")
+    z1, z2 = _sample_pairs(num_points, seed)
+    two_j, coeffs = basis.two_j, basis.coefficients
+    step = block_points(two_j)
     worst = 0.0
-    for sample in sample_points(num_points, seed):
-        here = evaluate_modes(basis, sample.u)
+    for lo in range(0, num_points, step):
+        u1, u2 = z1[lo:lo + step], z2[lo:lo + step]
+        here = wigner_rows(two_j, u1, u2) @ coeffs
         for op in cyclic_operators():
-            there = evaluate_modes(basis, act_on_point(op, sample.u))
+            there = wigner_rows(two_j, *act_on_points(op, u1, u2)) @ coeffs
             if here.size:
                 worst = max(worst, float(np.abs(there - here).max()))
     return worst

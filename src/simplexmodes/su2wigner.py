@@ -14,6 +14,7 @@ what the rest of the package relies on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,57 +136,107 @@ class WignerMatrix:
         return self.two_j + 1
 
 
-@lru_cache(maxsize=None)
-def _wigner_terms(two_j: int):
-    """Per matrix entry: (prefactor, ((coeff, e1, e2c, e2, e1c), ...)).
+#: points x matrix entries per numpy pass of the Wigner kernel; bounds its
+#: temporaries (about 20 arrays of this many floats) at every 2j
+BLOCK_ELEMENTS = 1 << 12
 
-    Prefactors are square roots of exact factorial ratios; the per-sigma
-    coefficients are exact integers.  Exponents order: z1, conj(z2), z2,
-    conj(z1).
+
+@lru_cache(maxsize=None)
+def _wigner_terms(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The polynomial sum of D^j as arrays over the flattened entries (m1, m2).
+
+    Returns prefactors (E,), square roots of exact factorial ratios, and per
+    sigma term s = 0..S-1 the exact integer coefficients coeffs[s] (E,) and
+    picks[s] (4, E): where each factor sits in the stacked powers 0..2j of
+    z1, conj(z2), z2, conj(z1).  Entries with fewer than S terms are padded
+    with zero coefficients and zeroth powers, which leave the sum unchanged.
     """
     dim = two_j + 1
-    table = []
-    for i1 in range(dim):
-        two_m1 = -two_j + 2 * i1
-        row = []
-        for i2 in range(dim):
-            two_m2 = -two_j + 2 * i2
-            jp1, jm1 = (two_j + two_m1) // 2, (two_j - two_m1) // 2
-            jp2, jm2 = (two_j + two_m2) // 2, (two_j - two_m2) // 2
-            pref = math.sqrt(
-                Fraction(factorial(jp1) * factorial(jm1),
-                         factorial(jp2) * factorial(jm2))
-            )
-            dm = (two_m2 - two_m1) // 2
-            terms = []
-            for sig in range(max(0, -dm), min(jp1, jm2) + 1):
-                coeff = (-1) ** (dm + sig) * comb(jp2, jp1 - sig) * comb(jm2, sig)
-                terms.append((coeff, jp1 - sig, dm + sig, sig, jm2 - sig))
-            row.append((pref, tuple(terms)))
-        table.append(tuple(row))
-    return tuple(table)
+    prefs, rows = [], []
+    for i1, i2 in itertools.product(range(dim), repeat=2):  # i = j + m
+        jm1, jm2, dm = two_j - i1, two_j - i2, i2 - i1
+        prefs.append(math.sqrt(
+            Fraction(factorial(i1) * factorial(jm1), factorial(i2) * factorial(jm2))
+        ))
+        rows.append([
+            ((-1) ** (dm + sig) * comb(i2, i1 - sig) * comb(jm2, sig),
+             i1 - sig, dm + sig, sig, jm2 - sig)
+            for sig in range(max(0, -dm), min(i1, jm2) + 1)
+        ])
+    terms = np.zeros((dim * dim, max(map(len, rows)), 5))
+    for e, row in enumerate(rows):
+        terms[e, :len(row)] = row
+    picks = terms[..., 1:].astype(np.intp).transpose(1, 2, 0) + dim * np.arange(4)[:, None]
+    return np.array(prefs), terms[..., 0].T.copy(), picks
 
 
-def _wigner_array(two_j: int, u: SU2Element) -> np.ndarray:
-    z1, z2 = complex(u.z1), complex(u.z2)
-    z1c, z2c = z1.conjugate(), z2.conjugate()
-    dim = two_j + 1
-    pows = {}
-    for base, z in (("z1", z1), ("z2c", z2c), ("z2", z2), ("z1c", z1c)):
-        p = [1.0 + 0j]
-        for _ in range(two_j):
-            p.append(p[-1] * z)
-        pows[base] = p
-    out = np.zeros((dim, dim), dtype=complex)
-    table = _wigner_terms(two_j)
-    for i1 in range(dim):
-        for i2 in range(dim):
-            pref, terms = table[i1][i2]
-            acc = 0j
-            for coeff, e1, e2c, e2, e1c in terms:
-                acc += coeff * pows["z1"][e1] * pows["z2c"][e2c] \
-                    * pows["z2"][e2] * pows["z1c"][e1c]
-            out[i1, i2] = pref * acc
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in real arithmetic, rounded operation by
+    operation as Python's complex product; numpy's complex multiply may
+    fuse and round differently."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array from its parts, signs of zeros included."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def block_points(two_j: int) -> int:
+    """Points per numpy pass of the degree-2j kernel."""
+    return max(1, BLOCK_ELEMENTS // (two_j + 1) ** 2)
+
+
+def _wigner_block(two_j: int, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    prefs, coeffs, picks = _wigner_terms(two_j)
+    dim, n = two_j + 1, len(z1)
+    # powers 0..2j of z1, conj(z2), z2, conj(z1), each from the last by one product
+    base_re = np.stack([z1.real, z2.real, z2.real, z1.real], axis=1)
+    base_im = np.stack([z1.imag, -z2.imag, z2.imag, -z1.imag], axis=1)
+    pow_re, pow_im = np.empty((n, 4, dim)), np.empty((n, 4, dim))
+    pow_re[..., 0], pow_im[..., 0] = 1.0, 0.0
+    for k in range(two_j):
+        pow_re[..., k + 1], pow_im[..., k + 1] = _cmul(
+            pow_re[..., k], pow_im[..., k], base_re, base_im
+        )
+    pow_re, pow_im = pow_re.reshape(n, 4 * dim), pow_im.reshape(n, 4 * dim)
+    acc_re, acc_im = np.zeros((n, len(prefs))), np.zeros((n, len(prefs)))
+    # ((coeff * f0) * f1 * f2) * f3 summed from +0.0, as Python evaluates the
+    # sum.  Python multiplies by a real number as by (x + 0j), which can only
+    # flip the sign of a zero part of a term; a sum started at +0.0 never
+    # returns -0.0, so scaling both parts gives the same bits.
+    for coeff, pick in zip(coeffs, picks):
+        f_re, f_im = pow_re[:, pick], pow_im[:, pick]  # (n, 4, E): the four factors
+        re, im = coeff * f_re[:, 0], coeff * f_im[:, 0]
+        for b in range(1, 4):
+            re, im = _cmul(re, im, f_re[:, b], f_im[:, b])
+        acc_re += re
+        acc_im += im
+    return _complex(prefs * acc_re, prefs * acc_im)
+
+
+def wigner_rows(two_j: int, z1, z2) -> np.ndarray:
+    """D^j at N points (z1[n], z2[n]) of S^3, flattened row-major: an
+    (N, (2j+1)^2) array.
+
+    Evaluates the polynomial sum in blocks of `block_points(two_j)` points;
+    every value equals the scalar sum term by term in Python complex
+    arithmetic, bit for bit.
+    """
+    if not 0 <= two_j <= MAX_TWO_J:
+        raise ValueError(f"2j = {two_j} exceeds the supported range {MAX_TWO_J}")
+    z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
+    z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
+    norm = np.abs(z1) ** 2 + np.abs(z2) ** 2
+    bad = np.flatnonzero(np.abs(norm - 1.0) > UNIT_TOL)
+    if len(bad):
+        raise ValueError(f"|z1|^2+|z2|^2 = {norm[bad[0]]} at point {bad[0]}, not a unit pair")
+    step = block_points(two_j)
+    out = np.empty((len(z1), (two_j + 1) ** 2), dtype=complex)
+    for lo in range(0, len(z1), step):
+        out[lo:lo + step] = _wigner_block(two_j, z1[lo:lo + step], z2[lo:lo + step])
     return out
 
 
@@ -193,9 +244,8 @@ def wigner_d(j: float | int | Fraction, u: SU2Element) -> WignerMatrix:
     """Wigner representation matrix D^j(u) as a homogeneous polynomial of
     degree 2j in (z1, z2, conj(z1), conj(z2))."""
     two_j = _as_two_j(j)
-    if two_j > MAX_TWO_J:
-        raise ValueError(f"2j = {two_j} exceeds the supported range {MAX_TWO_J}")
-    return WignerMatrix(two_j, _wigner_array(two_j, u))
+    row = wigner_rows(two_j, u.z1, u.z2)[0]
+    return WignerMatrix(two_j, row.reshape(two_j + 1, two_j + 1))
 
 
 def chebyshev_u(n: int, x: float) -> float:

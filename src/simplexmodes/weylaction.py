@@ -11,6 +11,7 @@ factorizations used throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,10 +24,12 @@ from .su2wigner import (
     Q_ELEMENT,
     SU2Element,
     _as_two_j,
+    _cmul,
+    _complex,
     half_angle,
     su2_character,
     su2_from_point,
-    wigner_d,
+    wigner_rows,
 )
 
 
@@ -104,17 +107,40 @@ def permutation_operator(p: Permutation) -> GroupOperator:
     return out
 
 
-def act_on_point(op: GroupOperator, u: SU2Element) -> SU2Element:
-    """Image of a point of S^3 under the operator.
+def _times(a1, a2, b1, b2):
+    """(a1, a2) * (b1, b2) as SU(2) pairs, in the real arithmetic of
+    `su2wigner._cmul`; either side may be an array of points."""
+
+    def mul(x, y):
+        return _complex(*_cmul(x.real, x.imag, y.real, y.imag))
+
+    return mul(a1, b1) - mul(a2, np.conj(b2)), mul(a1, b2) + mul(a2, np.conj(b1))
+
+
+def act_on_points(
+    op: GroupOperator, z1: np.ndarray, z2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images of the points (z1[n], z2[n]) of S^3 under the operator.
 
     A rotation pair sends u to g_l^{-1} u g_r.  For a reflective operator
     the rotation acts first and the base reflection afterwards, i.e.
     -(g_l^{-1} u g_r)^dagger = g_r^{-1} (-u^dagger) g_l, which is what makes
     reflection_operator(a) act as the Weyl reflection about a.
     """
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
     if op.reflective:
-        return op.g_r.inverse() * u.minus_dagger() * op.g_l
-    return op.g_l.inverse() * u * op.g_r
+        left, right, z1 = op.g_r, op.g_l, -np.conj(z1)
+    else:
+        left, right = op.g_l, op.g_r
+    inv = left.inverse()
+    z1, z2 = _times(inv.z1, inv.z2, z1, z2)
+    return _times(z1, z2, right.z1, right.z2)
+
+
+def act_on_point(op: GroupOperator, u: SU2Element) -> SU2Element:
+    """Image of one point of S^3 under the operator; see act_on_points."""
+    z1, z2 = act_on_points(op, np.array([u.z1]), np.array([u.z2]))
+    return SU2Element(complex(z1[0]), complex(z2[0]))
 
 
 def operator_character(j: float | int | Fraction, op: GroupOperator) -> float:
@@ -125,19 +151,35 @@ def operator_character(j: float | int | Fraction, op: GroupOperator) -> float:
     return su2_character(j, op.g_l.inverse()) * su2_character(j, op.g_r)
 
 
-def operator_matrix(j: float | int | Fraction, op: GroupOperator) -> np.ndarray:
-    """Matrix of the operator on the (2j+1)^2 harmonics D^j_{m1 m2}, with
-    the pair (m1, m2) flattened row-major and m ascending."""
+def operator_matrices(
+    j: float | int | Fraction, ops: Sequence[GroupOperator]
+) -> list[np.ndarray]:
+    """Matrices of the operators on the (2j+1)^2 harmonics D^j_{m1 m2}, with
+    the pair (m1, m2) flattened row-major and m ascending; all their Wigner
+    matrices come from one kernel call."""
     two_j = _as_two_j(j)
     dim = two_j + 1
-    if not op.reflective:
-        left = wigner_d(j, op.g_l.inverse()).matrix
-        right = wigner_d(j, op.g_r).matrix
-        return np.kron(left.T, right)
-    cmat = wigner_d(j, Q_ELEMENT.inverse() * op.g_l.inverse()).matrix
-    emat = wigner_d(j, op.g_r * Q_ELEMENT).matrix
-    out = np.einsum("ba,cd->acdb", cmat, emat).reshape(dim * dim, dim * dim)
-    return (-1.0) ** two_j * out
+    factors = []
+    for op in ops:
+        if op.reflective:
+            factors += [Q_ELEMENT.inverse() * op.g_l.inverse(), op.g_r * Q_ELEMENT]
+        else:
+            factors += [op.g_l.inverse(), op.g_r]
+    rows = wigner_rows(two_j, [u.z1 for u in factors], [u.z2 for u in factors])
+    wigner = rows.reshape(len(ops), 2, dim, dim)
+    out = []
+    for op, (left, right) in zip(ops, wigner):
+        if not op.reflective:
+            out.append(np.kron(left.T, right))
+        else:
+            mat = np.einsum("ba,cd->acdb", left, right).reshape(dim * dim, dim * dim)
+            out.append((-1.0) ** two_j * mat)
+    return out
+
+
+def operator_matrix(j: float | int | Fraction, op: GroupOperator) -> np.ndarray:
+    """Matrix of one operator on the degree-2j harmonics; see operator_matrices."""
+    return operator_matrices(j, [op])[0]
 
 
 #: cycle types of S(5) in the row order of the embedded character table

@@ -224,6 +224,27 @@ class TestVerify:
         assert rc == 3
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [tripped]
 
+    @pytest.mark.parametrize(
+        "section, tripped",
+        [
+            (lambda g: g["character_tables"]["4"], "erratum_s4_[211]"),
+            (lambda g: g["o4_s5"], "erratum_o4_s5"),
+        ],
+    )
+    def test_deleted_erratum_records_fail_their_check(
+        self, capsys, monkeypatch, section, tripped
+    ):
+        data = golden.load()
+        section(data)["errata"] = []
+        monkeypatch.setattr(golden, "load", lambda: data)
+        rc, out = run(capsys, "verify", "--all")
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert rc == 3
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [tripped]
+        assert failed[0]["detail"] == "no rows" and failed[0]["residual"] is None
+        assert [c["name"] for c in doc["checks"]] == VERIFY_CHECKS
+
     def test_bad_fault_spec(self, capsys):
         rc, _ = run(capsys, "verify", "--all", "--inject-fault", "nonsense")
         assert rc == 2

@@ -4,8 +4,11 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from simplexmodes import golden
 from simplexmodes.golden import Row
+from simplexmodes.permgroup import ConsistencyError
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_golden_tables.py"
 
@@ -50,9 +53,22 @@ class TestCompare:
         rows = [Row("c", [0], [0]), Row("c", [1.0], [1.0 + 2e-13], 1e-12),
                 Row("c", [1.0], [1.0 + 1e-10], 1e-9, detail="note")]
         monkeypatch.setattr(golden, "SECTIONS", (lambda gold: rows,))
+        monkeypatch.setattr(golden, "CHECKS", ("c",))
         [c], _ = golden.run({})
         assert c["passed"] and c["tolerance"] == 1e-9 and c["detail"] == "note"
         rows.append(Row("c", [2], [1], label="late"))
         [c], _ = golden.run({})
         assert not c["passed"] and c["residual"] == 1.0 and c["tolerance"] == 0
         assert c["detail"] == "late index (0): computed 2, golden 1; note"
+
+
+class TestRegistry:
+    def test_checks_are_registered_in_report_order(self):
+        checks, _ = golden.run(golden.load())
+        assert [c["name"] for c in checks] == list(golden.CHECKS)
+        assert all(c["passed"] for c in checks)
+
+    def test_unregistered_check_raises(self, monkeypatch):
+        monkeypatch.setattr(golden, "SECTIONS", (lambda gold: [Row("stray", [0], [0])],))
+        with pytest.raises(ConsistencyError, match="stray"):
+            golden.run({})

@@ -7,6 +7,7 @@ from simplexmodes.modes import (
     ModeBasis,
     cyclic_operators,
     cyclic_projector,
+    evaluate_modes,
     lower_dim_modes,
     periodic_basis,
     sample_points,
@@ -25,7 +26,8 @@ from simplexmodes.reduction import (
     multiplicity_o4_s5,
     periodic_count_o4,
 )
-from simplexmodes.weylaction import operator_matrix
+from simplexmodes.su2wigner import block_points
+from simplexmodes.weylaction import act_on_point, operator_matrix
 
 
 class TestCyclicProjector:
@@ -170,6 +172,45 @@ class TestInvariance:
         coeffs[0, 0] = 1.0
         rogue = ModeBasis(1, coeffs, (None,))
         assert verify_invariance(rogue, 100, 20080514) > 0.1
+
+    def test_sample_stream_is_pinned(self):
+        got = [(p.u.z1, p.u.z2) for p in sample_points(3, 20080514)]
+        assert got == [
+            (complex(-0.27766946726402253, -0.3838068813463759),
+             complex(0.6610041258354584, 0.5819497318574725)),
+            (complex(0.07695470468035252, 0.8697153743190731),
+             complex(-0.1263948718614057, -0.4708476159732926)),
+            (complex(0.4594141428528585, 0.8349700178629023),
+             complex(-0.01387498426919066, 0.30260733538420354)),
+        ]
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_no_samples_raises(self, points):
+        with pytest.raises(ValueError):
+            verify_invariance(periodic_basis(2), points, 20080514)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_blocks_agree_with_pointwise_evaluation(self, periodic):
+        two_j = 8
+        basis = periodic_basis(two_j)
+        if not periodic:  # a generic combination, far from invariant
+            rng = np.random.default_rng(6)
+            shape = (basis.coefficients.shape[0], 3)
+            basis = ModeBasis(two_j, rng.normal(size=shape) + 0j, (None,) * 3)
+        block, seed = block_points(two_j), 47
+        pointwise = []
+        for sample in sample_points(block + 1, seed):
+            here = evaluate_modes(basis, sample.u)
+            pointwise.append(max(
+                np.abs(evaluate_modes(basis, act_on_point(op, sample.u)) - here).max()
+                for op in cyclic_operators()
+            ))
+        if not periodic:  # the seed puts the largest deviation on the lone last point
+            assert np.argmax(pointwise) == block
+        for n in (block - 1, block, block + 1):
+            want = max(pointwise[:n])  # block and pointwise products round apart
+            got = verify_invariance(basis, n, seed)
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 class TestLowerDimensionalModes:

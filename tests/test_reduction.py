@@ -330,3 +330,15 @@ class TestExactDivision:
         monkeypatch.setattr(reduction, "_s4_class_data", lambda: data)
         with pytest.raises(ConsistencyError):
             multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))
+
+    def test_period_not_dividing_sixty_raises(self, monkeypatch):
+        reduction.class_periods()  # tabulated with the true periods
+        monkeypatch.setitem(reduction.CLASS_PERIODS, CycleType((3, 1, 1)), 9)
+        with pytest.raises(ConsistencyError, match="does not divide 60"):
+            recursion_report(60)
+
+    def test_deviation_is_the_tabulation_margin(self):
+        report = recursion_report(60)
+        assert report.character_period_deviation == {
+            str(k): margin for k, (_, margin) in reduction.class_periods().items()
+        }

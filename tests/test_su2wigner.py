@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -11,12 +12,52 @@ from simplexmodes.su2wigner import (
     SU2Element,
     chebyshev_u,
     q_conjugation,
+    block_points,
     su2_character,
     su2_from_point,
     wigner_d,
+    wigner_rows,
 )
 
 s = math.sqrt
+
+
+def scalar_wigner(two_j: int, z1: complex, z2: complex) -> np.ndarray:
+    """Oracle: D^j at one point, summed term by term in Python complex
+    arithmetic from the factorial formula (m ascending on both axes)."""
+    z1, z2 = complex(z1), complex(z2)
+    pows = {}
+    for base, z in (("z1", z1), ("z2c", z2.conjugate()), ("z2", z2), ("z1c", z1.conjugate())):
+        p = [1.0 + 0j]
+        for _ in range(two_j):
+            p.append(p[-1] * z)
+        pows[base] = p
+    dim = two_j + 1
+    out = np.zeros((dim, dim), dtype=complex)
+    for i1 in range(dim):
+        jp1, jm1 = i1, two_j - i1
+        for i2 in range(dim):
+            jp2, jm2 = i2, two_j - i2
+            pref = math.sqrt(Fraction(factorial(jp1) * factorial(jm1),
+                                      factorial(jp2) * factorial(jm2)))
+            dm = i2 - i1
+            acc = 0j
+            for sig in range(max(0, -dm), min(jp1, jm2) + 1):
+                coeff = (-1) ** (dm + sig) * comb(jp2, jp1 - sig) * comb(jm2, sig)
+                acc += coeff * pows["z1"][jp1 - sig] * pows["z2c"][dm + sig] \
+                    * pows["z2"][sig] * pows["z1c"][jm2 - sig]
+            out[i1, i2] = pref * acc
+    return out
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs of every real and imaginary part, zeros
+    included."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
 
 
 def random_su2(rng):
@@ -142,6 +183,39 @@ class TestWignerMatrices:
                 tr = np.trace(wigner_d(j, u).matrix)
                 assert abs(tr - su2_character(j, u)) < 1e-9
                 assert abs(tr.imag) < 1e-10
+
+
+class TestWignerKernel:
+    #: the identity, the poles (0, +-1) and (0, i), and zeros of both signs
+    SPECIAL = [
+        (1 + 0j, 0j), (0j, 1 + 0j), (0j, -1 + 0j), (0j, 1j),
+        (complex(-0.0, 1.0), complex(0.0, -0.0)), (complex(0.6, -0.0), complex(-0.0, 0.8)),
+    ]
+
+    @pytest.mark.parametrize("two_j", range(MAX_TWO_J + 1))
+    def test_equals_scalar_sum_bit_for_bit(self, two_j):
+        rng = np.random.default_rng(100 + two_j)
+        points = [(u.z1, u.z2) for u in (random_su2(rng) for _ in range(12))] + self.SPECIAL
+        z1, z2 = np.array(points).T
+        got = wigner_rows(two_j, z1, z2)
+        want = np.array([scalar_wigner(two_j, a, b).reshape(-1) for a, b in points])
+        assert bitwise_equal(got, want)
+
+    def test_blocks_are_seamless(self):
+        two_j = 12
+        rng = np.random.default_rng(101)
+        us = [random_su2(rng) for _ in range(2 * block_points(two_j) + 1)]
+        got = wigner_rows(two_j, [u.z1 for u in us], [u.z2 for u in us])
+        for row, u in zip(got, us):
+            assert bitwise_equal(row, wigner_d(Fraction(two_j, 2), u).matrix.reshape(-1))
+
+    def test_non_unit_point_raises(self):
+        with pytest.raises(ValueError, match="point 1"):
+            wigner_rows(2, [1 + 0j, 1 + 0j], [0j, 1e-5 + 0j])
+
+    def test_range_guard(self):
+        with pytest.raises(ValueError):
+            wigner_rows(MAX_TWO_J + 1, [1 + 0j], [0j])
 
 
 class TestCharacter:

@@ -17,6 +17,7 @@ from simplexmodes.weylaction import (
     GroupOperator,
     WeylVector,
     act_on_point,
+    act_on_points,
     class_character,
     class_character_table,
     class_periods,
@@ -24,6 +25,7 @@ from simplexmodes.weylaction import (
     class_representatives,
     compose,
     operator_character,
+    operator_matrices,
     operator_matrix,
     permutation_operator,
     reflection_operator,
@@ -285,6 +287,47 @@ class TestAction:
             u = random_su2(rng)
             step = act_on_point(b, act_on_point(a, u))
             assert act_on_point(ab, u).isclose(step, tol=1e-12)
+
+
+def all_s5_operators() -> list[GroupOperator]:
+    return [permutation_operator(Permutation(p)) for p in itertools.permutations(range(1, 6))]
+
+
+def python_product(a: tuple[complex, complex], b: tuple[complex, complex]):
+    """SU(2) product of (z1, z2) pairs in Python complex arithmetic."""
+    (a1, a2), (b1, b2) = map(complex, a), map(complex, b)
+    return a1 * b1 - a2 * b2.conjugate(), a1 * b2 + a2 * b1.conjugate()
+
+
+class TestBatchedAction:
+    def test_points_move_as_python_products_do(self):
+        rng = np.random.default_rng(32)
+        # enough points for numpy's vectorized loops, whose complex products
+        # round differently from Python's
+        us = [random_su2(rng) for _ in range(64)] + [SU2Element.identity(), SU2Element(0j, 1j)]
+        z1, z2 = np.array([u.z1 for u in us]), np.array([u.z2 for u in us])
+        ops = all_s5_operators()
+        assert {op.reflective for op in ops} == {False, True}
+        for op in ops:
+            w1, w2 = act_on_points(op, z1, z2)
+            for a, b, u in zip(w1, w2, us):
+                one = act_on_point(op, u)
+                assert (a, b) == (one.z1, one.z2)
+                assert np.signbit([a.real, a.imag, b.real, b.imag]).tolist() == np.signbit(
+                    [one.z1.real, one.z1.imag, one.z2.real, one.z2.imag]).tolist()
+                # g_l^-1 u g_r, or g_r^-1 (-u^dagger) g_l for a reflective operator
+                left, right = (op.g_r, op.g_l) if op.reflective else (op.g_l, op.g_r)
+                z = (-u.z1.conjugate(), u.z2) if op.reflective else (u.z1, u.z2)
+                inv = left.inverse()
+                z = python_product(python_product((inv.z1, inv.z2), z), (right.z1, right.z2))
+                assert (a, b) == z
+
+    def test_operator_matrices_equal_one_by_one(self):
+        ops = all_s5_operators()
+        for two_j in (0, 1, 4):
+            j = Fraction(two_j, 2)
+            for op, m in zip(ops, operator_matrices(j, ops)):
+                assert np.array_equal(m, operator_matrix(j, op))
 
 
 class TestCharactersAndMatrices:
