@@ -49,17 +49,21 @@ from .weylaction import (
     ClassCharacterRow,
     GroupOperator,
     WeylVector,
+    act_on_coefficients,
     act_on_point,
     act_on_points,
     class_character,
     class_character_table,
     class_representatives,
     compose,
+    diagonal_factors,
     operator_character,
+    operator_factors,
     operator_matrices,
     operator_matrix,
     permutation_operator,
     reflection_operator,
+    transposition_operators,
     weyl_vectors_s5,
 )
 from .reduction import (
@@ -72,6 +76,7 @@ from .reduction import (
     o2_multiplicity_table,
     o2_reduce,
     o3_multiplicity_table,
+    lattice_count_o4,
     o4_multiplicity_table,
     periodic_count_o4,
     recursion_report,

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import __version__, golden
 from .golden import REAL_TOL, check
-from .modes import MAX_TWO_J_MODES, cyclic_projector, periodic_basis, verify_invariance
+from .modes import (
+    MAX_TWO_J_MODES, SPECTRUM_TOL, cyclic_operators, periodic_basis, verify_invariance,
+)
 from .permgroup import (
     ConsistencyError,
     CycleType,
@@ -29,12 +31,13 @@ from .permgroup import (
 )
 from .reduction import (
     MultiplicityTable,
+    lattice_count_o4,
     o2_multiplicity_table,
     o3_multiplicity_table,
     o4_multiplicity_table,
     s4_class_periods,
 )
-from .weylaction import ROUND_TOL, class_character_table, class_periods
+from .weylaction import ROUND_TOL, act_on_coefficients, class_character_table, class_periods
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,9 +210,13 @@ def cmd_reduce(args) -> dict | str:
     if args.chain == "o3s4c4":
         checks += _period_checks(s4_class_periods())
     if args.chain == "o4s5c5":
-        checks.append(check(
-            "periodic_equals_weighted_sum", abs(table.grand_total - sum(table.periodic)), 0
-        ))
+        lattice = max(abs(n - lattice_count_o4(t)) for t, n in enumerate(table.periodic))
+        checks += [
+            check("periodic_equals_weighted_sum",
+                  abs(table.grand_total - sum(table.periodic)), 0),
+            check("periodic_equals_lattice_count", lattice, 0,
+                  detail="#{(a, b) in {-2j, -2j+2, .., 2j}^2 : 3a + b = 0 mod 10}"),
+        ]
     return report_document(
         "reduce", {"chain": args.chain, "max": args.max}, _table_payload(table), checks
     )
@@ -217,18 +224,19 @@ def cmd_reduce(args) -> dict | str:
 
 def cmd_modes(args) -> dict:
     basis = periodic_basis(args.two_j)
-    projector = cyclic_projector(args.two_j)
-    gram = basis.coefficients.conj().T @ basis.coefficients
-    ortho = float(np.abs(gram - np.eye(basis.count)).max()) if basis.count else 0.0
-    fix = (
-        float(np.abs(projector @ basis.coefficients - basis.coefficients).max())
-        if basis.count
-        else 0.0
-    )
+    coeffs = basis.coefficients
+    gram = coeffs.conj().T @ coeffs - np.eye(basis.count)
+    # the projector is the mean of the five deck operators, applied factored
+    fixed = act_on_coefficients(args.two_j, cyclic_operators(), coeffs) / 5.0 - coeffs
     deviation = verify_invariance(basis, args.verify_points, args.seed)
     checks = [
-        check("columns_orthonormal", ortho, 1e-10),
-        check("columns_fixed_by_projector", fix, REAL_TOL),
+        check("columns_orthonormal", float(np.abs(gram).max(initial=0.0)), 1e-10),
+        check("columns_fixed_by_projector", float(np.abs(fixed).max(initial=0.0)), REAL_TOL),
+        check("content_sum_tags", basis.spectrum_margin, SPECTRUM_TOL,
+              detail="eigenvalues of the transposition sum on the periodic modes "
+              "vs the content sums [5] 10, [32] 2, [311] 0, [221] -2, [11111] -10"),
+        check("tag_projector_traces", basis.trace_margin, SPECTRUM_TOL,
+              detail="trace of each content projector vs m_f * w_f"),
         check("invariance_max_deviation", deviation, REAL_TOL),
     ]
     payload = {
@@ -355,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"--{dest.replace('_', '-')} must lie in {low}..{high}")
         doc = commands[args.command](args)
         _emit(doc, args)
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

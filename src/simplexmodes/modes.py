@@ -1,8 +1,9 @@
 """Explicit cyclic-periodic eigenmode bases on the covering spheres.
 
-The primary construction averages the five deck operators into a projector
-and orthonormalizes its range; Young operators provide an independent
-isotypic route whose ranks must agree with character theory.
+The primary construction spans the periodic modes by the lattice of harmonics
+that the deck generator fixes in its diagonal frame, and tags them by the
+integer spectrum of the central transposition sum; Young operators provide an
+independent isotypic route whose ranks must agree with character theory.
 """
 
 from __future__ import annotations
@@ -10,50 +11,54 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .permgroup import (
-    ConsistencyError,
-    Partition,
-    Permutation,
-    character,
-    coxeter_element,
-    trivial_multiplicity,
+    ConsistencyError, Partition, Permutation, coxeter_element, trivial_multiplicity,
 )
 from .reduction import (
+    S4_PARTITION_ORDER,
     S5_PARTITION_ORDER,
     O2Label,
     O3Label,
     multiplicity_o3_s4,
     multiplicity_o4_s5,
+    lattice_count_o4,
     o2_reduce,
-    periodic_count_o4,
 )
-from .su2wigner import SU2Element, _complex, block_points, wigner_d, wigner_rows
+from .su2wigner import MAX_TWO_J, SU2Element, _complex, block_points, wigner_d, wigner_rows
 from .weylaction import (
     GroupOperator,
     act_on_points,
     compose,
+    diagonal_factors,
+    operator_factors,
     operator_matrices,
     permutation_operator,
+    transposition_operators,
 )
 from .youngrep import RANK_CUTOFF, fixed_subspace, rep_matrix
 
-MAX_TWO_J_MODES = 12
-PHASE_TOL = 1e-8
+MAX_TWO_J_MODES = MAX_TWO_J  # the cap of the Wigner kernel
+PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
+PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 4e-14, real > 1.7e-5
+SPECTRUM_TOL = 1e-9  # of generator phases, tag eigenvalues and tag projector traces
 
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Orthonormal periodic modes of one degree, expressed in the harmonic
-    basis D^j_{m1 m2} flattened row-major; one optional partition tag per
-    column."""
+    """Orthonormal periodic modes of one degree in the harmonics D^j_{m1 m2}
+    flattened row-major, one optional partition tag per column, and the tag
+    margins of periodic_basis: the largest distance of an eigenvalue of M from
+    its content and of a content projector's trace from its rank."""
 
     two_j: int
     coefficients: np.ndarray  # (2j+1)^2 x count, complex
     partitions: tuple[Partition | None, ...]
+    spectrum_margin: float = 0.0
+    trace_margin: float = 0.0
 
     @property
     def count(self) -> int:
@@ -92,80 +97,81 @@ def cyclic_operators() -> tuple[GroupOperator, ...]:
 
 def cyclic_projector(two_j: int) -> np.ndarray:
     """Average of the five deck-operator matrices: the Hermitian idempotent
-    projecting onto the periodic subspace of degree 2j."""
+    projecting onto the periodic subspace of degree 2j (dense; an oracle)."""
     if not 0 <= two_j <= MAX_TWO_J_MODES:
         raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
     return sum(operator_matrices(Fraction(two_j, 2), cyclic_operators())) / 5.0
-
-
-def _all_s5() -> list[Permutation]:
-    return [Permutation(p) for p in itertools.permutations(range(1, 6))]
 
 
 @lru_cache(maxsize=2)
 def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
     """Operator matrix of every element of S(5) at one degree.
 
-    Shared by the Young-operator and isotypic routes; treat the cached
-    arrays as read-only.
+    Used by the Young-operator route; treat the cached arrays as read-only.
     """
-    perms = _all_s5()
+    perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
     ops = [permutation_operator(p) for p in perms]
     return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
 
 
-def _canonical_phases(cols: np.ndarray) -> np.ndarray:
-    out = cols.copy()
-    for c in range(out.shape[1]):
-        for v in out[:, c]:
-            if abs(v) > PHASE_TOL:
-                out[:, c] *= np.conj(v) / abs(v)
-                break
+def _pivoted_gram_schmidt(proj: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the range of a projector of known rank: each step
+    takes its column (a projected lattice vector) of largest residual, the
+    first in lattice order of those within PIVOT_TIE of it."""
+    residual, out = proj.copy(), np.empty((len(proj), rank), dtype=complex)
+    for i in range(rank):
+        norms = np.linalg.norm(residual, axis=0)
+        k = int(np.argmax(norms >= (1.0 - PIVOT_TIE) * norms.max()))
+        out[:, i] = residual[:, k] / norms[k]
+        residual -= np.outer(out[:, i], out[:, i].conj() @ residual)
     return out
-
-
-def _projector_range(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of a Hermitian
-    projector (eigenvalues cluster at 0 and 1)."""
-    vals, vecs = np.linalg.eigh(mat)
-    return vecs[:, vals > 0.5]
 
 
 def periodic_basis(two_j: int) -> ModeBasis:
     """Orthonormal basis of all periodic modes of degree 2j, grouped and
-    tagged by the S(5) partition of the isotypic component."""
-    projector = cyclic_projector(two_j)
-    dim = (two_j + 1) ** 2
-    weights = {f: trivial_multiplicity(f) for f in S5_PARTITION_ORDER}
-    allowed = [f for f in S5_PARTITION_ORDER if weights[f] > 0]
-    isotypic = {f: np.zeros((dim, dim), dtype=complex) for f in allowed}
-    for p, mat in _operator_matrices(two_j).items():
-        k = p.cycle_type()
-        for f in allowed:
-            isotypic[f] += character(f, k) * mat
-    columns = []
-    tags: list[Partition | None] = []
-    for f in allowed:
-        central = (f.dimension / 120.0) * isotypic[f]
-        block = _projector_range(central @ projector)
-        expected = multiplicity_o4_s5(two_j, f) * weights[f]
-        if block.shape[1] != expected:
-            raise ConsistencyError(
-                f"isotypic block {f} at 2j={two_j} has rank {block.shape[1]}, "
-                f"expected {expected}"
-            )
-        if block.shape[1]:
-            columns.append(block)
-            tags.extend([f] * block.shape[1])
-    coeffs = (
-        np.hstack(columns) if columns else np.zeros((dim, 0), dtype=complex)
-    )
-    if coeffs.shape[1] != periodic_count_o4(two_j):
+    tagged by the S(5) partition of the isotypic component.
+
+    In frames that diagonalize the deck generator (half-angles 3pi/5, pi/5)
+    it multiplies the harmonic x_a y_b^T by exp(i pi (3a + b) / 5), (a, b) =
+    (2 m1, 2 m2), so the lattice 3a + b = 0 (mod 10) spans the periodic modes.
+    There the transposition sum M acts on the f-isotypic part as
+    f.content_sum; the Lagrange projector of M onto each content gives that
+    block, made canonical by pivoted Gram-Schmidt."""
+    if not 0 <= two_j <= MAX_TWO_J_MODES:
+        raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
+    x, y, rot_l, rot_r = diagonal_factors(two_j, cyclic_operators()[1])
+    twice_m = np.arange(-two_j, two_j + 1, 2)
+    phase_error = max(np.abs(rot - np.diag(np.exp(1j * np.pi * k * twice_m / 5))).max()
+                      for rot, k in ((rot_l, 3), (rot_r, 1)))
+    i1, i2 = np.nonzero((3 * twice_m[:, None] + twice_m) % 10 == 0)
+    ranks = {f: multiplicity_o4_s5(two_j, f) * w
+             for f in S5_PARTITION_ORDER if (w := trivial_multiplicity(f))}
+    if phase_error > SPECTRUM_TOL or not len(i1) == lattice_count_o4(two_j) == sum(ranks.values()):
         raise ConsistencyError(
-            f"periodic basis at 2j={two_j} has {coeffs.shape[1]} columns, "
-            f"character theory demands {periodic_count_o4(two_j)}"
+            f"2j={two_j}: generator phases off by {phase_error:.3g}, {len(i1)} lattice "
+            f"points, count {lattice_count_o4(two_j)}, character theory {sum(ranks.values())}"
         )
-    return ModeBasis(two_j, _canonical_phases(coeffs), tuple(tags))
+    # a transposition, (-1)^{2j} L^T C^T R^T, sends x_a y_b^T to (L^T y_b)(R x_a)^T
+    m = (-1.0) ** two_j * sum(
+        (x.conj().T @ left.T @ y)[np.ix_(i1, i2)] * (y.conj().T @ right @ x)[np.ix_(i2, i1)]
+        for left, right in operator_factors(two_j, transposition_operators())
+    )
+    want = sorted(f.content_sum for f, rank in ranks.items() for _ in range(rank))
+    spectrum_margin = float(np.abs(np.linalg.eigvalsh(m) - want).max(initial=0.0))
+    eye, columns, tags, trace_margin = np.eye(len(i1)), [], [], 0.0
+    for f, rank in ranks.items():
+        proj = reduce(np.matmul, [(m - g.content_sum * eye) / (f.content_sum - g.content_sum)
+                                  for g in ranks if g != f])
+        trace_margin = max(trace_margin, abs(np.trace(proj) - rank))
+        # squaring keeps the range and squares the weight left on other contents
+        columns.append(_pivoted_gram_schmidt(proj @ proj, rank))
+        tags += [f] * rank
+    frame = (x[:, i1][:, None, :] * y[:, i2][None, :, :]).reshape((two_j + 1) ** 2, len(i1))
+    coeffs = frame @ np.hstack(columns)
+    # the first coefficient above PHASE_TOL of each column is real and positive
+    lead = coeffs[np.argmax(np.abs(coeffs) > PHASE_TOL, axis=0), np.arange(len(i1))]
+    coeffs *= np.conj(lead) / np.abs(lead)
+    return ModeBasis(two_j, coeffs, tuple(tags), spectrum_margin, trace_margin)
 
 
 def young_operator(two_j: int, f: Partition, row: int, col: int) -> YoungOperator:
@@ -294,19 +300,12 @@ def lower_dim_modes(chain: str, label: O2Label | O3Label) -> ModeDescription:
         if not isinstance(label, O3Label):
             raise ValueError("sphere2 chain needs an O3Label")
         text = f"(l={label.l},kappa={'+' if label.kappa == 1 else '-'})"
-        comps = []
-        for f in (Partition(p) for p in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]):
-            if multiplicity_o3_s4(label, f) == 0 or trivial_multiplicity(f) == 0:
-                continue
-            space = fixed_subspace(f)
-            for col in range(space.dim):
-                comps.append(
-                    ModeComponent(
-                        f,
-                        tuple(float(v) for v in space.basis[:, col]),
-                        "young-yamanouchi",
-                    )
-                )
+        comps = [
+            ModeComponent(f, tuple(float(v) for v in vec), "young-yamanouchi")
+            for f in S4_PARTITION_ORDER
+            if multiplicity_o3_s4(label, f) and trivial_multiplicity(f)
+            for vec in fixed_subspace(f).basis.T
+        ]
         if not comps:
             return ModeDescription(chain, text, False, "excluded by selection rule", ())
         return ModeDescription(chain, text, True, "", tuple(comps))

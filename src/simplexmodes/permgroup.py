@@ -61,6 +61,12 @@ class Partition:
                 hooks *= (row - j) + (conj[j] - i) - 1
         return math.factorial(self.n) // hooks
 
+    @property
+    def content_sum(self) -> int:
+        """Sum of the contents (column - row) of the boxes: the scalar by which
+        the sum of all transpositions acts on the f-isotypic component."""
+        return sum(c - r for r, row in enumerate(self.parts) for c in range(row))
+
 
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order ([n] first)."""

@@ -190,6 +190,24 @@ def periodic_count_o4(two_j: int) -> int:
     )
 
 
+def lattice_count_o4(two_j: int) -> int:
+    """#{(a, b) in {-2j, -2j+2, ..., 2j}^2 : 3a + b = 0 (mod 10)}: the harmonics
+    that the deck generator fixes in its diagonal frame, counted in integers
+    without characters.
+
+    a and b share the parity of 2j, so 3a + b is even and the condition is
+    b = 2a (mod 5).  The residues mod 5 of -2j + 2k repeat with period 5 in
+    k, so each residue r is taken q or q + 1 times, (q, s) = divmod(2j+1, 5).
+    """
+    if two_j < 0:
+        raise ValueError("two_j must be non-negative")
+    q, s = divmod(two_j + 1, 5)
+    taken = [q] * 5
+    for k in range(s):
+        taken[(2 * k - two_j) % 5] += 1
+    return sum(taken[r] * taken[2 * r % 5] for r in range(5))
+
+
 # ------------------------------------------------------------------- tables
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ what the rest of the package relies on.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,6 +93,16 @@ class SU2Element:
     def minus_dagger(self) -> SU2Element:
         """-u^dagger: the image of u under the base reflection x0 -> -x0."""
         return SU2Element(-np.conj(self.z1), self.z2)
+
+    def diagonal_frame(self) -> SU2Element:
+        """h with h^-1 u h = (exp(i phi/2), 0), phi/2 = half_angle(u): its first
+        column is the eigenvector (z2, lambda - z1) of u for lambda = exp(i phi/2)."""
+        lam = cmath.exp(1j * half_angle(self))
+        v1, v2 = self.z2, lam - self.z1
+        norm = math.sqrt(abs(v1) ** 2 + abs(v2) ** 2)
+        if norm == 0.0:  # u is that diagonal element already
+            return SU2Element.identity()
+        return SU2Element(v1 / norm, -np.conj(v2) / norm)
 
     def point(self) -> Point4:
         return Point4(
@@ -207,11 +218,13 @@ def _wigner_block(two_j: int, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     # sum.  Python multiplies by a real number as by (x + 0j), which can only
     # flip the sign of a zero part of a term; a sum started at +0.0 never
     # returns -0.0, so scaling both parts gives the same bits.
+    # Each factor is gathered on its own, (n, E) at a time: an (n, 4, E)
+    # gather reaches glibc's 128 KB heap-trim threshold at BLOCK_ELEMENTS, and
+    # freeing it every term would hand its pages back, to fault in again.
     for coeff, pick in zip(coeffs, picks):
-        f_re, f_im = pow_re[:, pick], pow_im[:, pick]  # (n, 4, E): the four factors
-        re, im = coeff * f_re[:, 0], coeff * f_im[:, 0]
+        re, im = coeff * pow_re[:, pick[0]], coeff * pow_im[:, pick[0]]
         for b in range(1, 4):
-            re, im = _cmul(re, im, f_re[:, b], f_im[:, b])
+            re, im = _cmul(re, im, pow_re[:, pick[b]], pow_im[:, pick[b]])
         acc_re += re
         acc_im += im
     return _complex(prefs * acc_re, prefs * acc_im)

@@ -10,6 +10,7 @@ factorizations used throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -107,6 +108,15 @@ def permutation_operator(p: Permutation) -> GroupOperator:
     return out
 
 
+@lru_cache(maxsize=None)
+def transposition_operators() -> tuple[GroupOperator, ...]:
+    """The ten transposition operators of S(5), (1 2), (1 3), ..., (4 5)."""
+    return tuple(
+        permutation_operator(Permutation.from_cycles(5, [pair]))
+        for pair in itertools.combinations(range(1, 6), 2)
+    )
+
+
 def _times(a1, a2, b1, b2):
     """(a1, a2) * (b1, b2) as SU(2) pairs, in the real arithmetic of
     `su2wigner._cmul`; either side may be an array of points."""
@@ -151,14 +161,11 @@ def operator_character(j: float | int | Fraction, op: GroupOperator) -> float:
     return su2_character(j, op.g_l.inverse()) * su2_character(j, op.g_r)
 
 
-def operator_matrices(
-    j: float | int | Fraction, ops: Sequence[GroupOperator]
-) -> list[np.ndarray]:
-    """Matrices of the operators on the (2j+1)^2 harmonics D^j_{m1 m2}, with
-    the pair (m1, m2) flattened row-major and m ascending; all their Wigner
-    matrices come from one kernel call."""
-    two_j = _as_two_j(j)
-    dim = two_j + 1
+def operator_factors(two_j: int, ops: Sequence[GroupOperator]) -> np.ndarray:
+    """Wigner matrices (L, R) of each operator, shape (len(ops), 2, 2j+1, 2j+1),
+    from one kernel call.  On the coefficient matrix C of the harmonics
+    D^j_{m1 m2} the operator acts as C -> L^T C R^T if it is a rotation and
+    as C -> (-1)^{2j} L^T C^T R^T if it is reflective."""
     factors = []
     for op in ops:
         if op.reflective:
@@ -166,15 +173,57 @@ def operator_matrices(
         else:
             factors += [op.g_l.inverse(), op.g_r]
     rows = wigner_rows(two_j, [u.z1 for u in factors], [u.z2 for u in factors])
-    wigner = rows.reshape(len(ops), 2, dim, dim)
+    return rows.reshape(len(ops), 2, two_j + 1, two_j + 1)
+
+
+def diagonal_factors(two_j: int, op: GroupOperator) -> tuple[np.ndarray, ...]:
+    """Frames h_l, h_r in which the factors L = D(g_l^-1) and R = D(g_r) of a
+    rotation are diagonal: returns x = conj(D(h_l)), y = D(h_r) and the
+    matrices D(h_l^-1 g_l^-1 h_l), D(h_r^-1 g_r h_r), whose diagonals are the
+    phases by which the rotation multiplies the harmonic x_a y_b^T."""
+    if op.reflective:
+        raise ValueError("diagonal_factors needs a rotation")
+    left, right = op.g_l.inverse(), op.g_r
+    h_l, h_r = left.diagonal_frame(), right.diagonal_frame()
+    elements = [h_l, h_r, h_l.inverse() * left * h_l, h_r.inverse() * right * h_r]
+    rows = wigner_rows(two_j, [u.z1 for u in elements], [u.z2 for u in elements])
+    x, y, rot_l, rot_r = rows.reshape(4, two_j + 1, two_j + 1)
+    return x.conj(), y, rot_l, rot_r
+
+
+def operator_matrices(
+    j: float | int | Fraction, ops: Sequence[GroupOperator]
+) -> list[np.ndarray]:
+    """Matrices of the operators on the (2j+1)^2 harmonics D^j_{m1 m2}, with
+    the pair (m1, m2) flattened row-major and m ascending; see operator_factors."""
+    two_j = _as_two_j(j)
+    dim = two_j + 1
     out = []
-    for op, (left, right) in zip(ops, wigner):
+    for op, (left, right) in zip(ops, operator_factors(two_j, ops)):
         if not op.reflective:
             out.append(np.kron(left.T, right))
         else:
             mat = np.einsum("ba,cd->acdb", left, right).reshape(dim * dim, dim * dim)
             out.append((-1.0) ** two_j * mat)
     return out
+
+
+def act_on_coefficients(
+    two_j: int, ops: Sequence[GroupOperator], coeffs: np.ndarray
+) -> np.ndarray:
+    """Sum of the operators applied to the columns of coeffs ((2j+1)^2 x p,
+    flattened as in operator_matrices), in the factored form of
+    operator_factors: O((2j+1)^3) per column and operator, and no
+    (2j+1)^2 x (2j+1)^2 matrix."""
+    dim = two_j + 1
+    cols = coeffs.T.reshape(-1, dim, dim)
+    out = np.zeros(cols.shape, dtype=complex)
+    for op, (left, right) in zip(ops, operator_factors(two_j, ops)):
+        if op.reflective:
+            out += (-1.0) ** two_j * (left.T @ cols.transpose(0, 2, 1) @ right.T)
+        else:
+            out += left.T @ cols @ right.T
+    return out.reshape(-1, dim * dim).T
 
 
 def operator_matrix(j: float | int | Fraction, op: GroupOperator) -> np.ndarray:

@@ -83,6 +83,12 @@ class TestReduce:
         assert lines[0].endswith("periodic")
         assert lines[-1].startswith("totals,")
 
+    def test_o4_lattice_count_check(self, capsys):
+        rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "300")
+        assert rc == 0
+        lattice = next(c for c in doc["checks"] if c["name"] == "periodic_equals_lattice_count")
+        assert lattice["passed"] and lattice["residual"] == 0 and lattice["tolerance"] == 0
+
     def test_o4_beyond_200(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "201")
         assert rc == 0
@@ -131,6 +137,22 @@ class TestModes:
         rc = main(["modes", "--two-j", "2", "--seed", seed])
         assert rc == 2
         assert f"0..{2**63 - 1}" in capsys.readouterr().err
+
+    def test_checks_report_tag_margins(self, capsys):
+        rc, doc = run_json(capsys, "modes", "--two-j", "7", "--verify-points", "5")
+        assert rc == 0
+        assert [c["name"] for c in doc["checks"]] == [
+            "columns_orthonormal", "columns_fixed_by_projector", "content_sum_tags",
+            "tag_projector_traces", "invariance_max_deviation",
+        ]
+        assert all(0 <= c["residual"] <= c["tolerance"] for c in doc["checks"])
+
+    def test_at_the_kernel_cap(self, capsys):
+        rc, doc = run_json(capsys, "modes", "--two-j", str(MAX_TWO_J_MODES),
+                           "--verify-points", "6")
+        assert rc == 0
+        assert MAX_TWO_J_MODES == 24 and doc["payload"]["count"] == 125
+        assert len(doc["payload"]["coefficients"][0]) == 625
 
     def test_failed_check_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_invariance", lambda *args: 1.0)
@@ -287,6 +309,17 @@ class TestInterface:
         rc = main(["chartable", "--n", "3", "--output", str(target)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_library_value_error_exits_2(self, capsys, monkeypatch):
+        def refuse(args):
+            raise ValueError("n out of range")
+
+        monkeypatch.setattr(cli, "cmd_chartable", refuse)
+        rc = main(["chartable", "--n", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == "error: n out of range\n"
+        assert out == ""
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"

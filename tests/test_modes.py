@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from simplexmodes import modes
 from simplexmodes.modes import (
+    MAX_TWO_J_MODES,
+    SPECTRUM_TOL,
     ModeBasis,
     cyclic_operators,
     cyclic_projector,
@@ -16,18 +20,51 @@ from simplexmodes.modes import (
     young_rank,
 )
 from simplexmodes.permgroup import (
+    ConsistencyError,
     Partition,
+    character,
     partitions_of,
     trivial_multiplicity,
 )
 from simplexmodes.reduction import (
+    S5_PARTITION_ORDER,
     O2Label,
     O3Label,
     multiplicity_o4_s5,
     periodic_count_o4,
 )
 from simplexmodes.su2wigner import block_points
-from simplexmodes.weylaction import act_on_point, operator_matrix
+from simplexmodes.weylaction import (
+    act_on_coefficients,
+    act_on_point,
+    diagonal_factors,
+    operator_matrix,
+    transposition_operators,
+)
+
+
+def dense_isotypic_spans(two_j):
+    """The dense route that built the periodic basis before the frame: the
+    range of each central isotypic projector times the cyclic projector,
+    from the 120 operator matrices and eigh."""
+    projector = cyclic_projector(two_j)
+    spans = {}
+    for f in S5_PARTITION_ORDER:
+        if trivial_multiplicity(f):
+            central = sum(
+                character(f, p.cycle_type()) * mat
+                for p, mat in modes._operator_matrices(two_j).items()
+            ) * (f.dimension / 120.0)
+            vals, vecs = np.linalg.eigh(central @ projector)
+            spans[f] = vecs[:, vals > 0.5]
+    return spans
+
+
+def partition_counts(basis):
+    counts = {}
+    for f in basis.partitions:
+        counts[f] = counts.get(f, 0) + 1
+    return counts
 
 
 class TestCyclicProjector:
@@ -56,7 +93,7 @@ class TestCyclicProjector:
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
-            cyclic_projector(13)
+            cyclic_projector(MAX_TWO_J_MODES + 1)
 
 
 class TestPeriodicBasis:
@@ -103,6 +140,109 @@ class TestPeriodicBasis:
         a = periodic_basis(3).coefficients
         b = periodic_basis(3).coefficients
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("two_j", range(13))
+    def test_spans_equal_dense_isotypic_route(self, two_j):
+        basis = periodic_basis(two_j)
+        spans = dense_isotypic_spans(two_j)
+        tags = np.array(basis.partitions, dtype=object)
+        assert partition_counts(basis) == {f: v.shape[1] for f, v in spans.items() if v.shape[1]}
+        for f, old in spans.items():
+            new = basis.coefficients[:, tags == f]
+            # sine of the largest principal angle between equal-dimensional spans
+            sine = np.linalg.norm(new - old @ (old.conj().T @ new), 2) if old.shape[1] else 0.0
+            assert sine <= 1e-10, (two_j, f)
+
+    def test_reach_at_the_kernel_cap(self):
+        two_j = MAX_TWO_J_MODES
+        tracemalloc.start()
+        basis = periodic_basis(two_j)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # no (2j+1)^2 x (2j+1)^2 array: one complex one takes 6.25 MB at 2j = 24
+        assert peak < 16 * (two_j + 1) ** 4
+        assert partition_counts(basis) == {
+            f: multiplicity_o4_s5(two_j, f) * trivial_multiplicity(f)
+            for f in S5_PARTITION_ORDER
+            if multiplicity_o4_s5(two_j, f) * trivial_multiplicity(f)
+        }
+        c = basis.coefficients
+        assert np.abs(c.conj().T @ c - np.eye(basis.count)).max() < 1e-10
+        assert verify_invariance(basis, 30, 20080514) < 1e-9
+        with pytest.raises(ValueError):
+            periodic_basis(two_j + 1)
+
+    @pytest.mark.parametrize("two_j,bound", [(12, 2e-14), (24, 1e-13)])
+    def test_blocks_orthogonal_to_rounding(self, two_j, bound):
+        # the squared Lagrange projectors leave ~1e-15 between blocks, the
+        # plain ones ~1e-13; the rest is the frame's own rounding
+        c = periodic_basis(two_j).coefficients
+        assert np.abs(c.conj().T @ c - np.eye(c.shape[1])).max() < bound
+
+    @pytest.mark.parametrize("two_j", [0, 1, 5, 12, 17, 24])
+    def test_margins(self, two_j):
+        basis = periodic_basis(two_j)
+        assert 0.0 <= basis.spectrum_margin <= SPECTRUM_TOL
+        assert 0.0 <= basis.trace_margin <= SPECTRUM_TOL
+
+
+class TestDiagonalFrame:
+    def test_content_sums(self):
+        got = {str(f): f.content_sum for f in S5_PARTITION_ORDER if trivial_multiplicity(f)}
+        assert got == {"[5]": 10, "[11111]": -10, "[32]": 2, "[221]": -2, "[311]": 0}
+
+    def test_transposition_sum_is_central(self):
+        # the sum commutes with the deck generator on the whole harmonic space
+        ops = transposition_operators()
+        two_j = 4
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=(25, 6)) + 1j * rng.normal(size=(25, 6))
+        gen = cyclic_operators()[1:2]
+        both = act_on_coefficients(two_j, gen, act_on_coefficients(two_j, ops, c))
+        back = act_on_coefficients(two_j, ops, act_on_coefficients(two_j, gen, c))
+        assert np.abs(both - back).max() < 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 6, 11, 24])
+    def test_generator_phases_match_the_lattice(self, two_j):
+        # every frame harmonic x_a y_b^T, on or off the lattice, is an
+        # eigenvector of the deck generator with phase exp(i pi (3a + b) / 5)
+        gen = cyclic_operators()[1]
+        x, y, rot_l, rot_r = diagonal_factors(two_j, gen)
+        dim = two_j + 1
+        frame = np.einsum("ia,jb->ijab", x, y).reshape(dim * dim, dim * dim)
+        twice_m = np.arange(-two_j, two_j + 1, 2)
+        a, b = np.meshgrid(twice_m, twice_m, indexing="ij")
+        phases = np.exp(1j * np.pi * (3 * a + b) / 5)
+        assert np.abs(np.outer(rot_l.diagonal(), rot_r.diagonal()) - phases).max() < 1e-12
+        moved = act_on_coefficients(two_j, [gen], frame)
+        assert np.abs(moved - frame * phases.reshape(-1)).max() < 1e-12
+        on_lattice = (3 * a + b) % 10 == 0
+        assert np.abs(phases[on_lattice] - 1).max(initial=0.0) < 1e-12
+        assert np.abs(phases[~on_lattice] - 1).min(initial=2.0) > 0.6
+        assert on_lattice.sum() == periodic_count_o4(two_j)
+        assert np.abs(frame.conj().T @ frame - np.eye(dim * dim)).max() < 1e-12
+
+    def test_frames_of_another_operator_raise(self, monkeypatch):
+        squared = cyclic_operators()[2]
+        real = modes.diagonal_factors
+        monkeypatch.setattr(modes, "diagonal_factors", lambda two_j, op: real(two_j, squared))
+        with pytest.raises(ConsistencyError, match="generator phases off"):
+            periodic_basis(4)
+
+    def test_pivots_break_ties_in_lattice_order(self):
+        # the last column is the largest, but within the tie window of the others
+        proj = np.diag([0.0, 1.0, 1.0, 1.0 + 1e-12]).astype(complex)
+        out = modes._pivoted_gram_schmidt(proj, 3)
+        assert np.array_equal(np.abs(out).argmax(axis=0), [1, 2, 3])
+        assert np.abs(out.conj().T @ out - np.eye(3)).max() < 1e-15
+
+    def test_lagrange_projectors_split_the_transposition_sum(self):
+        # the dense transposition sum on the periodic columns acts by the tags' contents
+        basis = periodic_basis(9)
+        tsum = sum(operator_matrix(4.5, op) for op in transposition_operators())
+        moved = tsum @ basis.coefficients
+        contents = np.array([f.content_sum for f in basis.partitions])
+        assert np.abs(moved - basis.coefficients * contents).max() < 1e-12
 
 
 class TestYoungOperators:

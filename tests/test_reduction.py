@@ -33,6 +33,7 @@ from simplexmodes.reduction import (
     o2_multiplicity_table,
     o2_reduce,
     o3_multiplicity_table,
+    lattice_count_o4,
     o4_multiplicity_table,
     periodic_count_o4,
     recursion_report,
@@ -311,6 +312,23 @@ class TestExactProperties:
                 O3Label(l, kappa), f
             )
             assert delta == f.dimension
+
+
+    @given(st.integers(0, BIG))
+    def test_lattice_count_equals_character_count(self, two_j):
+        assert lattice_count_o4(two_j) == periodic_count_o4(two_j)
+
+
+class TestLatticeCount:
+    @pytest.mark.parametrize("two_j", range(61))
+    def test_equals_brute_force(self, two_j):
+        twice_m = range(-two_j, two_j + 1, 2)
+        brute = sum((3 * a + b) % 10 == 0 for a in twice_m for b in twice_m)
+        assert lattice_count_o4(two_j) == brute
+
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError):
+            lattice_count_o4(-1)
 
 
 class TestExactDivision:

@@ -92,6 +92,16 @@ class TestSU2Element:
             again = su2_from_point(u.point())
             assert u.isclose(again, tol=1e-12)
 
+    def test_diagonal_frame(self):
+        rng = np.random.default_rng(5)
+        diagonal = [SU2Element(complex(0.6, s * 0.8), 0j) for s in (1, -1)]
+        for u in [random_su2(rng) for _ in range(10)] + diagonal + [SU2Element.identity()]:
+            h = u.diagonal_frame()
+            d = h.inverse() * u * h
+            want = complex(u.z1.real, math.sqrt(1.0 - u.z1.real ** 2))  # exp(i phi/2)
+            assert abs(d.z1 - want) < 1e-12 and abs(d.z2) < 1e-12
+        assert diagonal[0].diagonal_frame() == SU2Element.identity()
+
 
 class TestCoordinateMap:
     def test_north_pole(self):

@@ -16,6 +16,7 @@ from simplexmodes.weylaction import (
     ROUND_TOL,
     GroupOperator,
     WeylVector,
+    act_on_coefficients,
     act_on_point,
     act_on_points,
     class_character,
@@ -24,12 +25,15 @@ from simplexmodes.weylaction import (
     class_operators,
     class_representatives,
     compose,
+    diagonal_factors,
     operator_character,
+    operator_factors,
     operator_matrices,
     operator_matrix,
     permutation_operator,
     reflection_operator,
     round_period,
+    transposition_operators,
     weyl_vectors_s5,
 )
 
@@ -328,6 +332,39 @@ class TestBatchedAction:
             j = Fraction(two_j, 2)
             for op, m in zip(ops, operator_matrices(j, ops)):
                 assert np.array_equal(m, operator_matrix(j, op))
+
+    def test_transposition_operators(self):
+        ops = transposition_operators()
+        assert len(ops) == 10 and all(op.reflective for op in ops)
+        want = [permutation_operator(Permutation.from_cycles(5, [pair]))
+                for pair in itertools.combinations(range(1, 6), 2)]
+        assert list(ops) == want
+
+    @pytest.mark.parametrize("two_j", [1, 2, 9])
+    def test_diagonal_factors(self, two_j):
+        rotations = [op for op in all_s5_operators() if not op.reflective]
+        for op in rotations[1:12]:
+            x, y, rot_l, rot_r = diagonal_factors(two_j, op)
+            left, right = operator_factors(two_j, [op])[0]
+            for rot in (rot_l, rot_r):
+                assert np.abs(rot - np.diag(rot.diagonal())).max() < 1e-12
+            # L^T x_a = rot_l[a, a] x_a and R^T conj(y_b) = rot_r[b, b] conj(y_b)
+            assert np.abs(left.T @ x - x * rot_l.diagonal()).max() < 1e-12
+            assert np.abs(right.T @ y.conj() - y.conj() * rot_r.diagonal()).max() < 1e-12
+        with pytest.raises(ValueError):
+            diagonal_factors(two_j, transposition_operators()[0])
+
+    @pytest.mark.parametrize("two_j", [0, 1, 4, 7])
+    def test_factored_action_equals_the_dense_matrices(self, two_j):
+        ops = all_s5_operators()
+        rng = np.random.default_rng(two_j)
+        shape = ((two_j + 1) ** 2, 3)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dense = operator_matrices(Fraction(two_j, 2), ops)
+        for op, m in zip(ops, dense):
+            assert np.abs(act_on_coefficients(two_j, [op], coeffs) - m @ coeffs).max() < 1e-13
+        total = act_on_coefficients(two_j, ops, coeffs)
+        assert np.abs(total - sum(dense) @ coeffs).max() < 1e-11
 
 
 class TestCharactersAndMatrices:
