@@ -85,13 +85,11 @@ from .modes import (
     ModeBasis,
     ModeDescription,
     SamplePoint,
-    YoungOperator,
     cyclic_projector,
     lower_dim_modes,
     periodic_basis,
     sample_points,
     verify_invariance,
-    young_operator,
     young_rank,
 )
 

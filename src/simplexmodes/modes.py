@@ -2,8 +2,9 @@
 
 The primary construction spans the periodic modes by the lattice of harmonics
 that the deck generator fixes in its diagonal frame, and tags them by the
-integer spectrum of the central transposition sum; Young operators provide an
-independent isotypic route whose ranks must agree with character theory.
+integer spectrum of the central transposition sum.  The Jucys-Murphy sums give
+an independent route to the multiplicities: their joint eigenspaces, one per
+standard tableau, have the dimensions that character theory predicts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .reduction import (
 from .su2wigner import MAX_TWO_J, SU2Element, _complex, block_points, wigner_d, wigner_rows
 from .weylaction import (
     GroupOperator,
+    act_on_coefficients,
     act_on_points,
     compose,
     diagonal_factors,
@@ -39,7 +41,7 @@ from .weylaction import (
     permutation_operator,
     transposition_operators,
 )
-from .youngrep import RANK_CUTOFF, fixed_subspace, rep_matrix
+from .youngrep import fixed_subspace, standard_tableaux
 
 MAX_TWO_J_MODES = MAX_TWO_J  # the cap of the Wigner kernel
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
@@ -63,18 +65,6 @@ class ModeBasis:
     @property
     def count(self) -> int:
         return self.coefficients.shape[1]
-
-
-@dataclass(frozen=True)
-class YoungOperator:
-    """Group-averaged operator c^f_{r,s} realized on the degree-2j
-    harmonic space."""
-
-    shape: Partition
-    row: int
-    col: int
-    two_j: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,10 +95,8 @@ def cyclic_projector(two_j: int) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
-    """Operator matrix of every element of S(5) at one degree.
-
-    Used by the Young-operator route; treat the cached arrays as read-only.
-    """
+    """Operator matrix of every element of S(5) at one degree: a dense
+    oracle for the tests; treat the cached arrays as read-only."""
     perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
     ops = [permutation_operator(p) for p in perms]
     return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
@@ -174,38 +162,42 @@ def periodic_basis(two_j: int) -> ModeBasis:
     return ModeBasis(two_j, coeffs, tuple(tags), spectrum_margin, trace_margin)
 
 
-def young_operator(two_j: int, f: Partition, row: int, col: int) -> YoungOperator:
-    """c^f_{row,col} = (dim f / 120) sum_p D^f_{row,col}(p) T_p on the
-    degree-2j harmonic space."""
-    if f.n != 5:
-        raise ValueError(f"expected a partition of 5, got {f}")
-    dim = (two_j + 1) ** 2
-    acc = np.zeros((dim, dim), dtype=complex)
-    for p, mat in _operator_matrices(two_j).items():
-        weight = rep_matrix(f, p).matrix[row, col]
-        if weight != 0.0:
-            acc += weight * mat
-    return YoungOperator(f, row, col, two_j, (f.dimension / 120.0) * acc)
-
-
-def _rank(mat: np.ndarray) -> int:
-    sing = np.linalg.svd(mat, compute_uv=False)
-    if sing.size == 0:
-        return 0
-    return int(np.sum(sing > RANK_CUTOFF * max(sing[0], 1.0)))
+def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
+    """Orthonormal bases of the joint eigenspaces of the Jucys-Murphy sums
+    X_k = sum_{i<k} T_(i k), k = 2..5, on the degree-2j harmonics, keyed by
+    the contents (0, c_2, .., c_5) of a standard tableau, and the largest
+    distance of an eigenvalue from its integer in -(k-1)..(k-1).  The X_k
+    commute, so each level splits every node's columns B by B^dagger X_k B."""
+    swaps = dict(zip(itertools.combinations(range(1, 6), 2), transposition_operators()))
+    nodes, margin = {(0,): np.eye((two_j + 1) ** 2, dtype=complex)}, 0.0
+    for k in range(2, 6):
+        ops = [swaps[i, k] for i in range(1, k)]
+        split = {}
+        for key, b in nodes.items():
+            vals, vecs = np.linalg.eigh(b.conj().T @ act_on_coefficients(two_j, ops, b))
+            contents = np.clip(np.rint(vals), 1 - k, k - 1)
+            margin = max(margin, float(np.abs(vals - contents).max()))
+            for c in np.unique(contents):
+                split[key + (int(c),)] = b @ vecs[:, contents == c]
+        nodes = split
+    if margin > SPECTRUM_TOL:
+        raise ConsistencyError(f"2j={two_j}: Jucys-Murphy eigenvalues off their integers, "
+                               f"margin {margin:.3g}")
+    return nodes, margin
 
 
 def young_rank(two_j: int, f: Partition) -> int:
-    """Rank of the diagonal Young operators c^f_{r,r}; every standard row
-    must give the same value, the multiplicity of f at degree 2j."""
-    if not 0 <= two_j <= 8:
-        raise ValueError("two_j must lie in 0..8 for the Young-operator route")
-    ranks = {
-        _rank(young_operator(two_j, f, r, r).matrix)
-        for r in range(f.dimension)
-    }
+    """Rank of the diagonal Young operators c^f_{r,r}, the dimension of the
+    Jucys-Murphy eigenspace at the contents of tableau r; every standard
+    tableau must give the same value, the multiplicity of f at degree 2j."""
+    if f.n != 5:
+        raise ValueError(f"expected a partition of 5, got {f}")
+    if not 0 <= two_j <= MAX_TWO_J_MODES:
+        raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
+    counts = {key: b.shape[1] for key, b in _jucys_murphy_leaves(two_j)[0].items()}
+    ranks = {counts.get(t.contents, 0) for t in standard_tableaux(f)}
     if len(ranks) != 1:
-        raise ConsistencyError(f"rows of c^{f} disagree on rank: {ranks}")
+        raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
     return ranks.pop()
 
 

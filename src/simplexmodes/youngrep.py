@@ -47,6 +47,11 @@ class StandardTableau:
         where = self._positions()
         return tuple(where[v][0] + 1 for v in range(self.n, 0, -1))
 
+    @property
+    def contents(self) -> tuple[int, ...]:
+        """Content (column - row) of the box holding each value 1..n."""
+        return tuple(c - r for r, c in map(self.position, range(1, self.n + 1)))
+
     def _positions(self) -> dict[int, tuple[int, int]]:
         return {
             v: (i, j) for i, row in enumerate(self.rows) for j, v in enumerate(row)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from simplexmodes import cli, golden
+from simplexmodes import cli, golden, reduction
 from simplexmodes.cli import MAX_ROWS, main
 from simplexmodes.modes import MAX_TWO_J_MODES
+from simplexmodes.permgroup import Partition
 from simplexmodes.weylaction import ROUND_TOL
 
 
@@ -73,6 +74,28 @@ class TestReduce:
         margins = [c for name, c in checks.items() if name.startswith("period_")]
         assert len(margins) == periods
         assert all(0 <= c["residual"] < c["tolerance"] == ROUND_TOL for c in margins)
+
+    @pytest.mark.parametrize("chain", ["o2s3c3", "o3s4c4", "o4s5c5"])
+    def test_periodic_equals_weighted_sum(self, capsys, chain):
+        rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", "40")
+        assert rc == 0
+        weighted = next(c for c in doc["checks"] if c["name"] == "periodic_equals_weighted_sum")
+        assert weighted == {"name": "periodic_equals_weighted_sum", "passed": True,
+                            "residual": 0, "tolerance": 0}
+
+    def test_o2_selection_rule_against_branching(self, capsys, monkeypatch):
+        # a selection rule that lets [21] through disagrees with its C_3 branching
+        real = reduction.o2_reduce
+
+        def lenient(label):
+            f, m0 = real(label)
+            return f, 1 if f == Partition.of(2, 1) else m0
+
+        monkeypatch.setattr(reduction, "o2_reduce", lenient)
+        rc, doc = run_json(capsys, "reduce", "--chain", "o2s3c3", "--max", "5")
+        assert rc == 3
+        weighted = next(c for c in doc["checks"] if c["name"] == "periodic_equals_weighted_sum")
+        assert not weighted["passed"] and weighted["residual"] == 1
 
     def test_csv_format(self, capsys):
         rc, out = run(capsys, "reduce", "--chain", "o4s5c5", "--max", "3",

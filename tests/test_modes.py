@@ -16,7 +16,6 @@ from simplexmodes.modes import (
     periodic_basis,
     sample_points,
     verify_invariance,
-    young_operator,
     young_rank,
 )
 from simplexmodes.permgroup import (
@@ -41,6 +40,7 @@ from simplexmodes.weylaction import (
     operator_matrix,
     transposition_operators,
 )
+from simplexmodes.youngrep import rep_matrix, standard_tableaux
 
 
 def dense_isotypic_spans(two_j):
@@ -58,6 +58,16 @@ def dense_isotypic_spans(two_j):
             vals, vecs = np.linalg.eigh(central @ projector)
             spans[f] = vecs[:, vals > 0.5]
     return spans
+
+
+def young_operator(two_j, f, row, col):
+    """The dense route that gave young_rank before the Jucys-Murphy walk:
+    c^f_{row,col} = (dim f / 120) sum_p D^f_{row,col}(p) T_p on the degree-2j
+    harmonics, from the 120 operator matrices."""
+    return (f.dimension / 120.0) * sum(
+        rep_matrix(f, p).matrix[row, col] * mat
+        for p, mat in modes._operator_matrices(two_j).items()
+    )
 
 
 def partition_counts(basis):
@@ -250,35 +260,73 @@ class TestYoungOperators:
         f = Partition.of(3, 2)
         g = Partition.of(2, 2, 1)
         two_j = 2
-        c_f_01 = young_operator(two_j, f, 0, 1).matrix
-        c_f_11 = young_operator(two_j, f, 1, 1).matrix
-        c_f_00 = young_operator(two_j, f, 0, 0).matrix
-        c_f_10 = young_operator(two_j, f, 1, 0).matrix
+        c_f_01 = young_operator(two_j, f, 0, 1)
+        c_f_11 = young_operator(two_j, f, 1, 1)
+        c_f_00 = young_operator(two_j, f, 0, 0)
+        c_f_10 = young_operator(two_j, f, 1, 0)
         # c^f_{0,1} c^f_{1,1} = c^f_{0,1} and c^f_{0,1} c^f_{0,0} = 0
         assert np.abs(c_f_01 @ c_f_11 - c_f_01).max() < 1e-9
         assert np.abs(c_f_01 @ c_f_00).max() < 1e-9
         # c^f_{1,0} c^f_{0,1} = c^f_{1,1}; mixed partitions annihilate
         assert np.abs(c_f_10 @ c_f_01 - c_f_11).max() < 1e-9
-        c_g = young_operator(two_j, g, 0, 1).matrix
+        c_g = young_operator(two_j, g, 0, 1)
         assert np.abs(c_g @ c_f_11).max() < 1e-9
 
     def test_adjoint_rule(self):
         f = Partition.of(3, 1, 1)
         for two_j in (1, 3):
-            a = young_operator(two_j, f, 0, 2).matrix
-            b = young_operator(two_j, f, 2, 0).matrix
+            a = young_operator(two_j, f, 0, 2)
+            b = young_operator(two_j, f, 2, 0)
             assert np.abs(a.conj().T - b).max() < 1e-9
 
     def test_diagonal_operators_are_projectors(self):
         f = Partition.of(3, 2)
-        c = young_operator(4, f, 2, 2).matrix
+        c = young_operator(4, f, 2, 2)
         assert np.abs(c @ c - c).max() < 1e-9
         assert np.abs(c - c.conj().T).max() < 1e-9
 
-    @pytest.mark.parametrize("two_j", range(7))
+    @pytest.mark.parametrize("two_j", range(5))
+    def test_leaf_spaces_equal_dense_diagonal_operators(self, two_j):
+        leaves, _ = modes._jucys_murphy_leaves(two_j)
+        empty = np.zeros(((two_j + 1) ** 2, 0))
+        for f in partitions_of(5):
+            for r, t in enumerate(standard_tableaux(f)):
+                b = leaves.get(t.contents, empty)
+                assert np.abs(b @ b.conj().T - young_operator(two_j, f, r, r)).max() < 1e-10
+
+    @pytest.mark.parametrize("two_j", range(13))
     def test_rank_equals_multiplicity(self, two_j):
         for f in partitions_of(5):
             assert young_rank(two_j, f) == multiplicity_o4_s5(two_j, f)
+
+    def test_reach_at_the_kernel_cap(self):
+        two_j = MAX_TWO_J_MODES
+        tracemalloc.start()
+        leaves, margin = modes._jucys_murphy_leaves(two_j)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the dense route would hold 120 complex (2j+1)^2 x (2j+1)^2 arrays, 6.25 MB each
+        assert peak < 64e6
+        counts = {
+            t: leaves[t.contents].shape[1] if t.contents in leaves else 0
+            for f in partitions_of(5) for t in standard_tableaux(f)
+        }
+        assert all(n == multiplicity_o4_s5(two_j, t.shape) for t, n in counts.items())
+        assert sum(counts.values()) == (two_j + 1) ** 2
+        assert 0.0 <= margin <= SPECTRUM_TOL
+
+    @pytest.mark.parametrize("two_j,f", [(MAX_TWO_J_MODES + 1, Partition.of(5)),
+                                         (-1, Partition.of(5)), (2, Partition.of(3, 1))])
+    def test_range_guards(self, two_j, f):
+        with pytest.raises(ValueError):
+            young_rank(two_j, f)
+
+    def test_another_operator_in_the_sums_raises(self, monkeypatch):
+        ops = list(transposition_operators())
+        ops[0] = cyclic_operators()[1]  # the deck generator in place of (1 2)
+        monkeypatch.setattr(modes, "transposition_operators", lambda: tuple(ops))
+        with pytest.raises(ConsistencyError, match="margin"):
+            young_rank(4, Partition.of(3, 2))
 
     @pytest.mark.parametrize("two_j", range(7))
     def test_rank_dimension_budget(self, two_j):
