@@ -29,7 +29,7 @@ from .reduction import (
     lattice_count_o4,
     o2_reduce,
 )
-from .su2wigner import MAX_TWO_J, SU2Element, _complex, block_points, wigner_d, wigner_rows
+from .su2wigner import SU2Element, wigner_d, wigner_rows
 from .weylaction import (
     GroupOperator,
     act_on_coefficients,
@@ -43,9 +43,12 @@ from .weylaction import (
 )
 from .youngrep import fixed_subspace, standard_tableaux
 
-MAX_TWO_J_MODES = MAX_TWO_J  # the cap of the Wigner kernel
+# Wigner D has no degree cap; this one bounds the modes.  periodic_basis takes
+# 1.8 s at 2j = 48 and 8.0 s at 2j = 60 on 2 vCPUs, mostly in the pivoted
+# Gram-Schmidt, and dense coefficients beyond 2j = 24 have no output contract.
+MAX_TWO_J_MODES = 24
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
-PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 4e-14, real > 1.7e-5
+PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 1e-14, real > 1.7e-5
 SPECTRUM_TOL = 1e-9  # of generator phases, tag eigenvalues and tag projector traces
 
 
@@ -201,6 +204,13 @@ def young_rank(two_j: int, f: Partition) -> int:
     return ranks.pop()
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array from its parts, signs of zeros included."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _sample_pairs(num_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(z1, z2) of N uniform points of S^3: normalized 4-dimensional
     Gaussian draws x of a seeded generator, z1 = x0 - i x3, z2 = -x2 - i x1."""
@@ -225,11 +235,21 @@ def evaluate_modes(basis: ModeBasis, u: SU2Element) -> np.ndarray:
     return w @ basis.coefficients
 
 
+#: points x matrix entries per Wigner call of verify_invariance; bounds the
+#: temporaries of the sample at every 2j
+BLOCK_ELEMENTS = 1 << 12
+
+
+def block_points(two_j: int) -> int:
+    """Points per Wigner call of verify_invariance at degree 2j."""
+    return max(1, BLOCK_ELEMENTS // (two_j + 1) ** 2)
+
+
 def verify_invariance(basis: ModeBasis, num_points: int, seed: int) -> float:
     """Largest |psi(g u) - psi(u)| over the sample, all deck operators g,
     and all modes; exactly zero up to roundoff for a periodic basis.
 
-    Points are evaluated in blocks of `block_points(2j)`, one Wigner kernel
+    Points are evaluated in blocks of `block_points(2j)`, one `wigner_rows`
     call and one matrix product per block and operator.
     """
     if num_points < 1:

@@ -6,26 +6,30 @@ z1 = x0 - i*x3, z2 = -(x2 + i*x1), so D^j matrix elements double as the
 degree-2j harmonic polynomials on the 3-sphere.
 
 Index convention: both Wigner axes run over m = -j ... +j ascending.  With
-that choice the polynomial sum at j = 1/2 evaluates to the defining matrix
-with both axes reversed, [[conj(z1), -conj(z2)], [z2, z1]], and
-D^j(u v) = D^j(u) D^j(v) holds in ordinary matrix-product order, which is
-what the rest of the package relies on.
+that choice D^{1/2} is the defining matrix with both axes reversed,
+[[conj(z1), -conj(z2)], [z2, z1]], and D^j(u v) = D^j(u) D^j(v) holds in
+ordinary matrix-product order, which is what the rest of the package
+relies on.
+
+D^j is evaluated by exact diagonalization: one J_y eigenbasis per degree,
+cached, and Euler-angle phases per point, for any 2j >= 0.  Characters
+take the independent Chebyshev route.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
 
 import numpy as np
 
+from .permgroup import ConsistencyError
+
 UNIT_TOL = 1e-12
-MAX_TWO_J = 24  # factorial coefficients stay exactly representable
+JY_TOL = 1e-10  # of the J_y eigenvalues from their m; 2j = 400 lands at 4.3e-14
 
 
 def _as_two_j(j: float | int | Fraction) -> int:
@@ -147,115 +151,49 @@ class WignerMatrix:
         return self.two_j + 1
 
 
-#: points x matrix entries per numpy pass of the Wigner kernel; bounds its
-#: temporaries (about 20 arrays of this many floats) at every 2j
-BLOCK_ELEMENTS = 1 << 12
-
-
 @lru_cache(maxsize=None)
 def _wigner_terms(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The polynomial sum of D^j as arrays over the flattened entries (m1, m2).
-
-    Returns prefactors (E,), square roots of exact factorial ratios, and per
-    sigma term s = 0..S-1 the exact integer coefficients coeffs[s] (E,) and
-    picks[s] (4, E): where each factor sits in the stacked powers 0..2j of
-    z1, conj(z2), z2, conj(z1).  Entries with fewer than S terms are padded
-    with zero coefficients and zeroth powers, which leave the sum unchanged.
-    """
-    dim = two_j + 1
-    prefs, rows = [], []
-    for i1, i2 in itertools.product(range(dim), repeat=2):  # i = j + m
-        jm1, jm2, dm = two_j - i1, two_j - i2, i2 - i1
-        prefs.append(math.sqrt(
-            Fraction(factorial(i1) * factorial(jm1), factorial(i2) * factorial(jm2))
-        ))
-        rows.append([
-            ((-1) ** (dm + sig) * comb(i2, i1 - sig) * comb(jm2, sig),
-             i1 - sig, dm + sig, sig, jm2 - sig)
-            for sig in range(max(0, -dm), min(i1, jm2) + 1)
-        ])
-    terms = np.zeros((dim * dim, max(map(len, rows)), 5))
-    for e, row in enumerate(rows):
-        terms[e, :len(row)] = row
-    picks = terms[..., 1:].astype(np.intp).transpose(1, 2, 0) + dim * np.arange(4)[:, None]
-    return np.array(prefs), terms[..., 0].T.copy(), picks
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) in real arithmetic, rounded operation by
-    operation as Python's complex product; numpy's complex multiply may
-    fuse and round differently."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Complex array from its parts, signs of zeros included."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def block_points(two_j: int) -> int:
-    """Points per numpy pass of the degree-2j kernel."""
-    return max(1, BLOCK_ELEMENTS // (two_j + 1) ** 2)
-
-
-def _wigner_block(two_j: int, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    prefs, coeffs, picks = _wigner_terms(two_j)
-    dim, n = two_j + 1, len(z1)
-    # powers 0..2j of z1, conj(z2), z2, conj(z1), each from the last by one product
-    base_re = np.stack([z1.real, z2.real, z2.real, z1.real], axis=1)
-    base_im = np.stack([z1.imag, -z2.imag, z2.imag, -z1.imag], axis=1)
-    pow_re, pow_im = np.empty((n, 4, dim)), np.empty((n, 4, dim))
-    pow_re[..., 0], pow_im[..., 0] = 1.0, 0.0
-    for k in range(two_j):
-        pow_re[..., k + 1], pow_im[..., k + 1] = _cmul(
-            pow_re[..., k], pow_im[..., k], base_re, base_im
-        )
-    pow_re, pow_im = pow_re.reshape(n, 4 * dim), pow_im.reshape(n, 4 * dim)
-    acc_re, acc_im = np.zeros((n, len(prefs))), np.zeros((n, len(prefs)))
-    # ((coeff * f0) * f1 * f2) * f3 summed from +0.0, as Python evaluates the
-    # sum.  Python multiplies by a real number as by (x + 0j), which can only
-    # flip the sign of a zero part of a term; a sum started at +0.0 never
-    # returns -0.0, so scaling both parts gives the same bits.
-    # Each factor is gathered on its own, (n, E) at a time: an (n, 4, E)
-    # gather reaches glibc's 128 KB heap-trim threshold at BLOCK_ELEMENTS, and
-    # freeing it every term would hand its pages back, to fault in again.
-    for coeff, pick in zip(coeffs, picks):
-        re, im = coeff * pow_re[:, pick[0]], coeff * pow_im[:, pick[0]]
-        for b in range(1, 4):
-            re, im = _cmul(re, im, pow_re[:, pick[b]], pow_im[:, pick[b]])
-        acc_re += re
-        acc_im += im
-    return _complex(prefs * acc_re, prefs * acc_im)
+    """Eigenvectors W of J_y = (J_+ - J_+^T)/2i at degree 2j, with J_+|m> =
+    sqrt(j(j+1) - m(m+1))|m+1>, their conjugate transpose and the weights m
+    ascending.  eigh returns the eigenvalues ascending, so each column of W
+    belongs to one m; ConsistencyError unless all lie within JY_TOL of it."""
+    j, m = two_j / 2, np.arange(-two_j, two_j + 1, 2) / 2
+    raising = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    spectrum, w = np.linalg.eigh(-0.5j * (raising - raising.T))
+    margin = float(np.abs(spectrum - m).max())
+    if margin > JY_TOL:
+        raise ConsistencyError(f"2j={two_j}: J_y eigenvalues off their m, margin {margin:.3g}")
+    return w, w.conj().T, m
 
 
 def wigner_rows(two_j: int, z1, z2) -> np.ndarray:
     """D^j at N points (z1[n], z2[n]) of S^3, flattened row-major: an
     (N, (2j+1)^2) array.
 
-    Evaluates the polynomial sum in blocks of `block_points(two_j)` points;
-    every value equals the scalar sum term by term in Python complex
-    arithmetic, bit for bit.
+    Exact diagonalization (Feng, Wang, Yang & Jin, Phys. Rev. E 92 (2015)
+    043307): with beta = 2 atan2(|z2|, |z1|) and phi+- = arg z1 +- arg z2,
+    D = diag(e^{i m phi+}) W e^{i beta m} W^dagger diag(e^{i m phi-}), one
+    batched matrix product for all points.
     """
-    if not 0 <= two_j <= MAX_TWO_J:
-        raise ValueError(f"2j = {two_j} exceeds the supported range {MAX_TWO_J}")
+    if two_j < 0 or two_j != int(two_j):
+        raise ValueError(f"2j must be a non-negative integer, got {two_j}")
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
-    norm = np.abs(z1) ** 2 + np.abs(z2) ** 2
+    r1, r2 = np.abs(z1), np.abs(z2)
+    norm = r1**2 + r2**2
     bad = np.flatnonzero(np.abs(norm - 1.0) > UNIT_TOL)
     if len(bad):
         raise ValueError(f"|z1|^2+|z2|^2 = {norm[bad[0]]} at point {bad[0]}, not a unit pair")
-    step = block_points(two_j)
-    out = np.empty((len(z1), (two_j + 1) ** 2), dtype=complex)
-    for lo in range(0, len(z1), step):
-        out[lo:lo + step] = _wigner_block(two_j, z1[lo:lo + step], z2[lo:lo + step])
-    return out
+    w, w_dagger, m = _wigner_terms(int(two_j))
+    beta, a, b = 2.0 * np.arctan2(r2, r1)[:, None], np.angle(z1)[:, None], np.angle(z2)[:, None]
+    d = (w * np.exp(1j * m * beta)[:, None, :]) @ w_dagger
+    d *= np.exp(1j * m * (a + b))[:, :, None] * np.exp(1j * m * (a - b))[:, None, :]
+    return d.reshape(len(z1), -1)
 
 
 def wigner_d(j: float | int | Fraction, u: SU2Element) -> WignerMatrix:
-    """Wigner representation matrix D^j(u) as a homogeneous polynomial of
-    degree 2j in (z1, z2, conj(z1), conj(z2))."""
+    """Wigner representation matrix D^j(u), a homogeneous polynomial of
+    degree 2j in (z1, z2, conj(z1), conj(z2)); see wigner_rows."""
     two_j = _as_two_j(j)
     row = wigner_rows(two_j, u.z1, u.z2)[0]
     return WignerMatrix(two_j, row.reshape(two_j + 1, two_j + 1))

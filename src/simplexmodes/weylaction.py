@@ -25,8 +25,6 @@ from .su2wigner import (
     Q_ELEMENT,
     SU2Element,
     _as_two_j,
-    _cmul,
-    _complex,
     half_angle,
     su2_character,
     su2_from_point,
@@ -118,13 +116,8 @@ def transposition_operators() -> tuple[GroupOperator, ...]:
 
 
 def _times(a1, a2, b1, b2):
-    """(a1, a2) * (b1, b2) as SU(2) pairs, in the real arithmetic of
-    `su2wigner._cmul`; either side may be an array of points."""
-
-    def mul(x, y):
-        return _complex(*_cmul(x.real, x.imag, y.real, y.imag))
-
-    return mul(a1, b1) - mul(a2, np.conj(b2)), mul(a1, b2) + mul(a2, np.conj(b1))
+    """(a1, a2) * (b1, b2) as SU(2) pairs; either side may be an array of points."""
+    return a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)
 
 
 def act_on_points(
@@ -163,7 +156,7 @@ def operator_character(j: float | int | Fraction, op: GroupOperator) -> float:
 
 def operator_factors(two_j: int, ops: Sequence[GroupOperator]) -> np.ndarray:
     """Wigner matrices (L, R) of each operator, shape (len(ops), 2, 2j+1, 2j+1),
-    from one kernel call.  On the coefficient matrix C of the harmonics
+    from one wigner_rows call.  On the coefficient matrix C of the harmonics
     D^j_{m1 m2} the operator acts as C -> L^T C R^T if it is a rotation and
     as C -> (-1)^{2j} L^T C^T R^T if it is reflective."""
     factors = []

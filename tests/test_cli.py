@@ -170,7 +170,7 @@ class TestModes:
         ]
         assert all(0 <= c["residual"] <= c["tolerance"] for c in doc["checks"])
 
-    def test_at_the_kernel_cap(self, capsys):
+    def test_at_the_modes_cap(self, capsys):
         rc, doc = run_json(capsys, "modes", "--two-j", str(MAX_TWO_J_MODES),
                            "--verify-points", "6")
         assert rc == 0

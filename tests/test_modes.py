@@ -9,6 +9,7 @@ from simplexmodes.modes import (
     MAX_TWO_J_MODES,
     SPECTRUM_TOL,
     ModeBasis,
+    block_points,
     cyclic_operators,
     cyclic_projector,
     evaluate_modes,
@@ -32,7 +33,6 @@ from simplexmodes.reduction import (
     multiplicity_o4_s5,
     periodic_count_o4,
 )
-from simplexmodes.su2wigner import block_points
 from simplexmodes.weylaction import (
     act_on_coefficients,
     act_on_point,
@@ -163,7 +163,7 @@ class TestPeriodicBasis:
             sine = np.linalg.norm(new - old @ (old.conj().T @ new), 2) if old.shape[1] else 0.0
             assert sine <= 1e-10, (two_j, f)
 
-    def test_reach_at_the_kernel_cap(self):
+    def test_reach_at_the_modes_cap(self):
         two_j = MAX_TWO_J_MODES
         tracemalloc.start()
         basis = periodic_basis(two_j)
@@ -299,7 +299,7 @@ class TestYoungOperators:
         for f in partitions_of(5):
             assert young_rank(two_j, f) == multiplicity_o4_s5(two_j, f)
 
-    def test_reach_at_the_kernel_cap(self):
+    def test_reach_at_the_modes_cap(self):
         two_j = MAX_TWO_J_MODES
         tracemalloc.start()
         leaves, margin = modes._jucys_murphy_leaves(two_j)
