@@ -4,7 +4,8 @@ The primary construction spans the periodic modes by the lattice of harmonics
 that the deck generator fixes in its diagonal frame, and tags them by the
 integer spectrum of the central transposition sum.  The Jucys-Murphy sums give
 an independent route to the multiplicities: their joint eigenspaces, one per
-standard tableau, have the dimensions that character theory predicts.
+standard tableau, have the dimensions that character theory predicts.  Both
+integer spectra are read one way, by youngrep.integer_eigenspaces.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,15 +42,14 @@ from .weylaction import (
     permutation_operator,
     transposition_operators,
 )
-from .youngrep import fixed_subspace, standard_tableaux
+from .youngrep import SPECTRUM_TOL, fixed_subspace, integer_eigenspaces, standard_tableaux
 
-# Wigner D has no degree cap; this one bounds the modes.  periodic_basis takes
-# 1.8 s at 2j = 48 and 8.0 s at 2j = 60 on 2 vCPUs, mostly in the pivoted
-# Gram-Schmidt, and dense coefficients beyond 2j = 24 have no output contract.
+# Wigner D has no degree cap; this one bounds the modes.  periodic_basis takes 0.8 s
+# at 2j = 48 and 2.3 s at 2j = 60 on 2 vCPUs, two thirds in the pivoted Gram-Schmidt,
+# and dense coefficients beyond 2j = 24 have no output contract.
 MAX_TWO_J_MODES = 24
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
-PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 1e-14, real > 1.7e-5
-SPECTRUM_TOL = 1e-9  # of generator phases, tag eigenvalues and tag projector traces
+PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ModeBasis:
     """Orthonormal periodic modes of one degree in the harmonics D^j_{m1 m2}
     flattened row-major, one optional partition tag per column, and the tag
     margins of periodic_basis: the largest distance of an eigenvalue of M from
-    its content and of a content projector's trace from its rank."""
+    its integer and of a content block's squared norm from m_f w_f."""
 
     two_j: int
     coefficients: np.ndarray  # (2j+1)^2 x count, complex
@@ -105,12 +105,12 @@ def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
     return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
 
 
-def _pivoted_gram_schmidt(proj: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the range of a projector of known rank: each step
-    takes its column (a projected lattice vector) of largest residual, the
-    first in lattice order of those within PIVOT_TIE of it."""
-    residual, out = proj.copy(), np.empty((len(proj), rank), dtype=complex)
-    for i in range(rank):
+def _pivoted_gram_schmidt(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of an r x p matrix of rank r:
+    each step takes its column (a projected lattice vector) of largest
+    residual, the first in lattice order of those within PIVOT_TIE of it."""
+    residual, out = a.copy(), np.empty((len(a), len(a)), dtype=complex)
+    for i in range(len(a)):
         norms = np.linalg.norm(residual, axis=0)
         k = int(np.argmax(norms >= (1.0 - PIVOT_TIE) * norms.max()))
         out[:, i] = residual[:, k] / norms[k]
@@ -126,8 +126,8 @@ def periodic_basis(two_j: int) -> ModeBasis:
     it multiplies the harmonic x_a y_b^T by exp(i pi (3a + b) / 5), (a, b) =
     (2 m1, 2 m2), so the lattice 3a + b = 0 (mod 10) spans the periodic modes.
     There the transposition sum M acts on the f-isotypic part as
-    f.content_sum; the Lagrange projector of M onto each content gives that
-    block, made canonical by pivoted Gram-Schmidt."""
+    f.content_sum; its eigenspace at each content is that block, made canonical
+    by pivoted Gram-Schmidt over the projected lattice vectors."""
     if not 0 <= two_j <= MAX_TWO_J_MODES:
         raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
     x, y, rot_l, rot_r = diagonal_factors(two_j, cyclic_operators()[1])
@@ -147,20 +147,19 @@ def periodic_basis(two_j: int) -> ModeBasis:
         (x.conj().T @ left.T @ y)[np.ix_(i1, i2)] * (y.conj().T @ right @ x)[np.ix_(i2, i1)]
         for left, right in operator_factors(two_j, transposition_operators())
     )
-    want = sorted(f.content_sum for f, rank in ranks.items() for _ in range(rank))
-    spectrum_margin = float(np.abs(np.linalg.eigvalsh(m) - want).max(initial=0.0))
-    eye, columns, tags, trace_margin = np.eye(len(i1)), [], [], 0.0
+    blocks, spectrum_margin = integer_eigenspaces(m, -10, 10)
+    columns, tags, trace_margin = [], [], 0.0
     for f, rank in ranks.items():
-        proj = reduce(np.matmul, [(m - g.content_sum * eye) / (f.content_sum - g.content_sum)
-                                  for g in ranks if g != f])
-        trace_margin = max(trace_margin, abs(np.trace(proj) - rank))
-        # squaring keeps the range and squares the weight left on other contents
-        columns.append(_pivoted_gram_schmidt(proj @ proj, rank))
-        tags += [f] * rank
+        v = blocks[f.content_sum]
+        # |V|_F^2 is the trace of the content projector V V^dagger
+        trace_margin = max(trace_margin, abs(np.vdot(v, v).real - rank))
+        # column k of V^dagger is lattice vector k projected, in the isometry V
+        columns.append(v @ _pivoted_gram_schmidt(v.conj().T))
+        tags += [f] * v.shape[1]
     frame = (x[:, i1][:, None, :] * y[:, i2][None, :, :]).reshape((two_j + 1) ** 2, len(i1))
     coeffs = frame @ np.hstack(columns)
     # the first coefficient above PHASE_TOL of each column is real and positive
-    lead = coeffs[np.argmax(np.abs(coeffs) > PHASE_TOL, axis=0), np.arange(len(i1))]
+    lead = coeffs[np.argmax(np.abs(coeffs) > PHASE_TOL, axis=0), np.arange(coeffs.shape[1])]
     coeffs *= np.conj(lead) / np.abs(lead)
     return ModeBasis(two_j, coeffs, tuple(tags), spectrum_margin, trace_margin)
 
@@ -177,11 +176,10 @@ def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray],
         ops = [swaps[i, k] for i in range(1, k)]
         split = {}
         for key, b in nodes.items():
-            vals, vecs = np.linalg.eigh(b.conj().T @ act_on_coefficients(two_j, ops, b))
-            contents = np.clip(np.rint(vals), 1 - k, k - 1)
-            margin = max(margin, float(np.abs(vals - contents).max()))
-            for c in np.unique(contents):
-                split[key + (int(c),)] = b @ vecs[:, contents == c]
+            spaces, level_margin = integer_eigenspaces(
+                b.conj().T @ act_on_coefficients(two_j, ops, b), 1 - k, k - 1)
+            margin = max(margin, level_margin)
+            split.update({key + (c,): b @ vecs for c, vecs in spaces.items() if vecs.shape[1]})
         nodes = split
     if margin > SPECTRUM_TOL:
         raise ConsistencyError(f"2j={two_j}: Jucys-Murphy eigenvalues off their integers, "

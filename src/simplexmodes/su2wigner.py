@@ -94,10 +94,6 @@ class SU2Element:
     def transpose(self) -> SU2Element:
         return SU2Element(self.z1, -np.conj(self.z2))
 
-    def minus_dagger(self) -> SU2Element:
-        """-u^dagger: the image of u under the base reflection x0 -> -x0."""
-        return SU2Element(-np.conj(self.z1), self.z2)
-
     def diagonal_frame(self) -> SU2Element:
         """h with h^-1 u h = (exp(i phi/2), 0), phi/2 = half_angle(u): its first
         column is the eigenvector (z2, lambda - z1) of u for lambda = exp(i phi/2)."""

@@ -19,12 +19,11 @@ from .permgroup import (
     ConsistencyError,
     Partition,
     Permutation,
-    coxeter_element,
     cyclic_elements,
     trivial_multiplicity,
 )
 
-RANK_CUTOFF = 1e-8  # relative singular-value threshold for rank decisions
+SPECTRUM_TOL = 1e-9  # of generator phases and of every integer_eigenspaces margin
 
 
 @dataclass(frozen=True)
@@ -258,21 +257,26 @@ def _canonical_columns(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def fixed_subspace(f: Partition, primed: bool = False) -> FixedSubspace:
+def integer_eigenspaces(h: np.ndarray, lo: int, hi: int) -> tuple[dict[int, np.ndarray], float]:
+    """Orthonormal eigenvectors of a Hermitian matrix with spectrum in the
+    integers lo..hi, for each c in lo..hi (empty where c is no eigenvalue), and
+    the margin: the largest distance of an eigenvalue from its rounded value."""
+    vals, vecs = np.linalg.eigh(h)
+    ints = np.clip(np.rint(vals), lo, hi)
+    margin = float(np.abs(vals - ints).max(initial=0.0))
+    return {c: vecs[:, ints == c] for c in range(lo, hi + 1)}, margin
+
+
+def fixed_subspace(f: Partition) -> FixedSubspace:
     """Orthonormal basis of the eigenvalue-1 eigenspace of the Coxeter
-    element of S(n) in representation f."""
-    rep = primed_rep_matrix if primed else rep_matrix
-    cox = rep(f, coxeter_element(f.n)).matrix
-    d = cox.shape[0]
-    _, singular, vh = np.linalg.svd(cox - np.eye(d))
-    cutoff = RANK_CUTOFF * max(singular[0], 1.0)
-    null = vh[singular < cutoff].T if singular.size else np.zeros((d, 0))
-    # svd of a real matrix returns an orthonormal null basis already
-    basis = _canonical_columns(null)
+    element of S(n) in representation f: the 1-eigenspace of the C_n average,
+    whose spectrum is 0 and 1."""
+    blocks, margin = integer_eigenspaces(trivial_projector(f).matrix, 0, 1)
+    basis = _canonical_columns(blocks[1])
     expected = trivial_multiplicity(f)
-    if basis.shape[1] != expected:
+    if margin > SPECTRUM_TOL or basis.shape[1] != expected:
         raise ConsistencyError(
-            f"fixed space of {f} has dimension {basis.shape[1]}, "
-            f"character theory demands {expected}"
+            f"fixed space of {f} has dimension {basis.shape[1]}, character theory "
+            f"demands {expected}; projector eigenvalues off 0 and 1 by margin {margin:.3g}"
         )
     return FixedSubspace(f, basis)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simplexmodes import cli, golden, reduction
+from simplexmodes import cli, golden, modes, reduction
 from simplexmodes.cli import MAX_ROWS, main
 from simplexmodes.modes import MAX_TWO_J_MODES
 from simplexmodes.permgroup import Partition
@@ -186,6 +186,20 @@ class TestModes:
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["invariance_max_deviation"]
         assert failed[0]["residual"] == 1.0 and failed[0]["tolerance"] == 1e-9
+
+    def test_wrong_tag_counts_exit_3(self, capsys, monkeypatch):
+        # character theory with the ranks of [32] and [221] swapped
+        f32, f221, real = Partition.of(3, 2), Partition.of(2, 2, 1), modes.multiplicity_o4_s5
+        swap = {f32: f221, f221: f32}
+        monkeypatch.setattr(modes, "multiplicity_o4_s5",
+                            lambda two_j, f: real(two_j, swap.get(f, f)))
+        assert modes.periodic_basis(2).trace_margin >= 1
+        rc = main(["modes", "--two-j", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "tag_projector_traces" in err
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["tag_projector_traces"]
 
 
 class TestClassChars:

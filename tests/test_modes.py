@@ -184,10 +184,27 @@ class TestPeriodicBasis:
 
     @pytest.mark.parametrize("two_j,bound", [(12, 2e-14), (24, 1e-13)])
     def test_blocks_orthogonal_to_rounding(self, two_j, bound):
-        # the squared Lagrange projectors leave ~1e-15 between blocks, the
-        # plain ones ~1e-13; the rest is the frame's own rounding
+        # eigh leaves ~1e-15 between the tag blocks; the rest is the frame's
+        # own rounding
         c = periodic_basis(two_j).coefficients
         assert np.abs(c.conj().T @ c - np.eye(c.shape[1])).max() < bound
+
+    @pytest.mark.parametrize("two_j", [5, 12, 24])
+    def test_columns_ignore_the_eigenvectors_returned(self, two_j, monkeypatch):
+        # pivoting on projected lattice vectors picks the same columns from
+        # any orthonormal basis of each tag block
+        want = periodic_basis(two_j).coefficients
+        rng, real = np.random.default_rng(two_j), modes.integer_eigenspaces
+
+        def rotated(h, lo, hi):
+            blocks, margin = real(h, lo, hi)
+            for c, v in blocks.items():
+                z = rng.normal(size=(v.shape[1],) * 2) + 1j * rng.normal(size=(v.shape[1],) * 2)
+                blocks[c] = v @ np.linalg.qr(z)[0]
+            return blocks, margin
+
+        monkeypatch.setattr(modes, "integer_eigenspaces", rotated)
+        assert np.abs(periodic_basis(two_j).coefficients - want).max() < 1e-10
 
     @pytest.mark.parametrize("two_j", [0, 1, 5, 12, 17, 24])
     def test_margins(self, two_j):
@@ -241,12 +258,13 @@ class TestDiagonalFrame:
 
     def test_pivots_break_ties_in_lattice_order(self):
         # the last column is the largest, but within the tie window of the others
-        proj = np.diag([0.0, 1.0, 1.0, 1.0 + 1e-12]).astype(complex)
-        out = modes._pivoted_gram_schmidt(proj, 3)
-        assert np.array_equal(np.abs(out).argmax(axis=0), [1, 2, 3])
+        a = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1 + 1e-12]], dtype=complex)
+        out = modes._pivoted_gram_schmidt(a)
+        # output column i is the residual of the column of a it pivoted on
+        assert np.array_equal(np.abs(a.conj().T @ out).argmax(axis=0), [1, 2, 3])
         assert np.abs(out.conj().T @ out - np.eye(3)).max() < 1e-15
 
-    def test_lagrange_projectors_split_the_transposition_sum(self):
+    def test_tags_split_the_transposition_sum(self):
         # the dense transposition sum on the periodic columns acts by the tags' contents
         basis = periodic_basis(9)
         tsum = sum(operator_matrix(4.5, op) for op in transposition_operators())

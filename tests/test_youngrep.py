@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from simplexmodes import youngrep
 from simplexmodes.permgroup import (
+    ConsistencyError,
     Partition,
     Permutation,
     character,
@@ -16,6 +18,7 @@ from simplexmodes.permgroup import (
 from simplexmodes.youngrep import (
     fixed_subspace,
     generator_matrix,
+    integer_eigenspaces,
     primed_rep_matrix,
     rep_matrix,
     standard_tableaux,
@@ -240,6 +243,13 @@ class TestProjectorsAndFixedVectors:
             assert round(np.trace(p)) == trivial_multiplicity(f)
             assert abs(np.trace(p) - round(np.trace(p))) < 1e-12
 
+    def test_projector_off_its_spectrum_raises(self, monkeypatch):
+        real = youngrep.trivial_projector
+        monkeypatch.setattr(youngrep, "trivial_projector",
+                            lambda f: youngrep.ReprMatrix(f, 0.9 * real(f).matrix))
+        with pytest.raises(ConsistencyError, match="margin"):
+            fixed_subspace(Partition.of(3, 1, 1))
+
     def test_fixed_211(self):
         space = fixed_subspace(Partition.of(2, 1, 1))
         assert space.dim == 1
@@ -284,6 +294,16 @@ class TestProjectorsAndFixedVectors:
             v = fixed_subspace(Partition(parts)).basis[:, 0]
             lead = next(x for x in v if abs(x) > 1e-9)
             assert lead > 0
+
+
+class TestIntegerEigenspaces:
+    def test_blocks_and_margin(self):
+        h = np.diag([1.0, -1e-12, 1.0 + 2e-12, 3.0])
+        blocks, margin = integer_eigenspaces(h, -1, 2)
+        assert {c: v.shape[1] for c, v in blocks.items()} == {-1: 0, 0: 1, 1: 2, 2: 1}
+        assert np.abs(blocks[1].T @ h @ blocks[1] - np.eye(2)).max() < 1e-11
+        # 3 is clipped to 2, so an eigenvalue out of range shows in the margin
+        assert margin == pytest.approx(1.0)
 
 
 class TestPrimedRepresentation:
