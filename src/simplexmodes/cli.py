@@ -35,9 +35,10 @@ from .reduction import (
     o2_multiplicity_table,
     o3_multiplicity_table,
     o4_multiplicity_table,
-    s4_class_periods,
 )
-from .weylaction import ROUND_TOL, act_on_coefficients, class_character_table, class_periods
+from .weylaction import (
+    act_on_coefficients, class_character, class_character_table, class_operators, operator_character,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -84,7 +85,7 @@ def report_document(command: str, parameters: dict, payload: dict,
         "version": __version__,
         "parameters": parameters,
         "seed": seed,
-        "tolerances": {"integer": 0, "real": REAL_TOL, "rounding": ROUND_TOL},
+        "tolerances": {"integer": 0, "real": REAL_TOL},
         "payload": payload,
         "checks": checks,
     }
@@ -100,15 +101,6 @@ def _emit(doc_or_text, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _period_checks(periods: dict) -> list[dict]:
-    """One check per tabulated class-character period; the residual is its
-    rounding margin."""
-    return [
-        check(f"period_{len(values)}_class_{k}", margin, ROUND_TOL)
-        for k, (values, margin) in periods.items()
-    ]
 
 
 # ----------------------------------------------------------------- commands
@@ -213,8 +205,6 @@ def cmd_reduce(args) -> dict | str:
         for n, row in zip(table.periodic, table.entries)
     )
     checks.append(check("periodic_equals_weighted_sum", weighted, 0))
-    if args.chain == "o3s4c4":
-        checks += _period_checks(s4_class_periods())
     if args.chain == "o4s5c5":
         lattice = max(abs(n - lattice_count_o4(t)) for t, n in enumerate(table.periodic))
         checks.append(check("periodic_equals_lattice_count", lattice, 0,
@@ -273,8 +263,13 @@ def cmd_classchars(args) -> dict:
             for r in rows
         ],
     }
-    # the rows repeat one tabulated period; residual is its rounding margin
-    checks = _period_checks(class_periods())
+    # the integer characters against the float operator traces on 2j = 0..11,
+    # two periods of every bounded class (the lcm of its cycle lengths is <= 6)
+    traces = max(
+        abs(class_character(k, t) - operator_character(t / 2, op))
+        for k, op in class_operators().items() for t in range(min(args.two_j_max, 11) + 1)
+    )
+    checks = [check("characters_match_operator_traces", traces, REAL_TOL)]
     return report_document(
         "classchars", {"two_j_max": args.two_j_max}, payload, checks
     )

@@ -314,11 +314,12 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, tuple(parts), tuple(classes), values)
 
 
-def exact_quotient(total: int, order: int, what: str) -> int:
-    """total / order for a character sum that the group order must divide."""
+def exact_quotient(total: int, order: int, what: str, *args) -> int:
+    """total / order for a character sum that the group order must divide;
+    the error names `what % args`, formatted only when the division fails."""
     quotient, remainder = divmod(total, order)
     if remainder:
-        raise ConsistencyError(f"{what}: {total}/{order} is not an integer")
+        raise ConsistencyError(f"{what % args}: {total}/{order} is not an integer")
     return quotient
 
 
@@ -327,7 +328,7 @@ def trivial_multiplicity(f: Partition) -> int:
     C_n < S(n) (generated by the full cycle) in the restriction of f."""
     n = f.n
     total = sum(character(f, h.cycle_type()) for h in cyclic_elements(n))
-    m = exact_quotient(total, n, f"character sum over C_{n} for {f}")
+    m = exact_quotient(total, n, "character sum over C_%d for %s", n, f)
     if m < 0:
         raise ConsistencyError(f"negative multiplicity {m} for {f}")
     return m

@@ -3,14 +3,14 @@
     O(2) > S(3) > C_3,   O(3) > S(4) > C_4,   O(4) > S(5) > C_5.
 
 Each multiplicity is a character inner product in integers.  Every class
-character is either a closed form in the degree or repeats with a short
-period, tabulated once from the float characters; a character sum that the
-group order does not divide raises ConsistencyError.
+character is the integer Molien coefficient `weylaction.class_character`,
+read off the cycle type; O(3) labels (l, kappa) twist it by kappa (-1)^l on
+the odd classes.  A character sum that the group order does not divide
+raises ConsistencyError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,27 +18,29 @@ from .permgroup import (
     ConsistencyError,
     CycleType,
     Partition,
-    Permutation,
     character,
     exact_quotient,
     partitions_of,
     trivial_multiplicity,
 )
-from .su2wigner import chebyshev_u
-from .weylaction import (
-    CLASS_PERIODS,
-    class_character,
-    class_periods,
-    round_period,
-)
-from .youngrep import primed_rep_matrix
+from .weylaction import CLASS_ORDER_S5, class_character
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[CycleType, ...]:
+    return tuple(CycleType(p.parts) for p in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
 def _class_weights(f: Partition) -> dict[CycleType, int]:
     """|k| chi_f(k) for each class k of S(n): m_f = sum_k weight * chi(k) / n!."""
-    classes = (CycleType(p.parts) for p in partitions_of(f.n))
-    return {k: k.class_size * character(f, k) for k in classes}
+    return {k: k.class_size * character(f, k) for k in _classes(f.n)}
+
+
+def _character_sum(chars: dict[CycleType, int], f: Partition) -> int:
+    """n! times the multiplicity of f in the representation with class
+    characters `chars`."""
+    return sum(w * chars[k] for k, w in _class_weights(f).items())
 
 
 # ---------------------------------------------------------------- O(2) chain
@@ -96,41 +98,20 @@ S4_PARTITION_ORDER = tuple(
     Partition(p) for p in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 )
 
-#: transposition string of each class of S(4), and the period in l of its
-#: rotation character (the identity's is 2l+1)
-_S4_CLASSES = {
-    (1, 1, 1, 1): ([], None),
-    (2, 1, 1): ([(1, 2)], 2),
-    (2, 2): ([(1, 2), (3, 4)], 2),
-    (3, 1): ([(1, 2), (2, 3)], 3),
-    (4,): ([(1, 2), (2, 3), (3, 4)], 4),
-}
 
-
-@lru_cache(maxsize=None)
-def _s4_class_data() -> dict[CycleType, tuple[int, tuple[int, ...] | None, float]]:
-    """Parity, one period of the rotation character and its rounding margin
-    for each class of S(4), read off the 3x3 tetrahedral-axis matrices.  Odd
-    permutations are improper; factoring out the central inversion leaves a
-    rotation whose character enters with the parity sign kappa."""
-    out = {}
-    for parts, (cycles, period) in _S4_CLASSES.items():
-        p = Permutation.from_cycles(4, cycles)
-        assert p.cycle_type().parts == parts
-        chars, margin = None, 0.0
-        if period:
-            mat = primed_rep_matrix(Partition.of(3, 1), p).matrix
-            rot = -mat if p.parity() else mat
-            x = math.sqrt(max(0.0, rot.trace() + 1.0)) / 2.0  # cos(angle / 2)
-            chis = [chebyshev_u(2 * l, x) for l in range(2 * period)]
-            chars, margin = round_period(chis, period, f"chi_l({p.cycle_type()})")
-        out[p.cycle_type()] = (p.parity(), chars, margin)
-    return out
-
-
-def s4_class_periods() -> dict[CycleType, tuple[tuple[int, ...], float]]:
-    """One period of each periodic S(4) class character and its rounding margin."""
-    return {k: (chars, margin) for k, (_, chars, margin) in _s4_class_data().items() if chars}
+def _o3_row(label: O3Label, parts) -> tuple[int, ...]:
+    """Multiplicities of the S(4) partitions `parts` in (l, kappa).  On the
+    degree-l harmonics P acts as (-1)^l, so an odd class, an inversion times
+    a rotation, takes the extra sign kappa (-1)^l."""
+    twist = label.kappa * (-1) ** label.l
+    chars = {
+        k: class_character(k, label.l) * twist ** ((k.n - len(k.parts)) % 2)
+        for k in _classes(4)
+    }
+    return tuple(
+        exact_quotient(_character_sum(chars, f), 24, "m((%d,%d),%s)", label.l, label.kappa, f)
+        for f in parts
+    )
 
 
 def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
@@ -138,13 +119,7 @@ def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
     O(3) representation (l, kappa), from first principles."""
     if f.n != 4:
         raise ValueError(f"expected a partition of 4, got {f}")
-    data = _s4_class_data()
-    total = 0
-    for k, weight in _class_weights(f).items():
-        parity, chars, _ = data[k]
-        chi = 2 * label.l + 1 if chars is None else chars[label.l % len(chars)]
-        total += weight * (label.kappa * chi if parity else chi)
-    return exact_quotient(total, 24, f"m(({label.l},{label.kappa}),{f})")
+    return _o3_row(label, (f,))[0]
 
 
 # ---------------------------------------------------------------- O(4) chain
@@ -168,26 +143,28 @@ def _branch_weights_s5() -> dict[Partition, int]:
     return {f: trivial_multiplicity(f) for f in S5_PARTITION_ORDER}
 
 
+def _o4_row(two_j: int, parts) -> tuple[int, ...]:
+    """Multiplicities of the S(5) partitions `parts` at degree 2j."""
+    chars = {k: class_character(k, two_j) for k in CLASS_ORDER_S5}
+    return tuple(
+        exact_quotient(_character_sum(chars, f), 120, "m((j,j),%s) at 2j=%d", f, two_j)
+        for f in parts
+    )
+
+
 def multiplicity_o4_s5(two_j: int, f: Partition) -> int:
     """Number of times S(5) partition f occurs in the restriction of the
     degree-2j harmonic representation of O(4)."""
     if f.n != 5:
         raise ValueError(f"expected a partition of 5, got {f}")
-    if two_j < 0:
-        raise ValueError("two_j must be non-negative")
-    total = sum(
-        weight * class_character(k, two_j) for k, weight in _class_weights(f).items()
-    )
-    return exact_quotient(total, 120, f"m((j,j),{f}) at 2j={two_j}")
+    return _o4_row(two_j, (f,))[0]
 
 
 def periodic_count_o4(two_j: int) -> int:
     """Number of C_5-periodic modes of degree 2j: the branch-weighted sum
     of the partition multiplicities."""
     weights = _branch_weights_s5()
-    return sum(
-        multiplicity_o4_s5(two_j, f) * w for f, w in weights.items() if w
-    )
+    return sum(m * w for m, w in zip(_o4_row(two_j, tuple(weights)), weights.values()))
 
 
 def lattice_count_o4(two_j: int) -> int:
@@ -258,7 +235,7 @@ def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
     for l in range(l_max + 1):
         kappa = 1 if l % 2 == 0 else -1
         lab = O3Label(l, kappa)
-        row = tuple(multiplicity_o3_s4(lab, f) for f in S4_PARTITION_ORDER)
+        row = _o3_row(lab, S4_PARTITION_ORDER)
         dim_sum = sum(m * d for m, d in zip(row, dims))
         if dim_sum != 2 * l + 1:
             raise ConsistencyError(
@@ -277,9 +254,7 @@ def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     totals row (periodic modes attributable to each partition) and the
     grand total of periodic modes."""
     degrees = range(two_j_max + 1)
-    entries = tuple(
-        tuple(multiplicity_o4_s5(t, f) for f in S5_PARTITION_ORDER) for t in degrees
-    )
+    entries = tuple(_o4_row(t, S5_PARTITION_ORDER) for t in degrees)
     weights = _branch_weights_s5()
     dims = [f.dimension for f in S5_PARTITION_ORDER]
     for two_j, row in zip(degrees, entries):
@@ -309,8 +284,9 @@ def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
 
 # ---------------------------------------------------------------- recursion
 
-#: classes whose characters repeat with period 60 in 2j
-PERIODIC_CLASSES = tuple(CLASS_PERIODS)
+#: the S(5) classes with at most three cycles: their Molien series has at
+#: most a simple pole at t = 1, so their characters are bounded in 2j
+PERIODIC_CLASSES = tuple(k for k in CLASS_ORDER_S5 if len(k.parts) <= 3)
 
 
 @dataclass(frozen=True)
@@ -329,13 +305,13 @@ class PartitionRecursion:
 @dataclass(frozen=True)
 class RecursionReport:
     two_j_max: int
-    character_period_deviation: dict[str, float] = field(repr=False)
+    character_period_deviation: dict[str, int] = field(repr=False)
     partitions: tuple[PartitionRecursion, ...] = ()
     dimension_audit_ok: bool = True
 
     @property
     def characters_periodic(self) -> bool:
-        return max(self.character_period_deviation.values()) < 1e-8
+        return not any(self.character_period_deviation.values())
 
 
 def recursion_report(two_j_max: int) -> RecursionReport:
@@ -343,26 +319,22 @@ def recursion_report(two_j_max: int) -> RecursionReport:
     classes and measure the actual degree-60 increment of every partition
     multiplicity, rather than assuming the claimed closed form.
 
-    Each class character repeats with its period in CLASS_PERIODS, proved
-    over two periods by `class_periods`; a period dividing 60 makes it
-    60-periodic, and the class's deviation is its tabulation margin."""
+    A class's deviation is the largest |chi(2j+60) - chi(2j)| over
+    2j = 0..two_j_max-60, in exact integers."""
     if two_j_max < 60:
         raise ValueError("need two_j_max >= 60 to compare degrees 2j and 2j+60")
-    deviations: dict[str, float] = {}
-    for k in PERIODIC_CLASSES:
-        if 60 % CLASS_PERIODS[k]:
-            raise ConsistencyError(f"period {CLASS_PERIODS[k]} of {k} does not divide 60")
-        deviations[str(k)] = float(class_periods()[k][1])
-    partitions = []
-    for f in S5_PARTITION_ORDER:
-        samples = []
-        for t in range(two_j_max - 60 + 1):
-            measured = multiplicity_o4_s5(t + 60, f) - multiplicity_o4_s5(t, f)
-            samples.append((t, measured, t + 36))
-        partitions.append(PartitionRecursion(f, tuple(samples)))
-    audit_ok = all(
-        sum(multiplicity_o4_s5(t, f) * f.dimension for f in S5_PARTITION_ORDER)
-        == (t + 1) ** 2
-        for t in range(two_j_max + 1)
+    starts = range(two_j_max - 60 + 1)
+    deviations = {
+        str(k): max(abs(class_character(k, t + 60) - class_character(k, t)) for t in starts)
+        for k in PERIODIC_CLASSES
+    }
+    rows = [_o4_row(t, S5_PARTITION_ORDER) for t in range(two_j_max + 1)]
+    partitions = tuple(
+        PartitionRecursion(f, tuple((t, rows[t + 60][i] - rows[t][i], t + 36) for t in starts))
+        for i, f in enumerate(S5_PARTITION_ORDER)
     )
-    return RecursionReport(two_j_max, deviations, tuple(partitions), audit_ok)
+    audit_ok = all(
+        sum(m * f.dimension for m, f in zip(row, S5_PARTITION_ORDER)) == (t + 1) ** 2
+        for t, row in enumerate(rows)
+    )
+    return RecursionReport(two_j_max, deviations, partitions, audit_ok)

@@ -6,6 +6,11 @@ followed by the base reflection u -> -u^dagger.  Operators multiply in
 written order, the left factor acting on points first, which matches
 both the permutation convention of `permgroup` and the reflection-string
 factorizations used throughout.
+
+The character of a class on the degree-2j harmonics is read off its cycle
+type alone, in integers, from the Molien series of S(n) acting on R^(n-1)
+(Stanley, Bull. AMS 1 (1979) 475); the float traces of the operators
+(`operator_character`) serve as its independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permgroup import ConsistencyError, CycleType, Permutation
+from .permgroup import CycleType, Permutation
 from .su2wigner import (
     Point4,
     Q_ELEMENT,
@@ -269,50 +274,38 @@ def class_operators() -> dict[CycleType, GroupOperator]:
     }
 
 
-#: period in 2j of each class character but the closed forms, (2j+1)^2 for
-#: the identity and 2j+1 for a transposition
-CLASS_PERIODS: dict[CycleType, int] = {
-    CycleType((3, 1, 1)): 3, CycleType((2, 2, 1)): 2, CycleType((3, 2)): 3,
-    CycleType((4, 1)): 4, CycleType((5,)): 5,
-}
-
-ROUND_TOL = 1e-6  # largest accepted distance of a float character from its integer
-
-
-def round_period(
-    values: list[float], period: int, what: str
-) -> tuple[tuple[int, ...], float]:
-    """One period of integers from two periods of float character values, and
-    the rounding margin max |x - round(x)|; ConsistencyError unless that is
-    within ROUND_TOL and the second period repeats the first."""
-    ints = tuple(round(v) for v in values)
-    margin = max(abs(v - i) for v, i in zip(values, ints))
-    if margin > ROUND_TOL or ints[:period] != ints[period:]:
-        raise ConsistencyError(f"{what}: {values} are not integers of period {period}")
-    return ints[:period], margin
-
-
 @lru_cache(maxsize=None)
-def class_periods() -> dict[CycleType, tuple[tuple[int, ...], float]]:
-    """One period of each periodic class character and its rounding margin,
-    from the float characters on 2j = 0 .. 2*period - 1."""
-    ops = class_operators()
-    return {
-        k: round_period([operator_character(t / 2, ops[k]) for t in range(2 * p)], p, str(k))
-        for k, p in CLASS_PERIODS.items()
-    }
+def _molien_terms(k: CycleType) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The Molien series (1-t)(1-t^2) / prod_c (1-t^c) of the class k, c over
+    its cycle lengths, written as M(t) / (1-t^P)^r with P the lcm of the c
+    and r their number: returns P, r and the nonzero terms (i, M_i) of the
+    integer polynomial M grouped by i mod P."""
+    period, r = math.lcm(*k.parts), len(k.parts)
+    poly = [1, -1, -1, 1]  # (1-t)(1-t^2)
+    for c in k.parts:  # times (1-t^P)/(1-t^c) = 1 + t^c + ... + t^(P-c)
+        out = [0] * (len(poly) + period - c)
+        for i, a in enumerate(poly):
+            for shift in range(0, period, c):
+                out[i + shift] += a
+        poly = out
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(period)]
+    for i, a in enumerate(poly):
+        if a:
+            groups[i % period].append((i, a))
+    return period, r, tuple(map(tuple, groups))
 
 
 def class_character(k: CycleType, two_j: int) -> int:
-    """Exact character of the S(5) class k on the degree-2j harmonics."""
+    """Exact character of the class k of S(n) on the degree-2j harmonics of
+    R^(n-1): the coefficient of t^(2j) in its Molien series,
+    sum over i = 2j (mod P), i <= 2j of M_i C((2j-i)/P + r-1, r-1)."""
     if two_j < 0:
         raise ValueError("two_j must be non-negative")
-    if k.parts == (1, 1, 1, 1, 1):
-        return (two_j + 1) ** 2
-    if k.parts == (2, 1, 1, 1):
-        return two_j + 1
-    values, _ = class_periods()[k]
-    return values[two_j % len(values)]
+    period, r, groups = _molien_terms(k)
+    return sum(
+        a * math.comb((two_j - i) // period + r - 1, r - 1)
+        for i, a in groups[two_j % period] if i <= two_j
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +9,6 @@ from simplexmodes import cli, golden, modes, reduction
 from simplexmodes.cli import MAX_ROWS, main
 from simplexmodes.modes import MAX_TWO_J_MODES
 from simplexmodes.permgroup import Partition
-from simplexmodes.weylaction import ROUND_TOL
 
 
 def run(capsys, *argv):
@@ -64,16 +66,16 @@ class TestReduce:
         _, doc = run_json(capsys, "reduce", "--chain", "o2s3c3", "--max", "3")
         assert doc["payload"]["periodic"] == [1, 0, 0, 0, 0, 1, 1]
 
-    @pytest.mark.parametrize("chain, periods", [("o3s4c4", 4), ("o4s5c5", 0)])
-    def test_checks_report_margins(self, capsys, chain, periods):
-        rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", "30")
+    @pytest.mark.parametrize("chain, top", [("o3s4c4", 4), ("o4s5c5", 0)])
+    def test_checks_report_margins(self, capsys, chain, top):
+        rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", str(top))
         assert rc == 0
         checks = {c["name"]: c for c in doc["checks"]}
         assert checks["dimension_audit"]["residual"] == 0
         assert checks["dimension_audit"]["tolerance"] == 0
-        margins = [c for name, c in checks.items() if name.startswith("period_")]
-        assert len(margins) == periods
-        assert all(0 <= c["residual"] < c["tolerance"] == ROUND_TOL for c in margins)
+        # the characters are exact integers: nothing is rounded, no margin to report
+        assert not [name for name in checks if name.startswith("period_")]
+        assert "rounding" not in doc["tolerances"]
 
     @pytest.mark.parametrize("chain", ["o2s3c3", "o3s4c4", "o4s5c5"])
     def test_periodic_equals_weighted_sum(self, capsys, chain):
@@ -111,6 +113,21 @@ class TestReduce:
         assert rc == 0
         lattice = next(c for c in doc["checks"] if c["name"] == "periodic_equals_lattice_count")
         assert lattice["passed"] and lattice["residual"] == 0 and lattice["tolerance"] == 0
+
+    def test_builds_no_operator(self):
+        # the multiplicities come from integer characters alone: no SU(2)
+        # operator of a class is built
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = (
+            "import os, simplexmodes.cli as c, simplexmodes.weylaction as w; "
+            "rc = c.main(['reduce', '--chain', 'o4s5c5', '--max', '50', '--output', os.devnull]); "
+            "print(rc, w.class_operators.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["0", "0"]
 
     def test_o4_beyond_200(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "201")
@@ -210,10 +227,20 @@ class TestClassChars:
         assert rows[(5,)] == [1, -1, -1, 1, 0, 1]
         assert rows[(3, 1, 1)] == [1, 1, 0, 1, 1, 0]
         assert all(type(v) is int for values in rows.values() for v in values)
-        assert all(c["passed"] for c in doc["checks"])
-        # the period checks report the rounding margin of the tabulated period
-        assert len(doc["checks"]) == 5
-        assert all(0 <= c["residual"] < ROUND_TOL for c in doc["checks"])
+        # one cross-check of the integer characters against the operator traces
+        [cross] = doc["checks"]
+        assert cross["name"] == "characters_match_operator_traces"
+        assert cross["passed"] and 0 <= cross["residual"] < 1e-12
+
+    def test_wrong_character_exits_3(self, capsys, monkeypatch):
+        real = cli.class_character
+        monkeypatch.setattr(cli, "class_character", lambda k, t: real(k, t) + (1 if t == 3 else 0))
+        rc = main(["classchars", "--two-j-max", "5"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "characters_match_operator_traces" in err
+        [cross] = json.loads(out)["checks"]
+        assert not cross["passed"] and cross["residual"] == pytest.approx(1)
 
     @pytest.mark.parametrize("top", [-1, MAX_ROWS + 1])
     def test_row_limit(self, capsys, top):

@@ -418,6 +418,17 @@ class TestInvariance:
             got = verify_invariance(basis, n, seed)
             assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
+    def test_identity_operator_is_skipped(self, monkeypatch):
+        # one wigner_rows call for the sample and one for each of the four
+        # non-identity deck operators, per block
+        two_j = 6
+        basis = periodic_basis(two_j)
+        calls = []
+        real = modes.wigner_rows
+        monkeypatch.setattr(modes, "wigner_rows", lambda *a: calls.append(1) or real(*a))
+        verify_invariance(basis, 2 * block_points(two_j) + 1, 5)  # three blocks
+        assert len(calls) == 3 * 5
+
 
 class TestLowerDimensionalModes:
     def test_circle_allowed(self):

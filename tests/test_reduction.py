@@ -14,11 +14,13 @@ from simplexmodes.permgroup import (
     Partition,
     Permutation,
     character,
+    partitions_of,
+    trivial_multiplicity,
 )
 from simplexmodes.su2wigner import chebyshev_u
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
-    ROUND_TOL,
+    class_character,
     class_operators,
     operator_character,
 )
@@ -113,6 +115,23 @@ class TestCircleChain:
         assert table.row_labels[5] == "m=3,eps=+"
         # m=3 rows are periodic, m=1 and m=2 rows are not
         assert table.periodic == (1, 0, 0, 0, 0, 1, 1)
+
+    def test_character_route_agrees_with_the_rules(self):
+        # S(3) acts on H_m(R^2), the sum of the rows (m, +) and (m, -); its
+        # Molien characters give the same partitions and periodic count
+        classes = [CycleType(p.parts) for p in partitions_of(3)]
+        table = o2_multiplicity_table(1000)
+        for m in range(1001):
+            rows = [0] if m == 0 else [2 * m - 1, 2 * m]
+            mult = {}
+            for f in table.partitions:
+                total = sum(k.class_size * character(f, k) * class_character(k, m) for k in classes)
+                mult[f], remainder = divmod(total, 6)
+                assert remainder == 0, (m, f)
+            support = {f for i in rows for f, e in zip(table.partitions, table.entries[i]) if e}
+            assert {f for f, n in mult.items() if n} == support, m
+            weighted = sum(n * trivial_multiplicity(f) for f, n in mult.items())
+            assert weighted == sum(table.periodic[i] for i in rows), m
 
 
 class TestSphereChain:
@@ -219,6 +238,9 @@ class TestRecursionReport:
 
 
 # ------------------------------------------------ float oracle, 2j, l <= 200
+
+ROUND_TOL = 1e-6  # largest accepted distance of a float multiplicity from its integer
+
 
 def _rounded(value: float, what: str) -> int:
     out = round(value)
@@ -342,21 +364,24 @@ class TestExactDivision:
             multiplicity_o4_s5(3, Partition.of(5))
 
     def test_o3_remainder_raises(self, monkeypatch):
-        data = dict(reduction._s4_class_data())
-        parity, _, margin = data[CycleType((3, 1))]
-        data[CycleType((3, 1))] = (parity, (2, 0, -1), margin)
-        monkeypatch.setattr(reduction, "_s4_class_data", lambda: data)
+        exact = reduction.class_character
+        monkeypatch.setattr(
+            reduction, "class_character",
+            lambda k, l: exact(k, l) + (1 if k == CycleType((3, 1)) else 0),
+        )
         with pytest.raises(ConsistencyError):
             multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))
 
-    def test_period_not_dividing_sixty_raises(self, monkeypatch):
-        reduction.class_periods()  # tabulated with the true periods
-        monkeypatch.setitem(reduction.CLASS_PERIODS, CycleType((3, 1, 1)), 9)
-        with pytest.raises(ConsistencyError, match="does not divide 60"):
-            recursion_report(60)
-
-    def test_deviation_is_the_tabulation_margin(self):
-        report = recursion_report(60)
+    def test_deviation_is_the_tabulation_margin(self, monkeypatch):
+        # a character that breaks period 60 shows as its exact deviation; 24
+        # times 5 keeps every character sum divisible by 120
+        exact = reduction.class_character
+        monkeypatch.setattr(
+            reduction, "class_character",
+            lambda k, t: exact(k, t) + (5 if (k, t) == (CycleType((5,)), 61) else 0),
+        )
+        report = recursion_report(61)
         assert report.character_period_deviation == {
-            str(k): margin for k, (_, margin) in reduction.class_periods().items()
+            "(3)(1)^2": 0, "(2)^2(1)": 0, "(3)(2)": 0, "(4)(1)": 0, "(5)": 5,
         }
+        assert not report.characters_periodic

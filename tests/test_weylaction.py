@@ -8,12 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexmodes.permgroup import ConsistencyError, CycleType, Permutation, coxeter_element
+from simplexmodes.permgroup import CycleType, Permutation, coxeter_element
 from simplexmodes.su2wigner import Point4, SU2Element, wigner_d
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
-    CLASS_PERIODS,
-    ROUND_TOL,
     GroupOperator,
     WeylVector,
     act_on_coefficients,
@@ -21,7 +19,6 @@ from simplexmodes.weylaction import (
     act_on_points,
     class_character,
     class_character_table,
-    class_periods,
     class_operators,
     class_representatives,
     compose,
@@ -32,7 +29,6 @@ from simplexmodes.weylaction import (
     operator_matrix,
     permutation_operator,
     reflection_operator,
-    round_period,
     transposition_operators,
     weyl_vectors_s5,
 )
@@ -480,42 +476,19 @@ class TestExactClassCharacters:
         for row in class_character_table(12):
             assert all(type(v) is int for v in row.values)
 
-    def test_tabulation_margin(self):
-        periods = class_periods()
-        assert list(periods) == list(CLASS_PERIODS)
-        for k, (values, margin) in periods.items():
-            assert len(values) == CLASS_PERIODS[k]
-            assert margin < 1e-12
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             class_character(CycleType((5,)), -1)
-        with pytest.raises(KeyError):
-            class_character(CycleType((2, 2)), 3)
-
-    def test_round_period(self):
-        assert round_period([1.0, 1e-9, 1.0, 0.0], 2, "chi") == ((1, 0), 1e-9)
-        with pytest.raises(ConsistencyError):  # not an integer
-            round_period([1.0, 2 * ROUND_TOL, 1.0, 0.0], 2, "chi")
-        with pytest.raises(ConsistencyError):  # does not repeat
-            round_period([1.0, 0.0, 0.0, 1.0], 2, "chi")
-
-    def test_wrong_period_raises(self, monkeypatch):
-        monkeypatch.setitem(CLASS_PERIODS, CycleType((5,)), 4)
-        class_periods.cache_clear()
-        try:
-            with pytest.raises(ConsistencyError):
-                class_periods()
-        finally:
-            monkeypatch.undo()
-            class_periods.cache_clear()
+        # any cycle type is valid: (2)^2 acts on R^3 as a rotation by pi
+        assert [class_character(CycleType((2, 2)), l) for l in range(4)] == [1, -1, 1, -1]
 
     def test_tabulation_is_lazy(self):
-        # importing the package must not tabulate: it would slow every start-up
+        # importing the package must not expand a Molien series: it would
+        # slow every start-up
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         code = (
             "import simplexmodes.cli, simplexmodes.weylaction as w; "
-            "print(w.class_periods.cache_info().currsize)"
+            "print(w._molien_terms.cache_info().currsize)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
