@@ -14,18 +14,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, golden
-from .golden import REAL_TOL, check
-from .modes import (
-    MAX_TWO_J_MODES, SPECTRUM_TOL, cyclic_operators, periodic_basis, verify_invariance,
-)
+from . import __version__
 from .permgroup import (
     ConsistencyError,
     CycleType,
     Partition,
     character_table,
+    class_character,
     cyclic_elements,
     trivial_multiplicity,
 )
@@ -36,9 +31,8 @@ from .reduction import (
     o3_multiplicity_table,
     o4_multiplicity_table,
 )
-from .weylaction import (
-    act_on_coefficients, class_character, class_character_table, class_operators, operator_character,
-)
+from .report import MAX_TWO_J_MODES, REAL_TOL, check, load
+from .weylaction import class_character_table, class_operators, operator_character
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,10 +65,8 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python values
         return _round_floats(obj.tolist())
-    if isinstance(obj, (np.floating, np.complexfloating, np.integer)):
-        return _round_floats(obj.item())
     return obj
 
 
@@ -134,7 +126,7 @@ def cmd_chartable(args) -> dict:
 
 def cmd_branch(args) -> dict:
     table = character_table(args.n)
-    gold = golden.load()["character_tables"][str(args.n)]
+    gold = load()["character_tables"][str(args.n)]
     parts = [Partition(tuple(p)) for p in gold["partitions"]]
     column = [trivial_multiplicity(f) for f in parts]
     # brute-force oracle: average characters over the explicit cyclic elements
@@ -215,19 +207,18 @@ def cmd_reduce(args) -> dict | str:
 
 
 def cmd_modes(args) -> dict:
-    basis = periodic_basis(args.two_j)
-    coeffs = basis.coefficients
-    gram = coeffs.conj().T @ coeffs - np.eye(basis.count)
-    # the projector is the mean of the five deck operators, applied factored
-    fixed = act_on_coefficients(args.two_j, cyclic_operators(), coeffs) / 5.0 - coeffs
-    deviation = verify_invariance(basis, args.verify_points, args.seed)
+    from . import modes
+
+    basis = modes.periodic_basis(args.two_j)
+    gram, fixed = modes.basis_residuals(basis)
+    deviation = modes.verify_invariance(basis, args.verify_points, args.seed)
     checks = [
-        check("columns_orthonormal", float(np.abs(gram).max(initial=0.0)), 1e-10),
-        check("columns_fixed_by_projector", float(np.abs(fixed).max(initial=0.0)), REAL_TOL),
-        check("content_sum_tags", basis.spectrum_margin, SPECTRUM_TOL,
+        check("columns_orthonormal", gram, 1e-10),
+        check("columns_fixed_by_projector", fixed, REAL_TOL),
+        check("content_sum_tags", basis.spectrum_margin, modes.SPECTRUM_TOL,
               detail="eigenvalues of the transposition sum on the periodic modes "
               "vs the content sums [5] 10, [32] 2, [311] 0, [221] -2, [11111] -10"),
-        check("tag_projector_traces", basis.trace_margin, SPECTRUM_TOL,
+        check("tag_projector_traces", basis.trace_margin, modes.SPECTRUM_TOL,
               detail="trace of each content projector vs m_f * w_f"),
         check("invariance_max_deviation", deviation, REAL_TOL),
     ]
@@ -278,6 +269,8 @@ def cmd_classchars(args) -> dict:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> dict:
+    from . import golden
+
     data = golden.load()
     checks, hit = golden.run(data, args.inject_fault)
     if args.inject_fault and not hit:

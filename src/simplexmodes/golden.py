@@ -10,9 +10,7 @@ built, so one comparator serves every table.
 
 from __future__ import annotations
 
-import json
 import math
-from importlib import resources
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -26,6 +24,7 @@ from .permgroup import (
     trivial_multiplicity,
 )
 from .reduction import O2Label, o2_reduce, o3_multiplicity_table, o4_multiplicity_table
+from .report import REAL_TOL, check, load  # noqa: F401  (golden.load is the gate's data)
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
     _canonical_columns,
@@ -36,8 +35,6 @@ from .youngrep import (
     tetrahedral_primed_generators,
     trivial_projector,
 )
-
-REAL_TOL = 1e-9  # tolerance of every floating-point table entry
 
 
 class Row(NamedTuple):
@@ -51,20 +48,6 @@ class Row(NamedTuple):
     fault: str | None = None
     label: str = ""
     detail: str = ""
-
-
-def load() -> dict:
-    with resources.files("simplexmodes.data").joinpath("golden_tables.json").open() as fh:
-        return json.load(fh)
-
-
-def check(name: str, residual: float, tolerance: float, detail: str = "") -> dict:
-    """One report entry; it passes when the residual is within the tolerance."""
-    out = {"name": name, "passed": bool(residual <= tolerance),
-           "residual": residual, "tolerance": tolerance}
-    if detail:
-        out["detail"] = detail
-    return out
 
 
 def _complex(pairs) -> np.ndarray:

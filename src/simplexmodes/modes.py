@@ -30,6 +30,7 @@ from .reduction import (
     lattice_count_o4,
     o2_reduce,
 )
+from .report import MAX_TWO_J_MODES
 from .su2wigner import SU2Element, wigner_d, wigner_rows
 from .weylaction import (
     GroupOperator,
@@ -44,10 +45,6 @@ from .weylaction import (
 )
 from .youngrep import SPECTRUM_TOL, fixed_subspace, integer_eigenspaces, standard_tableaux
 
-# Wigner D has no degree cap; this one bounds the modes.  periodic_basis takes 0.8 s
-# at 2j = 48 and 2.3 s at 2j = 60 on 2 vCPUs, two thirds in the pivoted Gram-Schmidt,
-# and dense coefficients beyond 2j = 24 have no output contract.
-MAX_TWO_J_MODES = 24
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
 PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
 
@@ -164,6 +161,16 @@ def periodic_basis(two_j: int) -> ModeBasis:
     return ModeBasis(two_j, coeffs, tuple(tags), spectrum_margin, trace_margin)
 
 
+def basis_residuals(basis: ModeBasis) -> tuple[float, float]:
+    """Largest entries of C^dagger C - I and of P C - C for the coefficients C:
+    the columns are orthonormal and fixed by the projector P, the mean of the
+    five deck operators, applied factored."""
+    coeffs = basis.coefficients
+    gram = coeffs.conj().T @ coeffs - np.eye(basis.count)
+    fixed = act_on_coefficients(basis.two_j, cyclic_operators(), coeffs) / 5.0 - coeffs
+    return float(np.abs(gram).max(initial=0.0)), float(np.abs(fixed).max(initial=0.0))
+
+
 def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
     """Orthonormal bases of the joint eigenspaces of the Jucys-Murphy sums
     X_k = sum_{i<k} T_(i k), k = 2..5, on the degree-2j harmonics, keyed by
@@ -187,19 +194,28 @@ def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray],
     return nodes, margin
 
 
-def young_rank(two_j: int, f: Partition) -> int:
-    """Rank of the diagonal Young operators c^f_{r,r}, the dimension of the
-    Jucys-Murphy eigenspace at the contents of tableau r; every standard
-    tableau must give the same value, the multiplicity of f at degree 2j."""
-    if f.n != 5:
-        raise ValueError(f"expected a partition of 5, got {f}")
+def young_ranks(two_j: int) -> dict[Partition, int]:
+    """Rank of the diagonal Young operators c^f_{r,r} for every partition f of
+    5, from one Jucys-Murphy walk: the dimension of the joint eigenspace at the
+    contents of tableau r.  Every standard tableau of f must give the same
+    value, the multiplicity of f at degree 2j."""
     if not 0 <= two_j <= MAX_TWO_J_MODES:
         raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
     counts = {key: b.shape[1] for key, b in _jucys_murphy_leaves(two_j)[0].items()}
-    ranks = {counts.get(t.contents, 0) for t in standard_tableaux(f)}
-    if len(ranks) != 1:
-        raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
-    return ranks.pop()
+    out = {}
+    for f in S5_PARTITION_ORDER:
+        ranks = {counts.get(t.contents, 0) for t in standard_tableaux(f)}
+        if len(ranks) != 1:
+            raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
+        out[f] = ranks.pop()
+    return out
+
+
+def young_rank(two_j: int, f: Partition) -> int:
+    """The rank of the diagonal Young operators of f at degree 2j; see young_ranks."""
+    if f.n != 5:
+        raise ValueError(f"expected a partition of 5, got {f}")
+    return young_ranks(two_j)[f]
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Exact symmetric-group machinery: partitions, permutations, characters.
 
 Characters are computed with the Murnaghan-Nakayama recursion in integer
-arithmetic, so every table entry and branching multiplicity is exact.
+arithmetic, so every table entry and branching multiplicity is exact.  The
+character of a class of S(n) on the degree-2j harmonics of R^(n-1) is read
+off its cycle type alone, in integers, from the Molien series of S(n)
+(Stanley, Bull. AMS 1 (1979) 475).
 """
 
 from __future__ import annotations
@@ -332,6 +335,55 @@ def trivial_multiplicity(f: Partition) -> int:
     if m < 0:
         raise ConsistencyError(f"negative multiplicity {m} for {f}")
     return m
+
+
+#: cycle types of S(5) in the row order of the embedded character table
+CLASS_ORDER_S5: tuple[CycleType, ...] = tuple(
+    CycleType(parts)
+    for parts in [
+        (1, 1, 1, 1, 1),
+        (2, 1, 1, 1),
+        (3, 1, 1),
+        (2, 2, 1),
+        (3, 2),
+        (4, 1),
+        (5,),
+    ]
+)
+
+
+@lru_cache(maxsize=None)
+def _molien_terms(k: CycleType) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The Molien series (1-t)(1-t^2) / prod_c (1-t^c) of the class k, c over
+    its cycle lengths, written as M(t) / (1-t^P)^r with P the lcm of the c
+    and r their number: returns P, r and the nonzero terms (i, M_i) of the
+    integer polynomial M grouped by i mod P."""
+    period, r = math.lcm(*k.parts), len(k.parts)
+    poly = [1, -1, -1, 1]  # (1-t)(1-t^2)
+    for c in k.parts:  # times (1-t^P)/(1-t^c) = 1 + t^c + ... + t^(P-c)
+        out = [0] * (len(poly) + period - c)
+        for i, a in enumerate(poly):
+            for shift in range(0, period, c):
+                out[i + shift] += a
+        poly = out
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(period)]
+    for i, a in enumerate(poly):
+        if a:
+            groups[i % period].append((i, a))
+    return period, r, tuple(map(tuple, groups))
+
+
+def class_character(k: CycleType, two_j: int) -> int:
+    """Exact character of the class k of S(n) on the degree-2j harmonics of
+    R^(n-1): the coefficient of t^(2j) in its Molien series,
+    sum over i = 2j (mod P), i <= 2j of M_i C((2j-i)/P + r-1, r-1)."""
+    if two_j < 0:
+        raise ValueError("two_j must be non-negative")
+    period, r, groups = _molien_terms(k)
+    return sum(
+        a * math.comb((two_j - i) // period + r - 1, r - 1)
+        for i, a in groups[two_j % period] if i <= two_j
+    )
 
 
 def cyclic_character(n: int, alpha: int, power: int) -> complex:

@@ -3,7 +3,7 @@
     O(2) > S(3) > C_3,   O(3) > S(4) > C_4,   O(4) > S(5) > C_5.
 
 Each multiplicity is a character inner product in integers.  Every class
-character is the integer Molien coefficient `weylaction.class_character`,
+character is the integer Molien coefficient `permgroup.class_character`,
 read off the cycle type; O(3) labels (l, kappa) twist it by kappa (-1)^l on
 the odd classes.  A character sum that the group order does not divide
 raises ConsistencyError.
@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .permgroup import (
+    CLASS_ORDER_S5,
     ConsistencyError,
     CycleType,
     Partition,
     character,
+    class_character,
     exact_quotient,
     partitions_of,
     trivial_multiplicity,
 )
-from .weylaction import CLASS_ORDER_S5, class_character
 
 
 @lru_cache(maxsize=None)

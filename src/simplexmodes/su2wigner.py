@@ -13,7 +13,8 @@ relies on.
 
 D^j is evaluated by exact diagonalization: one J_y eigenbasis per degree,
 cached, and Euler-angle phases per point, for any 2j >= 0.  Characters
-take the independent Chebyshev route.
+take the independent Chebyshev route.  The group algebra is scalar: only
+the functions that build arrays import numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .permgroup import ConsistencyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNIT_TOL = 1e-12
 JY_TOL = 1e-10  # of the J_y eigenvalues from their m; 2j = 400 lands at 4.3e-14
@@ -49,6 +52,8 @@ class Point4:
     x3: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x0, self.x1, self.x2, self.x3])
 
     def norm(self) -> float:
@@ -75,28 +80,35 @@ class SU2Element:
         return cls(1.0 + 0j, 0j)
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[self.z1, self.z2], [-np.conj(self.z2), np.conj(self.z1)]],
             dtype=complex,
         )
 
     def __mul__(self, other: SU2Element) -> SU2Element:
-        z1 = self.z1 * other.z1 - self.z2 * np.conj(other.z2)
-        z2 = self.z1 * other.z2 + self.z2 * np.conj(other.z1)
+        z1 = self.z1 * other.z1 - self.z2 * other.z2.conjugate()
+        z2 = self.z1 * other.z2 + self.z2 * other.z1.conjugate()
         return SU2Element(complex(z1), complex(z2))
 
     def __neg__(self) -> SU2Element:
         return SU2Element(-self.z1, -self.z2)
 
     def inverse(self) -> SU2Element:
-        return SU2Element(np.conj(self.z1), -self.z2)
+        return SU2Element(self.z1.conjugate(), -self.z2)
 
     def transpose(self) -> SU2Element:
-        return SU2Element(self.z1, -np.conj(self.z2))
+        return SU2Element(self.z1, -self.z2.conjugate())
 
     def diagonal_frame(self) -> SU2Element:
         """h with h^-1 u h = (exp(i phi/2), 0), phi/2 = half_angle(u): its first
-        column is the eigenvector (z2, lambda - z1) of u for lambda = exp(i phi/2)."""
+        column is the eigenvector (z2, lambda - z1) of u for lambda = exp(i phi/2).
+        Its second entry is divided in numpy's complex128: Python's complex
+        quotient by a float differs in the last bit, and the modes output
+        pins these bits."""
+        import numpy as np
+
         lam = cmath.exp(1j * half_angle(self))
         v1, v2 = self.z2, lam - self.z1
         norm = math.sqrt(abs(v1) ** 2 + abs(v2) ** 2)
@@ -153,6 +165,8 @@ def _wigner_terms(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sqrt(j(j+1) - m(m+1))|m+1>, their conjugate transpose and the weights m
     ascending.  eigh returns the eigenvalues ascending, so each column of W
     belongs to one m; ConsistencyError unless all lie within JY_TOL of it."""
+    import numpy as np
+
     j, m = two_j / 2, np.arange(-two_j, two_j + 1, 2) / 2
     raising = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
     spectrum, w = np.linalg.eigh(-0.5j * (raising - raising.T))
@@ -171,6 +185,8 @@ def wigner_rows(two_j: int, z1, z2) -> np.ndarray:
     D = diag(e^{i m phi+}) W e^{i beta m} W^dagger diag(e^{i m phi-}), one
     batched matrix product for all points.
     """
+    import numpy as np
+
     if two_j < 0 or two_j != int(two_j):
         raise ValueError(f"2j must be a non-negative integer, got {two_j}")
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))

@@ -7,10 +7,11 @@ written order, the left factor acting on points first, which matches
 both the permutation convention of `permgroup` and the reflection-string
 factorizations used throughout.
 
-The character of a class on the degree-2j harmonics is read off its cycle
-type alone, in integers, from the Molien series of S(n) acting on R^(n-1)
-(Stanley, Bull. AMS 1 (1979) 475); the float traces of the operators
-(`operator_character`) serve as its independent cross-check.
+The character of a class on the degree-2j harmonics is the integer Molien
+coefficient `permgroup.class_character`, read off its cycle type; the float
+traces of the operators (`operator_character`) serve as its independent
+cross-check.  The group algebra is scalar: only the functions that build
+arrays import numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .permgroup import CycleType, Permutation
+from .permgroup import (  # noqa: F401  (the Molien characters, re-exported)
+    CLASS_ORDER_S5, CycleType, Permutation, _molien_terms, class_character,
+)
 from .su2wigner import (
     Point4,
     Q_ELEMENT,
@@ -35,6 +37,9 @@ from .su2wigner import (
     su2_from_point,
     wigner_rows,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def transposition_operators() -> tuple[GroupOperator, ...]:
 
 def _times(a1, a2, b1, b2):
     """(a1, a2) * (b1, b2) as SU(2) pairs; either side may be an array of points."""
-    return a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)
+    return a1 * b1 - a2 * b2.conjugate(), a1 * b2 + a2 * b1.conjugate()
 
 
 def act_on_points(
@@ -135,6 +140,8 @@ def act_on_points(
     -(g_l^{-1} u g_r)^dagger = g_r^{-1} (-u^dagger) g_l, which is what makes
     reflection_operator(a) act as the Weyl reflection about a.
     """
+    import numpy as np
+
     z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
     if op.reflective:
         left, right, z1 = op.g_r, op.g_l, -np.conj(z1)
@@ -147,6 +154,8 @@ def act_on_points(
 
 def act_on_point(op: GroupOperator, u: SU2Element) -> SU2Element:
     """Image of one point of S^3 under the operator; see act_on_points."""
+    import numpy as np
+
     z1, z2 = act_on_points(op, np.array([u.z1]), np.array([u.z2]))
     return SU2Element(complex(z1[0]), complex(z2[0]))
 
@@ -194,6 +203,8 @@ def operator_matrices(
 ) -> list[np.ndarray]:
     """Matrices of the operators on the (2j+1)^2 harmonics D^j_{m1 m2}, with
     the pair (m1, m2) flattened row-major and m ascending; see operator_factors."""
+    import numpy as np
+
     two_j = _as_two_j(j)
     dim = two_j + 1
     out = []
@@ -213,6 +224,8 @@ def act_on_coefficients(
     flattened as in operator_matrices), in the factored form of
     operator_factors: O((2j+1)^3) per column and operator, and no
     (2j+1)^2 x (2j+1)^2 matrix."""
+    import numpy as np
+
     dim = two_j + 1
     cols = coeffs.T.reshape(-1, dim, dim)
     out = np.zeros(cols.shape, dtype=complex)
@@ -228,20 +241,6 @@ def operator_matrix(j: float | int | Fraction, op: GroupOperator) -> np.ndarray:
     """Matrix of one operator on the degree-2j harmonics; see operator_matrices."""
     return operator_matrices(j, [op])[0]
 
-
-#: cycle types of S(5) in the row order of the embedded character table
-CLASS_ORDER_S5: tuple[CycleType, ...] = tuple(
-    CycleType(parts)
-    for parts in [
-        (1, 1, 1, 1, 1),
-        (2, 1, 1, 1),
-        (3, 1, 1),
-        (2, 2, 1),
-        (3, 2),
-        (4, 1),
-        (5,),
-    ]
-)
 
 _CLASS_STRINGS: dict[tuple[int, ...], list[tuple[int, ...]]] = {
     (1, 1, 1, 1, 1): [],
@@ -272,40 +271,6 @@ def class_operators() -> dict[CycleType, GroupOperator]:
     return {
         k: permutation_operator(p) for k, p in class_representatives().items()
     }
-
-
-@lru_cache(maxsize=None)
-def _molien_terms(k: CycleType) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The Molien series (1-t)(1-t^2) / prod_c (1-t^c) of the class k, c over
-    its cycle lengths, written as M(t) / (1-t^P)^r with P the lcm of the c
-    and r their number: returns P, r and the nonzero terms (i, M_i) of the
-    integer polynomial M grouped by i mod P."""
-    period, r = math.lcm(*k.parts), len(k.parts)
-    poly = [1, -1, -1, 1]  # (1-t)(1-t^2)
-    for c in k.parts:  # times (1-t^P)/(1-t^c) = 1 + t^c + ... + t^(P-c)
-        out = [0] * (len(poly) + period - c)
-        for i, a in enumerate(poly):
-            for shift in range(0, period, c):
-                out[i + shift] += a
-        poly = out
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(period)]
-    for i, a in enumerate(poly):
-        if a:
-            groups[i % period].append((i, a))
-    return period, r, tuple(map(tuple, groups))
-
-
-def class_character(k: CycleType, two_j: int) -> int:
-    """Exact character of the class k of S(n) on the degree-2j harmonics of
-    R^(n-1): the coefficient of t^(2j) in its Molien series,
-    sum over i = 2j (mod P), i <= 2j of M_i C((2j-i)/P + r-1, r-1)."""
-    if two_j < 0:
-        raise ValueError("two_j must be non-negative")
-    period, r, groups = _molien_terms(k)
-    return sum(
-        a * math.comb((two_j - i) // period + r - 1, r - 1)
-        for i, a in groups[two_j % period] if i <= two_j
-    )
 
 
 @dataclass(frozen=True)

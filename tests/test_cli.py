@@ -195,7 +195,7 @@ class TestModes:
         assert len(doc["payload"]["coefficients"][0]) == 625
 
     def test_failed_check_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_invariance", lambda *args: 1.0)
+        monkeypatch.setattr(modes, "verify_invariance", lambda *args: 1.0)
         rc = main(["modes", "--two-j", "2"])
         out, err = capsys.readouterr()
         assert rc == 3

@@ -1,0 +1,62 @@
+"""The exact-table commands run on the integer core: only the commands that
+build arrays load numpy."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import simplexmodes
+
+PROBE = """
+import sys
+from simplexmodes import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --version exits from argparse
+    code = exc.code
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+TABLE_COMMANDS = [
+    ["--version"],
+    ["chartable", "--n", "5"],
+    ["branch", "--n", "5"],
+    *(["reduce", "--chain", chain, "--max", "20", "--format", fmt]
+      for chain in ("o2s3c3", "o3s4c4", "o4s5c5") for fmt in ("json", "csv")),
+    ["classchars", "--two-j-max", "60"],
+]
+ARRAY_COMMANDS = [["modes", "--two-j", "2"], ["verify", "--all"]]
+
+
+def numpy_loaded(argv: list[str]) -> bool:
+    """Whether numpy is loaded after cli.main(argv) in a fresh interpreter,
+    which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, loaded = out.stderr.split()[-2:]
+    assert code == "0", out.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=" ".join)
+def test_table_commands_do_not_load_numpy(argv):
+    assert not numpy_loaded(argv)
+
+
+@pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
+def test_array_commands_load_numpy(argv):
+    assert numpy_loaded(argv)
+
+
+def test_every_export_resolves():
+    assert simplexmodes.__all__
+    for name in simplexmodes.__all__:
+        value = getattr(simplexmodes, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("simplexmodes.") and getattr(home, name) is value
+    with pytest.raises(AttributeError):
+        simplexmodes.no_such_name

@@ -18,6 +18,7 @@ from simplexmodes.modes import (
     sample_points,
     verify_invariance,
     young_rank,
+    young_ranks,
 )
 from simplexmodes.permgroup import (
     ConsistencyError,
@@ -249,6 +250,16 @@ class TestDiagonalFrame:
         assert on_lattice.sum() == periodic_count_o4(two_j)
         assert np.abs(frame.conj().T @ frame - np.eye(dim * dim)).max() < 1e-12
 
+    def test_generator_frames_keep_their_bits(self):
+        # the modes output depends on these floats to the last bit: Python's
+        # complex / float quotient differs from numpy's in the last bit
+        gen = cyclic_operators()[1]
+        h_l, h_r = gen.g_l.inverse().diagonal_frame(), gen.g_r.diagonal_frame()
+        assert h_l.z1 == -0.09182990452765136 + 0.8901223208852901j
+        assert h_l.z2 == -1.3076010599823187e-16 + 0.44637374754372294j
+        assert h_r.z1 == 0.8110900028781493 - 0.1673529935830729j
+        assert h_r.z2 == 0.5604694307184896j
+
     def test_frames_of_another_operator_raise(self, monkeypatch):
         squared = cyclic_operators()[2]
         real = modes.diagonal_factors
@@ -314,8 +325,18 @@ class TestYoungOperators:
 
     @pytest.mark.parametrize("two_j", range(13))
     def test_rank_equals_multiplicity(self, two_j):
+        ranks = young_ranks(two_j)
         for f in partitions_of(5):
-            assert young_rank(two_j, f) == multiplicity_o4_s5(two_j, f)
+            assert ranks[f] == multiplicity_o4_s5(two_j, f)
+
+    def test_one_walk_gives_every_rank(self, monkeypatch):
+        walks = []
+        real = modes._jucys_murphy_leaves
+        monkeypatch.setattr(modes, "_jucys_murphy_leaves", lambda t: walks.append(t) or real(t))
+        ranks = young_ranks(6)
+        assert walks == [6]
+        assert set(ranks) == set(partitions_of(5))
+        assert all(young_rank(6, f) == n for f, n in ranks.items())
 
     def test_reach_at_the_modes_cap(self):
         two_j = MAX_TWO_J_MODES
