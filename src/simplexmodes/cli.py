@@ -24,13 +24,7 @@ from .permgroup import (
     cyclic_elements,
     trivial_multiplicity,
 )
-from .reduction import (
-    MultiplicityTable,
-    lattice_count_o4,
-    o2_multiplicity_table,
-    o3_multiplicity_table,
-    o4_multiplicity_table,
-)
+from .reduction import TABLES, MultiplicityTable, table_checks
 from .report import MAX_TWO_J_MODES, REAL_TOL, check, load
 from .weylaction import class_character_table, class_operators, operator_character
 
@@ -83,11 +77,11 @@ def report_document(command: str, parameters: dict, payload: dict,
     }
 
 
-def _emit(doc_or_text, args) -> None:
-    if isinstance(doc_or_text, str):
-        text = doc_or_text
+def _emit(doc: dict, args) -> None:
+    if args.format == "csv":
+        text = _table_csv(doc["payload"])
     else:
-        text = json.dumps(_round_floats(doc_or_text), sort_keys=True, indent=1) + "\n"
+        text = json.dumps(_round_floats(doc), sort_keys=True, indent=1) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -158,52 +152,23 @@ def _table_payload(table: MultiplicityTable) -> dict:
     return payload
 
 
-def _table_csv(table: MultiplicityTable) -> str:
+def _table_csv(payload: dict) -> str:
+    """The `reduce` payload as CSV: one line per row, then the totals if any."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", *(str(f) for f in table.partitions), "periodic"])
-    for label, row, per in zip(table.row_labels, table.entries, table.periodic):
+    writer.writerow(["label", *(str(Partition(tuple(p))) for p in payload["partitions"]),
+                     "periodic"])
+    for label, row, per in zip(payload["row_labels"], payload["entries"], payload["periodic"]):
         writer.writerow([label, *row, per])
-    if table.totals is not None:
-        writer.writerow(["totals", *table.totals, table.grand_total])
+    if "totals" in payload:
+        writer.writerow(["totals", *payload["totals"], payload["grand_total"]])
     return buf.getvalue()
 
 
-#: harmonics on each row of the chains with a dimension audit
-_ROW_SIZES = {
-    "o3s4c4": ("sum dim(f)*m = 2l+1", lambda l: 2 * l + 1),
-    "o4s5c5": ("sum dim(f)*m = (2j+1)^2", lambda t: (t + 1) ** 2),
-}
-
-
-def cmd_reduce(args) -> dict | str:
-    tables = {"o2s3c3": o2_multiplicity_table, "o3s4c4": o3_multiplicity_table,
-              "o4s5c5": o4_multiplicity_table}
-    table = tables[args.chain](args.max)
-    if args.format == "csv":
-        return _table_csv(table)
-    checks = []
-    if args.chain in _ROW_SIZES:
-        rule, size = _ROW_SIZES[args.chain]
-        dims = [f.dimension for f in table.partitions]
-        audit = max(
-            abs(sum(d * m for d, m in zip(dims, row)) - size(t))
-            for t, row in enumerate(table.entries)
-        )
-        checks.append(check("dimension_audit", audit, 0, detail=rule))
-    weights = [trivial_multiplicity(f) for f in table.partitions]
-    weighted = max(
-        abs(n - sum(w * m for w, m in zip(weights, row)))
-        for n, row in zip(table.periodic, table.entries)
-    )
-    checks.append(check("periodic_equals_weighted_sum", weighted, 0))
-    if args.chain == "o4s5c5":
-        lattice = max(abs(n - lattice_count_o4(t)) for t, n in enumerate(table.periodic))
-        checks.append(check("periodic_equals_lattice_count", lattice, 0,
-                            detail="#{(a, b) in {-2j, -2j+2, .., 2j}^2 : 3a + b = 0 mod 10}"))
-    return report_document(
-        "reduce", {"chain": args.chain, "max": args.max}, _table_payload(table), checks
-    )
+def cmd_reduce(args) -> dict:
+    table = TABLES[args.chain](args.max)
+    return report_document("reduce", {"chain": args.chain, "max": args.max},
+                           _table_payload(table), table_checks(table))
 
 
 def cmd_modes(args) -> dict:
@@ -312,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("reduce", help="multiplicity table for one chain")
-    p.add_argument(
-        "--chain", choices=["o2s3c3", "o3s4c4", "o4s5c5"], required=True
-    )
+    p.add_argument("--chain", choices=list(TABLES), required=True)
     p.add_argument("--max", type=int, required=True,
                    help="largest m, l or 2j row")
     common(p)
@@ -359,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    failed = [] if isinstance(doc, str) else [c["name"] for c in doc["checks"] if not c["passed"]]
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_INCONSISTENT

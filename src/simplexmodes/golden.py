@@ -23,7 +23,8 @@ from .permgroup import (
     coxeter_element,
     trivial_multiplicity,
 )
-from .reduction import O2Label, o2_reduce, o3_multiplicity_table, o4_multiplicity_table
+from .reduction import (O2Label, harmonic_dimension, o2_reduce, o3_multiplicity_table,
+                        o4_multiplicity_table)
 from .report import REAL_TOL, check, load  # noqa: F401  (golden.load is the gate's data)
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
@@ -97,8 +98,8 @@ def _o3(gold):
     table = o3_multiplicity_table(max(g["l_values"]))
     yield Row("o3_s4_table", table.entries, g["entries"], label="entries")
     yield Row("o3_s4_table", table.periodic, g["periodic"], label="periodic")
-    yield Row("o3_s4_table", sum(2 * l + 1 for l in g["l_values"]), g["total_states"],
-              label="total_states")
+    yield Row("o3_s4_table", sum(harmonic_dimension(4, l) for l in g["l_values"]),
+              g["total_states"], label="total_states")
     yield Row("o3_s4_table", sum(table.periodic), g["total_periodic"], label="total_periodic")
 
 
@@ -113,7 +114,7 @@ def _o4(gold):
     yield Row("o4_s5_periodic", [table.periodic[t] for t in g["two_j"]], g["periodic"])
     yield Row("o4_s5_totals", totals, g["totals"])
     yield Row("o4_s5_grand_total", table.grand_total, g["grand_total"])
-    yield Row("o4_s5_harmonics_count", sum((t + 1) ** 2 for t in g["two_j"]),
+    yield Row("o4_s5_harmonics_count", sum(harmonic_dimension(5, t) for t in g["two_j"]),
               g["harmonics_total"])
     for err in g["errata"]:
         t, f = err["two_j"], Partition(tuple(err["partition"]))
@@ -143,7 +144,7 @@ def _class_characters(gold):
         if p:
             yield Row(name, r.values[p:], r.values[:-p], label=f"{r.cycle_type} period {p}")
     degrees = range(len(rows[(1, 1, 1, 1, 1)].values))
-    yield Row(name, rows[(1, 1, 1, 1, 1)].values, [(t + 1) ** 2 for t in degrees],
+    yield Row(name, rows[(1, 1, 1, 1, 1)].values, [harmonic_dimension(5, t) for t in degrees],
               label="(1)^5 closed form")
     yield Row(name, rows[(2, 1, 1, 1)].values, [t + 1 for t in degrees],
               label="(2)(1)^3 closed form")

@@ -2,15 +2,21 @@
 
     O(2) > S(3) > C_3,   O(3) > S(4) > C_4,   O(4) > S(5) > C_5.
 
-Each multiplicity is a character inner product in integers.  Every class
-character is the integer Molien coefficient `permgroup.class_character`,
-read off the cycle type; O(3) labels (l, kappa) twist it by kappa (-1)^l on
-the odd classes.  A character sum that the group order does not divide
-raises ConsistencyError.
+Each multiplicity is a character inner product in integers.  S(n) acts on
+the degree-d harmonics of R^(n-1), and every class character is the integer
+Molien coefficient `permgroup.class_character`, read off the cycle type, so
+one row function serves every n.  The O(3) label (l, kappa) with
+kappa != (-1)^l is the degree-l harmonics times the sign character: f occurs
+in it as often as its conjugate partition f' occurs in the harmonics.  A
+character sum that the group order does not divide raises ConsistencyError.
+Every row is audited against the one dimension formula
+dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
+d+n-4 < 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,6 +31,7 @@ from .permgroup import (
     partitions_of,
     trivial_multiplicity,
 )
+from .report import check
 
 
 @lru_cache(maxsize=None)
@@ -33,15 +40,33 @@ def _classes(n: int) -> tuple[CycleType, ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_weights(f: Partition) -> dict[CycleType, int]:
-    """|k| chi_f(k) for each class k of S(n): m_f = sum_k weight * chi(k) / n!."""
-    return {k: k.class_size * character(f, k) for k in _classes(f.n)}
+def _class_weights(f: Partition) -> tuple[int, ...]:
+    """|k| chi_f(k) for each class k of S(n) in `_classes` order."""
+    return tuple(k.class_size * character(f, k) for k in _classes(f.n))
 
 
-def _character_sum(chars: dict[CycleType, int], f: Partition) -> int:
-    """n! times the multiplicity of f in the representation with class
-    characters `chars`."""
-    return sum(w * chars[k] for k, w in _class_weights(f).items())
+def harmonic_dimension(n: int, degree: int) -> int:
+    """dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0
+    for d+n-4 < 0: 2l+1 for S(4) and (2j+1)^2 for S(5)."""
+    drop = math.comb(degree + n - 4, n - 2) if degree + n >= 4 else 0
+    return math.comb(degree + n - 2, n - 2) - drop
+
+
+def _row(degree: int, parts) -> tuple[int, ...]:
+    """Multiplicities of the partitions `parts` of n in the degree-d harmonics
+    of R^(n-1): (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k."""
+    n = parts[0].n
+    chars = [class_character(k, degree) for k in _classes(n)]
+    return tuple(exact_quotient(sum(w * c for w, c in zip(_class_weights(f), chars)),
+                                math.factorial(n), "m(%s) at degree %d", f, degree)
+                 for f in parts)
+
+
+def _audit(entries, parts) -> int:
+    """Largest |sum_f m_f dim(f) - dim H_d(R^(n-1))| over the rows d = 0, 1, ..."""
+    n, dims = parts[0].n, [f.dimension for f in parts]
+    return max((abs(sum(m * w for m, w in zip(row, dims)) - harmonic_dimension(n, d))
+                for d, row in enumerate(entries)), default=0)
 
 
 # ---------------------------------------------------------------- O(2) chain
@@ -100,27 +125,16 @@ S4_PARTITION_ORDER = tuple(
 )
 
 
-def _o3_row(label: O3Label, parts) -> tuple[int, ...]:
-    """Multiplicities of the S(4) partitions `parts` in (l, kappa).  On the
-    degree-l harmonics P acts as (-1)^l, so an odd class, an inversion times
-    a rotation, takes the extra sign kappa (-1)^l."""
-    twist = label.kappa * (-1) ** label.l
-    chars = {
-        k: class_character(k, label.l) * twist ** ((k.n - len(k.parts)) % 2)
-        for k in _classes(4)
-    }
-    return tuple(
-        exact_quotient(_character_sum(chars, f), 24, "m((%d,%d),%s)", label.l, label.kappa, f)
-        for f in parts
-    )
-
-
 def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
     """Number of times S(4) partition f occurs in the restriction of the
-    O(3) representation (l, kappa), from first principles."""
+    O(3) representation (l, kappa), from first principles.  P acts on the
+    degree-l harmonics as (-1)^l, so for kappa != (-1)^l the label is the
+    harmonics times the sign character, and f counts as its conjugate."""
     if f.n != 4:
         raise ValueError(f"expected a partition of 4, got {f}")
-    return _o3_row(label, (f,))[0]
+    if label.kappa != (-1) ** label.l:
+        f = f.conjugate()
+    return _row(label.l, (f,))[0]
 
 
 # ---------------------------------------------------------------- O(4) chain
@@ -139,33 +153,19 @@ S5_PARTITION_ORDER = tuple(
 )
 
 
-@lru_cache(maxsize=None)
-def _branch_weights_s5() -> dict[Partition, int]:
-    return {f: trivial_multiplicity(f) for f in S5_PARTITION_ORDER}
-
-
-def _o4_row(two_j: int, parts) -> tuple[int, ...]:
-    """Multiplicities of the S(5) partitions `parts` at degree 2j."""
-    chars = {k: class_character(k, two_j) for k in CLASS_ORDER_S5}
-    return tuple(
-        exact_quotient(_character_sum(chars, f), 120, "m((j,j),%s) at 2j=%d", f, two_j)
-        for f in parts
-    )
-
-
 def multiplicity_o4_s5(two_j: int, f: Partition) -> int:
     """Number of times S(5) partition f occurs in the restriction of the
     degree-2j harmonic representation of O(4)."""
     if f.n != 5:
         raise ValueError(f"expected a partition of 5, got {f}")
-    return _o4_row(two_j, (f,))[0]
+    return _row(two_j, (f,))[0]
 
 
 def periodic_count_o4(two_j: int) -> int:
     """Number of C_5-periodic modes of degree 2j: the branch-weighted sum
     of the partition multiplicities."""
-    weights = _branch_weights_s5()
-    return sum(m * w for m, w in zip(_o4_row(two_j, tuple(weights)), weights.values()))
+    row = _row(two_j, S5_PARTITION_ORDER)
+    return sum(m * trivial_multiplicity(f) for m, f in zip(row, S5_PARTITION_ORDER))
 
 
 def lattice_count_o4(two_j: int) -> int:
@@ -225,62 +225,63 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
     )
 
 
+def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
+                  totals: bool = False) -> MultiplicityTable:
+    """Audited rows d = 0..top of the degree-d harmonics, labelled label(d),
+    with the periodic count sum_f m_f w_f of each row; with `totals`, also
+    each partition's periodic modes over all rows and their grand total."""
+    entries = tuple(_row(d, parts) for d in range(top + 1))
+    if residual := _audit(entries, parts):
+        raise ConsistencyError(f"dimension audit of {chain} failed: off by {residual}")
+    weights = [trivial_multiplicity(f) for f in parts]
+    periodic = tuple(sum(m * w for m, w in zip(row, weights)) for row in entries)
+    extra = ()
+    if totals:
+        extra = (tuple(sum(row[i] for row in entries) * w for i, w in enumerate(weights)),
+                 sum(periodic))
+    return MultiplicityTable(chain, tuple(map(label, range(top + 1))), parts, entries,
+                             periodic, *extra)
+
+
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
     """Reduction rows for O(3) labels (l, (-1)^l) with l <= l_max; only
     these parities occur on single-valued spherical harmonics."""
-    weights = {f: trivial_multiplicity(f) for f in S4_PARTITION_ORDER}
-    dims = [f.dimension for f in S4_PARTITION_ORDER]
-    labels = []
-    entries = []
-    periodic = []
-    for l in range(l_max + 1):
-        kappa = 1 if l % 2 == 0 else -1
-        lab = O3Label(l, kappa)
-        row = _o3_row(lab, S4_PARTITION_ORDER)
-        dim_sum = sum(m * d for m, d in zip(row, dims))
-        if dim_sum != 2 * l + 1:
-            raise ConsistencyError(
-                f"dimension audit failed at l={l}: {dim_sum} != {2 * l + 1}"
-            )
-        labels.append(f"(l={l},kappa={'+' if kappa == 1 else '-'})")
-        entries.append(row)
-        periodic.append(sum(m * weights[f] for m, f in zip(row, S4_PARTITION_ORDER)))
-    return MultiplicityTable(
-        "o3s4c4", tuple(labels), S4_PARTITION_ORDER, tuple(entries), tuple(periodic)
-    )
+    return _degree_table("o3s4c4", l_max, S4_PARTITION_ORDER,
+                         lambda l: f"(l={l},kappa={'+' if l % 2 == 0 else '-'})")
 
 
 def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     """Reduction table for degrees 2j = 0..two_j_max, with the per-partition
     totals row (periodic modes attributable to each partition) and the
     grand total of periodic modes."""
-    degrees = range(two_j_max + 1)
-    entries = tuple(_o4_row(t, S5_PARTITION_ORDER) for t in degrees)
-    weights = _branch_weights_s5()
-    dims = [f.dimension for f in S5_PARTITION_ORDER]
-    for two_j, row in zip(degrees, entries):
-        dim_sum = sum(m * d for m, d in zip(row, dims))
-        if dim_sum != (two_j + 1) ** 2:
-            raise ConsistencyError(
-                f"dimension audit failed at 2j={two_j}: {dim_sum}"
-            )
-    periodic = tuple(
-        sum(m * weights[f] for m, f in zip(row, S5_PARTITION_ORDER))
-        for row in entries
-    )
-    totals = tuple(
-        sum(row[i] for row in entries) * weights[f]
-        for i, f in enumerate(S5_PARTITION_ORDER)
-    )
-    return MultiplicityTable(
-        "o4s5c5",
-        tuple(str(t) for t in degrees),
-        S5_PARTITION_ORDER,
-        entries,
-        periodic,
-        totals,
-        sum(periodic),
-    )
+    return _degree_table("o4s5c5", two_j_max, S5_PARTITION_ORDER, str, totals=True)
+
+
+#: the table builder of each chain, by the name `reduce --chain` takes
+TABLES = {"o2s3c3": o2_multiplicity_table, "o3s4c4": o3_multiplicity_table,
+          "o4s5c5": o4_multiplicity_table}
+
+#: the dimension rule that each audited chain reports
+_AUDIT_RULES = {"o3s4c4": "sum dim(f)*m = 2l+1", "o4s5c5": "sum dim(f)*m = (2j+1)^2"}
+
+
+def table_checks(table: MultiplicityTable) -> list[dict]:
+    """The exact checks of one `reduce` table, each passing at residual 0:
+    the dimension audit of the degree chains, periodic = sum_f m_f w_f on
+    every chain, and the lattice count on O(4)."""
+    checks = []
+    if table.chain in _AUDIT_RULES:
+        checks.append(check("dimension_audit", _audit(table.entries, table.partitions), 0,
+                            detail=_AUDIT_RULES[table.chain]))
+    weights = [trivial_multiplicity(f) for f in table.partitions]
+    weighted = max(abs(n - sum(w * m for w, m in zip(weights, row)))
+                   for n, row in zip(table.periodic, table.entries))
+    checks.append(check("periodic_equals_weighted_sum", weighted, 0))
+    if table.chain == "o4s5c5":
+        lattice = max(abs(n - lattice_count_o4(t)) for t, n in enumerate(table.periodic))
+        checks.append(check("periodic_equals_lattice_count", lattice, 0,
+                            detail="#{(a, b) in {-2j, -2j+2, .., 2j}^2 : 3a + b = 0 mod 10}"))
+    return checks
 
 
 # ---------------------------------------------------------------- recursion
@@ -329,13 +330,10 @@ def recursion_report(two_j_max: int) -> RecursionReport:
         str(k): max(abs(class_character(k, t + 60) - class_character(k, t)) for t in starts)
         for k in PERIODIC_CLASSES
     }
-    rows = [_o4_row(t, S5_PARTITION_ORDER) for t in range(two_j_max + 1)]
+    rows = [_row(t, S5_PARTITION_ORDER) for t in range(two_j_max + 1)]
     partitions = tuple(
         PartitionRecursion(f, tuple((t, rows[t + 60][i] - rows[t][i], t + 36) for t in starts))
         for i, f in enumerate(S5_PARTITION_ORDER)
     )
-    audit_ok = all(
-        sum(m * f.dimension for m, f in zip(row, S5_PARTITION_ORDER)) == (t + 1) ** 2
-        for t, row in enumerate(rows)
-    )
+    audit_ok = _audit(rows, S5_PARTITION_ORDER) == 0
     return RecursionReport(two_j_max, deviations, partitions, audit_ok)

@@ -98,6 +98,11 @@ class TestReduce:
         assert rc == 3
         weighted = next(c for c in doc["checks"] if c["name"] == "periodic_equals_weighted_sum")
         assert not weighted["passed"] and weighted["residual"] == 1
+        # the CSV table runs the same checks and fails the same way
+        rc = main(["reduce", "--chain", "o2s3c3", "--max", "5", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and err == "verification failed: periodic_equals_weighted_sum\n"
+        assert out.startswith("label,[3],[21],[111],periodic\n")
 
     def test_csv_format(self, capsys):
         rc, out = run(capsys, "reduce", "--chain", "o4s5c5", "--max", "3",

@@ -35,6 +35,7 @@ from simplexmodes.reduction import (
     o2_multiplicity_table,
     o2_reduce,
     o3_multiplicity_table,
+    harmonic_dimension,
     lattice_count_o4,
     o4_multiplicity_table,
     periodic_count_o4,
@@ -237,6 +238,25 @@ class TestRecursionReport:
         assert total == 61**2 - 1**2
 
 
+class TestEverySimplexDimension:
+    """The one row function of every chain, for S(n) on R^(n-1), n = 3..8."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_row_audit_and_non_negative(self, n):
+        parts = tuple(partitions_of(n))
+        for d in range(31):
+            row = reduction._row(d, parts)
+            assert min(row) >= 0, (n, d)
+            dim_sum = sum(m * f.dimension for m, f in zip(row, parts))
+            assert dim_sum == harmonic_dimension(n, d), (n, d)
+
+    def test_dimension_formula_closed_forms(self):
+        for d in range(200):
+            assert harmonic_dimension(3, d) == (2 if d else 1)
+            assert harmonic_dimension(4, d) == 2 * d + 1
+            assert harmonic_dimension(5, d) == (d + 1) ** 2
+
+
 # ------------------------------------------------ float oracle, 2j, l <= 200
 
 ROUND_TOL = 1e-6  # largest accepted distance of a float multiplicity from its integer
@@ -360,7 +380,7 @@ class TestExactDivision:
             reduction, "class_character",
             lambda k, t: exact(k, t) + (1 if k == CycleType((5,)) else 0),
         )
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"^m\(\[5\]\) at degree 3: "):
             multiplicity_o4_s5(3, Partition.of(5))
 
     def test_o3_remainder_raises(self, monkeypatch):
@@ -369,7 +389,7 @@ class TestExactDivision:
             reduction, "class_character",
             lambda k, l: exact(k, l) + (1 if k == CycleType((3, 1)) else 0),
         )
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"^m\(\[4\]\) at degree 0: "):
             multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))
 
     def test_deviation_is_the_tabulation_margin(self, monkeypatch):
