@@ -25,14 +25,16 @@ from .permgroup import (
     trivial_multiplicity,
 )
 from .reduction import TABLES, MultiplicityTable, table_checks
-from .report import MAX_TWO_J_MODES, REAL_TOL, check, load
-from .weylaction import class_character_table, class_operators, operator_character
+from .report import REAL_TOL, check, load
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
 MAX_ROWS = 10_000  # largest --max of reduce, --two-j-max of classchars, --verify-points
+# periodic_basis has no degree cap, but its dense coefficients beyond 2j = 24 have
+# no output contract
+MAX_TWO_J_MODES = 24
 #: accepted range (low, high) of each bounded option
 LIMITS = {
     "max": (0, MAX_ROWS),
@@ -78,7 +80,7 @@ def report_document(command: str, parameters: dict, payload: dict,
 
 
 def _emit(doc: dict, args) -> None:
-    if args.format == "csv":
+    if getattr(args, "format", "json") == "csv":
         text = _table_csv(doc["payload"])
     else:
         text = json.dumps(_round_floats(doc), sort_keys=True, indent=1) + "\n"
@@ -191,10 +193,7 @@ def cmd_modes(args) -> dict:
         "two_j": args.two_j,
         "count": basis.count,
         "partitions": [str(f) if f else None for f in basis.partitions],
-        "coefficients": [
-            [[v.real, v.imag] for v in basis.coefficients[:, c]]
-            for c in range(basis.count)
-        ],
+        "coefficients": basis.coefficients.T,
     }
     return report_document(
         "modes",
@@ -206,6 +205,8 @@ def cmd_modes(args) -> dict:
 
 
 def cmd_classchars(args) -> dict:
+    from .weylaction import class_character_table, class_operators, operator_character
+
     rows = class_character_table(args.two_j_max)
     payload = {
         "two_j_max": args.two_j_max,
@@ -236,7 +237,7 @@ def cmd_classchars(args) -> dict:
 def cmd_verify(args) -> dict:
     from . import golden
 
-    data = golden.load()
+    data = load()
     checks, hit = golden.run(data, args.inject_fault)
     if args.inject_fault and not hit:
         raise UsageError(f"--inject-fault {args.inject_fault} matches no computed entry")
@@ -263,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write the report to a file")
-        p.add_argument(
-            "--format", choices=["json", "csv"], default="json",
-            help="csv is available for reduce only",
-        )
 
     p = sub.add_parser("chartable", help="character table of S(n)")
     p.add_argument("--n", type=int, choices=[3, 4, 5], required=True)
@@ -281,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True,
                    help="largest m, l or 2j row")
     common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("modes", help="periodic mode coefficients on S^3")
     p.add_argument("--two-j", type=int, required=True, dest="two_j")
@@ -309,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"chartable": cmd_chartable, "branch": cmd_branch, "reduce": cmd_reduce,
                 "modes": cmd_modes, "classchars": cmd_classchars, "verify": cmd_verify}
     try:
-        if args.format == "csv" and args.command != "reduce":
-            raise UsageError("--format csv is only available for reduce")
         for dest, (low, high) in LIMITS.items():
             if not low <= getattr(args, dest, low) <= high:
                 raise UsageError(f"--{dest.replace('_', '-')} must lie in {low}..{high}")

@@ -25,10 +25,11 @@ from .permgroup import (
 )
 from .reduction import (O2Label, harmonic_dimension, o2_reduce, o3_multiplicity_table,
                         o4_multiplicity_table)
-from .report import REAL_TOL, check, load  # noqa: F401  (golden.load is the gate's data)
+from .report import REAL_TOL, check
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
-    _canonical_columns,
+    SPECTRUM_TOL,
+    canonical_phases,
     fixed_subspace,
     generator_matrix,
     primed_rep_matrix,
@@ -200,7 +201,7 @@ def _young(gold):
              "fixed_221_raw": (2, 2, 1)}
     for key, shape in fixed.items():
         want = np.asarray(g[key], dtype=float)
-        want = _canonical_columns((want / np.linalg.norm(want))[:, None])[:, 0]
+        want = canonical_phases((want / np.linalg.norm(want))[:, None], SPECTRUM_TOL)[:, 0]
         yield Row(name, fixed_subspace(Partition(shape)).basis[:, 0], want, REAL_TOL, label=key)
     basis = fixed_subspace(Partition.of(3, 1, 1)).basis
     want = np.asarray(g["span_311"], dtype=float).T

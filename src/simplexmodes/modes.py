@@ -30,7 +30,6 @@ from .reduction import (
     lattice_count_o4,
     o2_reduce,
 )
-from .report import MAX_TWO_J_MODES
 from .su2wigner import SU2Element, wigner_d, wigner_rows
 from .weylaction import (
     GroupOperator,
@@ -43,7 +42,9 @@ from .weylaction import (
     permutation_operator,
     transposition_operators,
 )
-from .youngrep import SPECTRUM_TOL, fixed_subspace, integer_eigenspaces, standard_tableaux
+from .youngrep import (
+    SPECTRUM_TOL, canonical_phases, fixed_subspace, integer_eigenspaces, standard_tableaux,
+)
 
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
 PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
@@ -88,8 +89,6 @@ def cyclic_operators() -> tuple[GroupOperator, ...]:
 def cyclic_projector(two_j: int) -> np.ndarray:
     """Average of the five deck-operator matrices: the Hermitian idempotent
     projecting onto the periodic subspace of degree 2j (dense; an oracle)."""
-    if not 0 <= two_j <= MAX_TWO_J_MODES:
-        raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
     return sum(operator_matrices(Fraction(two_j, 2), cyclic_operators())) / 5.0
 
 
@@ -125,8 +124,6 @@ def periodic_basis(two_j: int) -> ModeBasis:
     There the transposition sum M acts on the f-isotypic part as
     f.content_sum; its eigenspace at each content is that block, made canonical
     by pivoted Gram-Schmidt over the projected lattice vectors."""
-    if not 0 <= two_j <= MAX_TWO_J_MODES:
-        raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
     x, y, rot_l, rot_r = diagonal_factors(two_j, cyclic_operators()[1])
     twice_m = np.arange(-two_j, two_j + 1, 2)
     phase_error = max(np.abs(rot - np.diag(np.exp(1j * np.pi * k * twice_m / 5))).max()
@@ -154,10 +151,7 @@ def periodic_basis(two_j: int) -> ModeBasis:
         columns.append(v @ _pivoted_gram_schmidt(v.conj().T))
         tags += [f] * v.shape[1]
     frame = (x[:, i1][:, None, :] * y[:, i2][None, :, :]).reshape((two_j + 1) ** 2, len(i1))
-    coeffs = frame @ np.hstack(columns)
-    # the first coefficient above PHASE_TOL of each column is real and positive
-    lead = coeffs[np.argmax(np.abs(coeffs) > PHASE_TOL, axis=0), np.arange(coeffs.shape[1])]
-    coeffs *= np.conj(lead) / np.abs(lead)
+    coeffs = canonical_phases(frame @ np.hstack(columns), PHASE_TOL)
     return ModeBasis(two_j, coeffs, tuple(tags), spectrum_margin, trace_margin)
 
 
@@ -199,8 +193,8 @@ def young_ranks(two_j: int) -> dict[Partition, int]:
     5, from one Jucys-Murphy walk: the dimension of the joint eigenspace at the
     contents of tableau r.  Every standard tableau of f must give the same
     value, the multiplicity of f at degree 2j."""
-    if not 0 <= two_j <= MAX_TWO_J_MODES:
-        raise ValueError(f"two_j must lie in 0..{MAX_TWO_J_MODES}")
+    if two_j < 0:
+        raise ValueError(f"two_j must be non-negative, got {two_j}")
     counts = {key: b.shape[1] for key, b in _jucys_murphy_leaves(two_j)[0].items()}
     out = {}
     for f in S5_PARTITION_ORDER:

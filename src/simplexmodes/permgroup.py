@@ -306,9 +306,9 @@ class CharacterTable:
 
 
 def character_table(n: int) -> CharacterTable:
-    """Character table of S(n) for 2 <= n <= 8, partitions in reverse-lex order."""
-    if not 2 <= n <= 8:
-        raise ValueError(f"character_table supports 2 <= n <= 8, got {n}")
+    """Character table of S(n) for n >= 2, partitions in reverse-lex order."""
+    if n < 2:
+        raise ValueError(f"character_table needs n >= 2, got {n}")
     parts = partitions_of(n)
     classes = [CycleType(p.parts) for p in parts]
     values = tuple(

@@ -9,7 +9,7 @@ one row function serves every n.  The O(3) label (l, kappa) with
 kappa != (-1)^l is the degree-l harmonics times the sign character: f occurs
 in it as often as its conjugate partition f' occurs in the harmonics.  A
 character sum that the group order does not divide raises ConsistencyError.
-Every row is audited against the one dimension formula
+`table_checks` audits every row against the one dimension formula
 dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
 d+n-4 < 0.
 """
@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .permgroup import (
     CLASS_ORDER_S5,
-    ConsistencyError,
     CycleType,
     Partition,
     character,
@@ -227,12 +226,10 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
 
 def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
                   totals: bool = False) -> MultiplicityTable:
-    """Audited rows d = 0..top of the degree-d harmonics, labelled label(d),
+    """Rows d = 0..top of the degree-d harmonics, labelled label(d),
     with the periodic count sum_f m_f w_f of each row; with `totals`, also
     each partition's periodic modes over all rows and their grand total."""
     entries = tuple(_row(d, parts) for d in range(top + 1))
-    if residual := _audit(entries, parts):
-        raise ConsistencyError(f"dimension audit of {chain} failed: off by {residual}")
     weights = [trivial_multiplicity(f) for f in parts]
     periodic = tuple(sum(m * w for m, w in zip(row, weights)) for row in entries)
     extra = ()

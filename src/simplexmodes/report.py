@@ -1,8 +1,8 @@
 """The report contract that the command line and the golden gate share.
 
-One check entry, the tolerance of every floating-point table entry, the
-golden data, and the largest degree whose modes are reported.  Nothing here
-imports numpy, so the exact-table commands start without it.
+One check entry, the tolerance of every floating-point table entry, and the
+golden data.  Nothing here imports numpy, so the exact-table commands start
+without it.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ import json
 from importlib import resources
 
 REAL_TOL = 1e-9  # tolerance of every floating-point table entry
-# Wigner D has no degree cap; this one bounds the modes.  periodic_basis takes 0.8 s
-# at 2j = 48 and 2.3 s at 2j = 60 on 2 vCPUs, two thirds in the pivoted Gram-Schmidt,
-# and dense coefficients beyond 2j = 24 have no output contract.
-MAX_TWO_J_MODES = 24
 
 
 def load() -> dict:

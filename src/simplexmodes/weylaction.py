@@ -24,9 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .permgroup import (  # noqa: F401  (the Molien characters, re-exported)
-    CLASS_ORDER_S5, CycleType, Permutation, _molien_terms, class_character,
-)
+from .permgroup import CLASS_ORDER_S5, CycleType, Permutation, class_character
 from .su2wigner import (
     Point4,
     Q_ELEMENT,

@@ -23,7 +23,7 @@ from .permgroup import (
     trivial_multiplicity,
 )
 
-SPECTRUM_TOL = 1e-9  # of generator phases and of every integer_eigenspaces margin
+SPECTRUM_TOL = 1e-9  # of generator phases, every integer_eigenspaces margin and fixed-vector leads
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,12 @@ def trivial_projector(f: Partition, primed: bool = False) -> ReprMatrix:
     return ReprMatrix(f, sum(mats) / n)
 
 
-def _canonical_columns(basis: np.ndarray) -> np.ndarray:
-    """Flip column signs so the first significant entry is positive."""
-    out = basis.copy()
-    for col in range(out.shape[1]):
-        for v in out[:, col]:
-            if abs(v) > 1e-9:
-                if v < 0:
-                    out[:, col] = -out[:, col]
-                break
-    return out
+def canonical_phases(basis: np.ndarray, tol: float) -> np.ndarray:
+    """The columns times conj(lead) / |lead|, lead the first entry of each whose
+    modulus exceeds tol: that entry becomes real and positive (for real columns,
+    a sign flip)."""
+    lead = basis[np.argmax(np.abs(basis) > tol, axis=0), np.arange(basis.shape[1])]
+    return basis * (np.conj(lead) / np.abs(lead))
 
 
 def integer_eigenspaces(h: np.ndarray, lo: int, hi: int) -> tuple[dict[int, np.ndarray], float]:
@@ -272,7 +268,7 @@ def fixed_subspace(f: Partition) -> FixedSubspace:
     element of S(n) in representation f: the 1-eigenspace of the C_n average,
     whose spectrum is 0 and 1."""
     blocks, margin = integer_eigenspaces(trivial_projector(f).matrix, 0, 1)
-    basis = _canonical_columns(blocks[1])
+    basis = canonical_phases(blocks[1], SPECTRUM_TOL)
     expected = trivial_multiplicity(f)
     if margin > SPECTRUM_TOL or basis.shape[1] != expected:
         raise ConsistencyError(

@@ -5,10 +5,9 @@ import sys
 
 import pytest
 
-from simplexmodes import cli, golden, modes, reduction
-from simplexmodes.cli import MAX_ROWS, main
-from simplexmodes.modes import MAX_TWO_J_MODES
-from simplexmodes.permgroup import Partition
+from simplexmodes import cli, modes, reduction, report
+from simplexmodes.cli import MAX_ROWS, MAX_TWO_J_MODES, main
+from simplexmodes.permgroup import CycleType, Partition
 
 
 def run(capsys, *argv):
@@ -112,6 +111,23 @@ class TestReduce:
         assert lines[0].startswith("label,[5],")
         assert lines[0].endswith("periodic")
         assert lines[-1].startswith("totals,")
+
+    def test_broken_row_fails_the_dimension_audit(self, capsys, monkeypatch):
+        # the identity character at 2j = 3 off by 120 adds dim(f) to every
+        # m_f: sum_f dim(f)^2 = 120 to the row's dimension and
+        # sum_f dim(f) w_f = 120 / 5 to its periodic count
+        exact = reduction.class_character
+        monkeypatch.setattr(
+            reduction, "class_character",
+            lambda k, t: exact(k, t) + (120 if k == CycleType((1,) * 5) and t == 3 else 0),
+        )
+        rc = main(["reduce", "--chain", "o4s5c5", "--max", "5"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert err == "verification failed: dimension_audit, periodic_equals_lattice_count\n"
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [(c["name"], c["residual"]) for c in failed] == [
+            ("dimension_audit", 120), ("periodic_equals_lattice_count", 24)]
 
     def test_o4_lattice_count_check(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "300")
@@ -308,9 +324,9 @@ class TestVerify:
     def test_erratum_record_disagreeing_with_table_trips(
         self, capsys, monkeypatch, pick, tripped
     ):
-        data = golden.load()
+        data = report.load()
         pick(data)["value"] += 1
-        monkeypatch.setattr(golden, "load", lambda: data)
+        monkeypatch.setattr(cli, "load", lambda: data)
         rc, doc = run_json(capsys, "verify", "--all")
         assert rc == 3
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [tripped]
@@ -325,9 +341,9 @@ class TestVerify:
     def test_deleted_erratum_records_fail_their_check(
         self, capsys, monkeypatch, section, tripped
     ):
-        data = golden.load()
+        data = report.load()
         section(data)["errata"] = []
-        monkeypatch.setattr(golden, "load", lambda: data)
+        monkeypatch.setattr(cli, "load", lambda: data)
         rc, out = run(capsys, "verify", "--all")
         doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
         assert rc == 3
@@ -370,8 +386,9 @@ class TestInterface:
         assert exc.value.code == 2
 
     def test_csv_rejected_elsewhere(self, capsys):
-        rc, _ = run(capsys, "chartable", "--n", "3", "--format", "csv")
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["chartable", "--n", "3", "--format", "csv"])
+        assert exc.value.code == 2
 
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from simplexmodes import golden
+from simplexmodes import golden, report
 from simplexmodes.golden import Row
 from simplexmodes.permgroup import ConsistencyError
 
@@ -64,7 +64,7 @@ class TestCompare:
 
 class TestRegistry:
     def test_checks_are_registered_in_report_order(self):
-        checks, _ = golden.run(golden.load())
+        checks, _ = golden.run(report.load())
         assert [c["name"] for c in checks] == list(golden.CHECKS)
         assert all(c["passed"] for c in checks)
 

@@ -17,7 +17,7 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --version exits from argparse
     code = exc.code
-print(code, "numpy" in sys.modules, file=sys.stderr)
+print(code, *sorted(sys.modules), file=sys.stderr)
 """
 
 TABLE_COMMANDS = [
@@ -31,25 +31,31 @@ TABLE_COMMANDS = [
 ARRAY_COMMANDS = [["modes", "--two-j", "2"], ["verify", "--all"]]
 
 
-def numpy_loaded(argv: list[str]) -> bool:
-    """Whether numpy is loaded after cli.main(argv) in a fresh interpreter,
-    which must exit 0."""
+def loaded_modules(argv: list[str]) -> set[str]:
+    """The modules loaded after cli.main(argv) in a fresh interpreter, which
+    must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
-    code, loaded = out.stderr.split()[-2:]
+    code, *loaded = out.stderr.splitlines()[-1].split()
     assert code == "0", out.stderr
-    return loaded == "True"
+    return set(loaded)
 
 
 @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=" ".join)
 def test_table_commands_do_not_load_numpy(argv):
-    assert not numpy_loaded(argv)
+    assert "numpy" not in loaded_modules(argv)
 
 
 @pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
 def test_array_commands_load_numpy(argv):
-    assert numpy_loaded(argv)
+    assert "numpy" in loaded_modules(argv)
+
+
+def test_version_loads_no_operator_module():
+    # the SU(2) operators serve modes, classchars and verify only
+    loaded = loaded_modules(["--version"])
+    assert not loaded & {"simplexmodes.weylaction", "simplexmodes.su2wigner"}
 
 
 def test_every_export_resolves():

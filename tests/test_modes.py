@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from simplexmodes import modes
+from simplexmodes.cli import MAX_TWO_J_MODES
 from simplexmodes.modes import (
-    MAX_TWO_J_MODES,
     SPECTRUM_TOL,
     ModeBasis,
     block_points,
@@ -104,7 +104,7 @@ class TestCyclicProjector:
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
-            cyclic_projector(MAX_TWO_J_MODES + 1)
+            cyclic_projector(-1)
 
 
 class TestPeriodicBasis:
@@ -180,8 +180,10 @@ class TestPeriodicBasis:
         c = basis.coefficients
         assert np.abs(c.conj().T @ c - np.eye(basis.count)).max() < 1e-10
         assert verify_invariance(basis, 30, 20080514) < 1e-9
+        # the bound is the command line's; the library goes on
+        assert periodic_basis(two_j + 1).count == periodic_count_o4(two_j + 1)
         with pytest.raises(ValueError):
-            periodic_basis(two_j + 1)
+            periodic_basis(-1)
 
     @pytest.mark.parametrize("two_j,bound", [(12, 2e-14), (24, 1e-13)])
     def test_blocks_orthogonal_to_rounding(self, two_j, bound):
@@ -354,7 +356,7 @@ class TestYoungOperators:
         assert sum(counts.values()) == (two_j + 1) ** 2
         assert 0.0 <= margin <= SPECTRUM_TOL
 
-    @pytest.mark.parametrize("two_j,f", [(MAX_TWO_J_MODES + 1, Partition.of(5)),
+    @pytest.mark.parametrize("two_j,f", [(3, Partition.of(4)),
                                          (-1, Partition.of(5)), (2, Partition.of(3, 1))])
     def test_range_guards(self, two_j, f):
         with pytest.raises(ValueError):

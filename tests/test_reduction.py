@@ -40,6 +40,7 @@ from simplexmodes.reduction import (
     o4_multiplicity_table,
     periodic_count_o4,
     recursion_report,
+    table_checks,
 )
 
 #: entries for 2j = 0..10 in S5_PARTITION_ORDER; row 10 carries the value
@@ -184,9 +185,10 @@ class TestThreeSphereChain:
         assert periodic_count_o4(10) == 25
 
     def test_dimension_audit_runs_to_60(self):
-        # o4_multiplicity_table raises ConsistencyError on any audit failure
         table = o4_multiplicity_table(60)
         assert len(table.entries) == 61
+        audit = next(c for c in table_checks(table) if c["name"] == "dimension_audit")
+        assert audit["passed"] and audit["residual"] == 0
 
     def test_forbidden_partitions_never_contribute(self):
         table = o4_multiplicity_table(40)

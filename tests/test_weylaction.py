@@ -487,8 +487,8 @@ class TestExactClassCharacters:
         # slow every start-up
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         code = (
-            "import simplexmodes.cli, simplexmodes.weylaction as w; "
-            "print(w._molien_terms.cache_info().currsize)"
+            "import simplexmodes.cli, simplexmodes.permgroup as p; "
+            "print(p._molien_terms.cache_info().currsize)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
