@@ -30,7 +30,7 @@ from .reduction import (
     lattice_count_o4,
     o2_reduce,
 )
-from .su2wigner import SU2Element, wigner_d, wigner_rows
+from .su2wigner import wigner_rows
 from .weylaction import (
     GroupOperator,
     act_on_coefficients,
@@ -68,13 +68,6 @@ class ModeBasis:
         return self.coefficients.shape[1]
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    u: SU2Element
-    seed: int
-    index: int
-
-
 @lru_cache(maxsize=None)
 def cyclic_operators() -> tuple[GroupOperator, ...]:
     """The five deck operators: identity and the four powers of the
@@ -86,16 +79,11 @@ def cyclic_operators() -> tuple[GroupOperator, ...]:
     return tuple(ops)
 
 
-def cyclic_projector(two_j: int) -> np.ndarray:
-    """Average of the five deck-operator matrices: the Hermitian idempotent
-    projecting onto the periodic subspace of degree 2j (dense; an oracle)."""
-    return sum(operator_matrices(Fraction(two_j, 2), cyclic_operators())) / 5.0
-
-
 @lru_cache(maxsize=2)
 def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
-    """Operator matrix of every element of S(5) at one degree: a dense
-    oracle for the tests; treat the cached arrays as read-only."""
+    """Operator matrix of every element of S(5) at one degree; treat the
+    cached arrays as read-only.  A dense oracle that no library route calls:
+    it stays only because the benchmark trace reads its cache by this name."""
     perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
     ops = [permutation_operator(p) for p in perms]
     return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
@@ -193,8 +181,6 @@ def young_ranks(two_j: int) -> dict[Partition, int]:
     5, from one Jucys-Murphy walk: the dimension of the joint eigenspace at the
     contents of tableau r.  Every standard tableau of f must give the same
     value, the multiplicity of f at degree 2j."""
-    if two_j < 0:
-        raise ValueError(f"two_j must be non-negative, got {two_j}")
     counts = {key: b.shape[1] for key, b in _jucys_murphy_leaves(two_j)[0].items()}
     out = {}
     for f in S5_PARTITION_ORDER:
@@ -226,21 +212,6 @@ def _sample_pairs(num_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # each row's squared norm by the same BLAS dot as np.linalg.norm(row)
     x = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
     return _complex(x[:, 0], -x[:, 3]), _complex(-x[:, 2], -x[:, 1])
-
-
-def sample_points(num_points: int, seed: int) -> list[SamplePoint]:
-    """Uniform points of S^3 from normalized 4-dimensional Gaussian draws
-    of a seeded generator."""
-    return [
-        SamplePoint(SU2Element(complex(z1), complex(z2)), seed, i)
-        for i, (z1, z2) in enumerate(zip(*_sample_pairs(num_points, seed)))
-    ]
-
-
-def evaluate_modes(basis: ModeBasis, u: SU2Element) -> np.ndarray:
-    """Values of every mode at a point."""
-    w = wigner_d(Fraction(basis.two_j, 2), u).matrix.reshape(-1)
-    return w @ basis.coefficients
 
 
 #: points x matrix entries per Wigner call of verify_invariance; bounds the

@@ -9,7 +9,6 @@ off its cycle type alone, in integers, from the Molien series of S(n)
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -384,11 +383,3 @@ def class_character(k: CycleType, two_j: int) -> int:
         a * math.comb((two_j - i) // period + r - 1, r - 1)
         for i, a in groups[two_j % period] if i <= two_j
     )
-
-
-def cyclic_character(n: int, alpha: int, power: int) -> complex:
-    """Character of the 1-dimensional representation alpha of C_n at the
-    power-th power of the generator: exp(2*pi*i*alpha*power/n)."""
-    if not 0 <= alpha < n:
-        raise ValueError(f"need 0 <= alpha < n, got alpha={alpha}, n={n}")
-    return cmath.exp(2j * cmath.pi * alpha * power / n)

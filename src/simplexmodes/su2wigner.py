@@ -136,29 +136,6 @@ def su2_from_point(x: Point4) -> SU2Element:
     return SU2Element(complex(x.x0, -x.x3), complex(-x.x2, -x.x1))
 
 
-def q_conjugation(u: SU2Element) -> SU2Element:
-    """Entrywise complex conjugate of u, realized as q^{-1} u q."""
-    qinv = SU2Element(0j, 1.0 + 0j)  # q^{-1} = -q
-    return qinv * u * Q_ELEMENT
-
-
-@dataclass(frozen=True)
-class WignerMatrix:
-    """Unitary (2j+1)x(2j+1) representation matrix, rows and columns indexed
-    by m = -j ... +j ascending."""
-
-    two_j: int
-    matrix: np.ndarray
-
-    @property
-    def j(self) -> float:
-        return self.two_j / 2
-
-    @property
-    def dim(self) -> int:
-        return self.two_j + 1
-
-
 @lru_cache(maxsize=None)
 def _wigner_terms(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvectors W of J_y = (J_+ - J_+^T)/2i at degree 2j, with J_+|m> =
@@ -201,14 +178,6 @@ def wigner_rows(two_j: int, z1, z2) -> np.ndarray:
     d = (w * np.exp(1j * m * beta)[:, None, :]) @ w_dagger
     d *= np.exp(1j * m * (a + b))[:, :, None] * np.exp(1j * m * (a - b))[:, None, :]
     return d.reshape(len(z1), -1)
-
-
-def wigner_d(j: float | int | Fraction, u: SU2Element) -> WignerMatrix:
-    """Wigner representation matrix D^j(u), a homogeneous polynomial of
-    degree 2j in (z1, z2, conj(z1), conj(z2)); see wigner_rows."""
-    two_j = _as_two_j(j)
-    row = wigner_rows(two_j, u.z1, u.z2)[0]
-    return WignerMatrix(two_j, row.reshape(two_j + 1, two_j + 1))
 
 
 def chebyshev_u(n: int, x: float) -> float:

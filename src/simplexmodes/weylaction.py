@@ -150,14 +150,6 @@ def act_on_points(
     return _times(z1, z2, right.z1, right.z2)
 
 
-def act_on_point(op: GroupOperator, u: SU2Element) -> SU2Element:
-    """Image of one point of S^3 under the operator; see act_on_points."""
-    import numpy as np
-
-    z1, z2 = act_on_points(op, np.array([u.z1]), np.array([u.z2]))
-    return SU2Element(complex(z1[0]), complex(z2[0]))
-
-
 def operator_character(j: float | int | Fraction, op: GroupOperator) -> float:
     """Trace of the operator on the degree-2j harmonic space: the product
     chi^j(g_l^{-1}) chi^j(g_r) for rotations, chi^j(g_r g_l) otherwise."""
@@ -200,7 +192,9 @@ def operator_matrices(
     j: float | int | Fraction, ops: Sequence[GroupOperator]
 ) -> list[np.ndarray]:
     """Matrices of the operators on the (2j+1)^2 harmonics D^j_{m1 m2}, with
-    the pair (m1, m2) flattened row-major and m ascending; see operator_factors."""
+    the pair (m1, m2) flattened row-major and m ascending; see operator_factors.
+    A dense oracle that no library route calls: it stays only because the
+    benchmark trace reads the cache of modes._operator_matrices by name."""
     import numpy as np
 
     two_j = _as_two_j(j)
@@ -218,26 +212,23 @@ def operator_matrices(
 def act_on_coefficients(
     two_j: int, ops: Sequence[GroupOperator], coeffs: np.ndarray
 ) -> np.ndarray:
-    """Sum of the operators applied to the columns of coeffs ((2j+1)^2 x p,
-    flattened as in operator_matrices), in the factored form of
-    operator_factors: O((2j+1)^3) per column and operator, and no
-    (2j+1)^2 x (2j+1)^2 matrix."""
+    """Sum of the operators applied to the columns of coeffs, (2j+1)^2 x p:
+    each column holds the coefficients of the harmonics D^j_{m1 m2} with the
+    pair (m1, m2) flattened row-major and m ascending.  It uses the factored
+    form of operator_factors, which validates 2j: O((2j+1)^3) per column and
+    operator, and no (2j+1)^2 x (2j+1)^2 matrix."""
     import numpy as np
 
+    factors = operator_factors(two_j, ops)
     dim = two_j + 1
     cols = coeffs.T.reshape(-1, dim, dim)
     out = np.zeros(cols.shape, dtype=complex)
-    for op, (left, right) in zip(ops, operator_factors(two_j, ops)):
+    for op, (left, right) in zip(ops, factors):
         if op.reflective:
             out += (-1.0) ** two_j * (left.T @ cols.transpose(0, 2, 1) @ right.T)
         else:
             out += left.T @ cols @ right.T
     return out.reshape(-1, dim * dim).T
-
-
-def operator_matrix(j: float | int | Fraction, op: GroupOperator) -> np.ndarray:
-    """Matrix of one operator on the degree-2j harmonics; see operator_matrices."""
-    return operator_matrices(j, [op])[0]
 
 
 _CLASS_STRINGS: dict[tuple[int, ...], list[tuple[int, ...]]] = {

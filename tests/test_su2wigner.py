@@ -5,6 +5,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from oracles import wigner_d
 from simplexmodes import su2wigner
 from simplexmodes.permgroup import ConsistencyError
 from simplexmodes.su2wigner import (
@@ -12,14 +13,18 @@ from simplexmodes.su2wigner import (
     Q_ELEMENT,
     SU2Element,
     chebyshev_u,
-    q_conjugation,
     su2_character,
     su2_from_point,
-    wigner_d,
     wigner_rows,
 )
 
 s = math.sqrt
+
+
+def q_conjugation(u: SU2Element) -> SU2Element:
+    """Entrywise complex conjugate of u, realized as q^{-1} u q."""
+    qinv = SU2Element(0j, 1.0 + 0j)  # q^{-1} = -q
+    return qinv * u * Q_ELEMENT
 
 
 def scalar_wigner(two_j: int, z1: complex, z2: complex) -> np.ndarray:
@@ -116,7 +121,7 @@ class TestWignerMatrices:
     def test_identity(self):
         for j in (0, Fraction(1, 2), 1, Fraction(5, 2), 4):
             w = wigner_d(j, SU2Element.identity())
-            assert np.allclose(w.matrix, np.eye(w.dim))
+            assert np.allclose(w, np.eye(len(w)))
 
     def test_j_half_is_index_reversed_defining_matrix(self):
         # expanding the polynomial sum at j=1/2 by hand gives, with m
@@ -124,7 +129,7 @@ class TestWignerMatrices:
         rng = np.random.default_rng(8)
         for _ in range(10):
             u = random_su2(rng)
-            got = wigner_d(Fraction(1, 2), u).matrix
+            got = wigner_d(Fraction(1, 2), u)
             want = np.array([
                 [np.conj(u.z1), -np.conj(u.z2)],
                 [u.z2, u.z1],
@@ -136,8 +141,8 @@ class TestWignerMatrices:
         for two_j in (1, 2, 3):
             for _ in range(10):
                 u = random_su2(rng)
-                a = wigner_d(Fraction(two_j, 2), -u).matrix
-                b = (-1.0) ** two_j * wigner_d(Fraction(two_j, 2), u).matrix
+                a = wigner_d(Fraction(two_j, 2), -u)
+                b = (-1.0) ** two_j * wigner_d(Fraction(two_j, 2), u)
                 assert np.abs(a - b).max() < 1e-12
 
     def test_homomorphism(self):
@@ -145,8 +150,8 @@ class TestWignerMatrices:
         for j in (Fraction(1, 2), 1, Fraction(3, 2), 2, 5):
             for _ in range(20):
                 u, v = random_su2(rng), random_su2(rng)
-                lhs = wigner_d(j, u * v).matrix
-                rhs = wigner_d(j, u).matrix @ wigner_d(j, v).matrix
+                lhs = wigner_d(j, u * v)
+                rhs = wigner_d(j, u) @ wigner_d(j, v)
                 assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_unitarity_and_reality(self):
@@ -154,11 +159,11 @@ class TestWignerMatrices:
         for j in (Fraction(1, 2), 1, 2, Fraction(7, 2)):
             for _ in range(5):
                 u = random_su2(rng)
-                d = wigner_d(j, u).matrix
+                d = wigner_d(j, u)
                 assert np.abs(d @ d.conj().T - np.eye(len(d))).max() < 1e-10
-                dinv = wigner_d(j, u.inverse()).matrix
+                dinv = wigner_d(j, u.inverse())
                 assert np.abs(dinv - d.conj().T).max() < 1e-10
-                dconj = wigner_d(j, q_conjugation(u)).matrix
+                dconj = wigner_d(j, q_conjugation(u))
                 assert np.abs(dconj - d.conj()).max() < 1e-10
 
     def test_transposition(self):
@@ -166,8 +171,8 @@ class TestWignerMatrices:
         for j in (Fraction(1, 2), 1, Fraction(5, 2)):
             for _ in range(5):
                 u = random_su2(rng)
-                dt = wigner_d(j, u.transpose()).matrix
-                assert np.abs(dt - wigner_d(j, u).matrix.T).max() < 1e-10
+                dt = wigner_d(j, u.transpose())
+                assert np.abs(dt - wigner_d(j, u).T).max() < 1e-10
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -180,7 +185,7 @@ class TestWignerMatrices:
         for j in (0, Fraction(1, 2), 1, 2, Fraction(9, 2)):
             for _ in range(10):
                 u = random_su2(rng)
-                tr = np.trace(wigner_d(j, u).matrix)
+                tr = np.trace(wigner_d(j, u))
                 assert abs(tr - su2_character(j, u)) < 1e-9
                 assert abs(tr.imag) < 1e-10
 
@@ -215,7 +220,7 @@ class TestWignerKernel:
         us = [random_su2(rng) for _ in range(50)]
         got = wigner_rows(two_j, *su2_pairs(us))
         for row, u in zip(got, us):
-            assert np.abs(row - wigner_d(Fraction(two_j, 2), u).matrix.reshape(-1)).max() <= 1e-14
+            assert np.abs(row - wigner_d(Fraction(two_j, 2), u).reshape(-1)).max() <= 1e-14
 
     def test_non_unit_point_raises(self):
         with pytest.raises(ValueError, match="point 1"):

@@ -8,14 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import act_on_point, operator_matrix, wigner_d
 from simplexmodes.permgroup import CycleType, Permutation, coxeter_element
-from simplexmodes.su2wigner import Point4, SU2Element, wigner_d
+from simplexmodes.su2wigner import Point4, SU2Element
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
     GroupOperator,
     WeylVector,
     act_on_coefficients,
-    act_on_point,
     act_on_points,
     class_character,
     class_character_table,
@@ -26,7 +26,6 @@ from simplexmodes.weylaction import (
     operator_character,
     operator_factors,
     operator_matrices,
-    operator_matrix,
     permutation_operator,
     reflection_operator,
     transposition_operators,
@@ -329,6 +328,12 @@ class TestBatchedAction:
             for op, m in zip(ops, operator_matrices(j, ops)):
                 assert np.array_equal(m, operator_matrix(j, op))
 
+    @pytest.mark.parametrize("two_j", [-1, -3])
+    def test_negative_degree_is_named(self, two_j):
+        ops = transposition_operators()
+        with pytest.raises(ValueError, match=f"non-negative integer, got {two_j}$"):
+            act_on_coefficients(two_j, ops, np.eye((two_j + 1) ** 2, dtype=complex))
+
     def test_transposition_operators(self):
         ops = transposition_operators()
         assert len(ops) == 10 and all(op.reflective for op in ops)
@@ -453,8 +458,8 @@ class TestCharactersAndMatrices:
                 for _ in range(5):
                     c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
                     u = random_su2(rng)
-                    w_here = wigner_d(j, u).matrix.reshape(-1)
-                    w_there = wigner_d(j, act_on_point(op, u)).matrix.reshape(-1)
+                    w_here = wigner_d(j, u).reshape(-1)
+                    w_there = wigner_d(j, act_on_point(op, u)).reshape(-1)
                     assert abs((m @ c) @ w_here - c @ w_there) < 1e-9
 
 
