@@ -20,11 +20,10 @@ _HOMES = {
     name: module
     for module, names in {
         "permgroup": "CharacterTable ConsistencyError CycleType Partition Permutation "
-        "character character_table class_character coxeter_element cycle_type "
-        "cyclic_elements full_cycle partitions_of trivial_multiplicity",
-        "youngrep": "FixedSubspace ReprMatrix StandardTableau fixed_subspace "
-        "generator_matrix primed_rep_matrix rep_matrix standard_tableaux "
-        "tetrahedral_primed_generators trivial_projector",
+        "character character_table class_character coxeter_element cyclic_elements "
+        "full_cycle partitions_of trivial_multiplicity",
+        "youngrep": "StandardTableau fixed_subspace generator_matrix primed_rep_matrix "
+        "rep_matrix standard_tableaux tetrahedral_primed_generators trivial_projector",
         "su2wigner": "Point4 SU2Element su2_character su2_from_point wigner_rows",
         "weylaction": "ClassCharacterRow GroupOperator WeylVector act_on_coefficients "
         "act_on_points class_character_table class_representatives compose "
@@ -33,8 +32,7 @@ _HOMES = {
         "reduction": "MultiplicityTable O2Label O3Label RecursionReport multiplicity_o3_s4 "
         "multiplicity_o4_s5 o2_multiplicity_table o2_reduce o3_multiplicity_table "
         "lattice_count_o4 o4_multiplicity_table periodic_count_o4 recursion_report",
-        "modes": "ModeBasis ModeDescription lower_dim_modes periodic_basis "
-        "verify_invariance young_rank young_ranks",
+        "modes": "ModeBasis lower_dim_modes periodic_basis verify_invariance young_ranks",
     }.items()
     for name in names.split()
 }

@@ -191,13 +191,6 @@ def young_ranks(two_j: int) -> dict[Partition, int]:
     return out
 
 
-def young_rank(two_j: int, f: Partition) -> int:
-    """The rank of the diagonal Young operators of f at degree 2j; see young_ranks."""
-    if f.n != 5:
-        raise ValueError(f"expected a partition of 5, got {f}")
-    return young_ranks(two_j)[f]
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Complex array from its parts, signs of zeros included."""
     out = np.empty(np.shape(re), dtype=complex)
@@ -257,48 +250,23 @@ class ModeComponent:
     basis: str
 
 
-@dataclass(frozen=True)
-class ModeDescription:
-    chain: str
-    label: str
-    allowed: bool
-    reason: str
-    components: tuple[ModeComponent, ...]
-
-
-def lower_dim_modes(chain: str, label: O2Label | O3Label) -> ModeDescription:
-    """Periodic-mode description on the circle or the 2-sphere.
-
-    Labels failing the selection rule yield an explicit excluded result
-    rather than an error.
-    """
-    if chain == "circle":
-        if not isinstance(label, O2Label):
-            raise ValueError("circle chain needs an O2Label")
+def lower_dim_modes(label: O2Label | O3Label) -> tuple[ModeComponent, ...]:
+    """Periodic modes of an O(2) label on the circle or of an O(3) label on
+    the 2-sphere; empty when the selection rule excludes the label."""
+    if isinstance(label, O2Label):
         f, m0 = o2_reduce(label)
-        text = "m=0" if label.m == 0 else (
-            f"m={label.m},eps={'+' if label.epsilon == 1 else '-'}"
-        )
         if m0 == 0:
-            return ModeDescription(chain, text, False, "excluded by selection rule", ())
+            return ()
         if label.m == 0:
-            comp = ModeComponent(f, (1.0,), "Y_0")
-            return ModeDescription(chain, text, True, "", (comp,))
+            return (ModeComponent(f, (1.0,), "Y_0"),)
         amp = 1.0 / np.sqrt(2.0)
         pair = (amp, label.epsilon * (-1.0) ** label.m * amp)
-        comp = ModeComponent(f, pair, f"(Y_{label.m}, Y_-{label.m})")
-        return ModeDescription(chain, text, True, "", (comp,))
-    if chain == "sphere2":
-        if not isinstance(label, O3Label):
-            raise ValueError("sphere2 chain needs an O3Label")
-        text = f"(l={label.l},kappa={'+' if label.kappa == 1 else '-'})"
-        comps = [
+        return (ModeComponent(f, pair, f"(Y_{label.m}, Y_-{label.m})"),)
+    if isinstance(label, O3Label):
+        return tuple(
             ModeComponent(f, tuple(float(v) for v in vec), "young-yamanouchi")
             for f in S4_PARTITION_ORDER
             if multiplicity_o3_s4(label, f) and trivial_multiplicity(f)
-            for vec in fixed_subspace(f).basis.T
-        ]
-        if not comps:
-            return ModeDescription(chain, text, False, "excluded by selection rule", ())
-        return ModeDescription(chain, text, True, "", tuple(comps))
-    raise ValueError(f"unknown chain {chain!r}")
+            for vec in fixed_subspace(f).T
+        )
+    raise ValueError(f"expected an O2Label or O3Label, got {label!r}")

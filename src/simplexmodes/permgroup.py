@@ -166,24 +166,6 @@ class Permutation:
             inv[x - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles of length >= 2, each starting at its smallest point."""
-        seen = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self(x)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
     def parity(self) -> int:
         """0 for even, 1 for odd."""
         lengths = self.cycle_type().parts
@@ -247,10 +229,6 @@ def cyclic_elements(n: int) -> list[Permutation]:
     for _ in range(n - 1):
         out.append(out[-1] * g)
     return out
-
-
-def cycle_type(p: Permutation) -> CycleType:
-    return p.cycle_type()
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +305,11 @@ def exact_quotient(total: int, order: int, what: str, *args) -> int:
 
 def trivial_multiplicity(f: Partition) -> int:
     """Multiplicity of the identity representation of the cyclic subgroup
-    C_n < S(n) (generated by the full cycle) in the restriction of f."""
+    C_n < S(n) (generated by the full cycle) in the restriction of f: the
+    k-th power of an n-cycle has g = gcd(k, n) cycles of length n/g."""
     n = f.n
-    total = sum(character(f, h.cycle_type()) for h in cyclic_elements(n))
+    total = sum(character(f, CycleType((n // g,) * g))
+                for g in (math.gcd(k, n) for k in range(1, n + 1)))
     m = exact_quotient(total, n, "character sum over C_%d for %s", n, f)
     if m < 0:
         raise ConsistencyError(f"negative multiplicity {m} for {f}")

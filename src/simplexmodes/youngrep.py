@@ -134,27 +134,6 @@ def standard_tableaux(f: Partition) -> list[StandardTableau]:
     return list(_ordered_tableaux(f.parts))
 
 
-@dataclass(frozen=True)
-class ReprMatrix:
-    """Orthogonal representation matrix tagged with its partition."""
-
-    shape: Partition
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class FixedSubspace:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of the Coxeter
-    element; its dimension equals the trivial branching multiplicity."""
-
-    shape: Partition
-    basis: np.ndarray  # (dimension of rep) x (multiplicity)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 @lru_cache(maxsize=None)
 def _generator_array(shape: tuple[int, ...], i: int) -> np.ndarray:
     tableaux = _ordered_tableaux(shape)
@@ -180,12 +159,12 @@ def _generator_array(shape: tuple[int, ...], i: int) -> np.ndarray:
     return mat
 
 
-def generator_matrix(f: Partition, i: int) -> ReprMatrix:
+def generator_matrix(f: Partition, i: int) -> np.ndarray:
     """Matrix of the adjacent transposition (i, i+1) for partition f."""
     n = f.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    return ReprMatrix(f, _generator_array(f.parts, i).copy())
+    return _generator_array(f.parts, i).copy()
 
 
 def _rep_array(shape: tuple[int, ...], p: Permutation) -> np.ndarray:
@@ -196,13 +175,13 @@ def _rep_array(shape: tuple[int, ...], p: Permutation) -> np.ndarray:
     return mat
 
 
-def rep_matrix(f: Partition, p: Permutation) -> ReprMatrix:
+def rep_matrix(f: Partition, p: Permutation) -> np.ndarray:
     """Matrix of an arbitrary permutation, as the product of generator
     matrices along an adjacent-transposition factorization (the left factor
     of a permutation product acts first, matching Permutation.__mul__)."""
     if p.n != f.n:
         raise ValueError(f"permutation of {p.n} letters for partition of {f.n}")
-    return ReprMatrix(f, _rep_array(f.parts, p))
+    return _rep_array(f.parts, p)
 
 
 # --- the primed (tetrahedral) 3x3 representation of S(4) ---
@@ -216,16 +195,14 @@ _PRIMED_31 = (
 _PRIMED_SHAPES = {(3, 1): 1.0, (2, 1, 1): -1.0}
 
 
-def tetrahedral_primed_generators() -> list[ReprMatrix]:
+def tetrahedral_primed_generators() -> list[np.ndarray]:
     """Generators (1,2), (2,3), (3,4) of S(4) in the 3-dimensional
     tetrahedral-axis basis: first the three matrices for partition [31],
     then their negatives, which realize the associate partition [211]."""
-    out = [ReprMatrix(Partition.of(3, 1), m.copy()) for m in _PRIMED_31]
-    out += [ReprMatrix(Partition.of(2, 1, 1), -m) for m in _PRIMED_31]
-    return out
+    return [m.copy() for m in _PRIMED_31] + [-m for m in _PRIMED_31]
 
 
-def primed_rep_matrix(f: Partition, p: Permutation) -> ReprMatrix:
+def primed_rep_matrix(f: Partition, p: Permutation) -> np.ndarray:
     """Matrix of a permutation of S(4) in the primed tetrahedral basis."""
     sign = _PRIMED_SHAPES.get(f.parts)
     if sign is None:
@@ -233,16 +210,14 @@ def primed_rep_matrix(f: Partition, p: Permutation) -> ReprMatrix:
     mat = np.eye(3)
     for i in p.adjacent_factors():
         mat = mat @ (sign * _PRIMED_31[i - 1])
-    return ReprMatrix(f, mat)
+    return mat
 
 
-def trivial_projector(f: Partition, primed: bool = False) -> ReprMatrix:
+def trivial_projector(f: Partition, primed: bool = False) -> np.ndarray:
     """Group average over the cyclic subgroup C_n: the orthogonal projector
     onto the subspace transforming by its identity representation."""
     rep = primed_rep_matrix if primed else rep_matrix
-    n = f.n
-    mats = [rep(f, h).matrix for h in cyclic_elements(n)]
-    return ReprMatrix(f, sum(mats) / n)
+    return sum(rep(f, h) for h in cyclic_elements(f.n)) / f.n
 
 
 def canonical_phases(basis: np.ndarray, tol: float) -> np.ndarray:
@@ -263,11 +238,12 @@ def integer_eigenspaces(h: np.ndarray, lo: int, hi: int) -> tuple[dict[int, np.n
     return {c: vecs[:, ints == c] for c in range(lo, hi + 1)}, margin
 
 
-def fixed_subspace(f: Partition) -> FixedSubspace:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of the Coxeter
-    element of S(n) in representation f: the 1-eigenspace of the C_n average,
-    whose spectrum is 0 and 1."""
-    blocks, margin = integer_eigenspaces(trivial_projector(f).matrix, 0, 1)
+def fixed_subspace(f: Partition) -> np.ndarray:
+    """Orthonormal basis, one column each, of the eigenvalue-1 eigenspace of
+    the Coxeter element of S(n) in representation f: the 1-eigenspace of the
+    C_n average, whose spectrum is 0 and 1.  Its dimension is the trivial
+    branching multiplicity."""
+    blocks, margin = integer_eigenspaces(trivial_projector(f), 0, 1)
     basis = canonical_phases(blocks[1], SPECTRUM_TOL)
     expected = trivial_multiplicity(f)
     if margin > SPECTRUM_TOL or basis.shape[1] != expected:
@@ -275,4 +251,4 @@ def fixed_subspace(f: Partition) -> FixedSubspace:
             f"fixed space of {f} has dimension {basis.shape[1]}, character theory "
             f"demands {expected}; projector eigenvalues off 0 and 1 by margin {margin:.3g}"
         )
-    return FixedSubspace(f, basis)
+    return basis

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from simplexmodes import cli, modes, reduction, report
+from simplexmodes import cli, modes, permgroup, reduction, report
 from simplexmodes.cli import MAX_ROWS, MAX_TWO_J_MODES, main
-from simplexmodes.permgroup import CycleType, Partition
+from simplexmodes.permgroup import CycleType, Partition, Permutation
 
 
 def run(capsys, *argv):
@@ -45,6 +45,19 @@ class TestBranch:
         assert doc["payload"]["trivial_multiplicity"] == [1, 0, 1, 1, 0]
         _, doc = run_json(capsys, "branch", "--n", "5")
         assert doc["payload"]["trivial_multiplicity"] == [1, 1, 0, 0, 1, 1, 2]
+
+    def test_wrong_cyclic_elements_exit_3(self, capsys, monkeypatch):
+        def identities(n):  # the elementwise average over these gives the dimensions
+            return [Permutation.identity(n)] * n
+
+        monkeypatch.setattr(permgroup, "cyclic_elements", identities)
+        monkeypatch.setattr(cli, "cyclic_elements", identities)
+        rc, doc = run_json(capsys, "branch", "--n", "5")
+        assert rc == 3
+        assert doc["payload"]["trivial_multiplicity"] == [1, 1, 0, 0, 1, 1, 2]
+        (check,) = doc["checks"]
+        assert check["name"] == "matches_elementwise_average"
+        assert not check["passed"] and check["residual"] == 4
 
 
 class TestReduce:

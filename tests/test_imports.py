@@ -30,12 +30,15 @@ TABLE_COMMANDS = [
 ]
 ARRAY_COMMANDS = [["modes", "--two-j", "2"], ["verify", "--all"]]
 
-#: test-only oracles that left the library, by their former module
+#: names that left the library, by their former module: test-only oracles and
+#: wrappers of a value the caller already holds
 REMOVED = {
-    "permgroup": ("cyclic_character",),
+    "permgroup": ("cyclic_character", "cycle_type"),
+    "youngrep": ("FixedSubspace", "ReprMatrix"),
     "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
     "weylaction": ("act_on_point", "operator_matrix"),
-    "modes": ("SamplePoint", "cyclic_projector", "evaluate_modes", "sample_points"),
+    "modes": ("ModeDescription", "SamplePoint", "cyclic_projector", "evaluate_modes",
+              "sample_points", "young_rank"),
 }
 
 

@@ -15,7 +15,6 @@ from simplexmodes.modes import (
     lower_dim_modes,
     periodic_basis,
     verify_invariance,
-    young_rank,
     young_ranks,
 )
 from simplexmodes.permgroup import (
@@ -30,6 +29,8 @@ from simplexmodes.reduction import (
     O2Label,
     O3Label,
     multiplicity_o4_s5,
+    o2_multiplicity_table,
+    o3_multiplicity_table,
     periodic_count_o4,
 )
 from simplexmodes.weylaction import (
@@ -58,11 +59,11 @@ def dense_isotypic_spans(two_j):
 
 
 def young_operator(two_j, f, row, col):
-    """The dense route that gave young_rank before the Jucys-Murphy walk:
+    """The dense route that gave the Young ranks before the Jucys-Murphy walk:
     c^f_{row,col} = (dim f / 120) sum_p D^f_{row,col}(p) T_p on the degree-2j
     harmonics, from the 120 operator matrices."""
     return (f.dimension / 120.0) * sum(
-        rep_matrix(f, p).matrix[row, col] * mat
+        rep_matrix(f, p)[row, col] * mat
         for p, mat in modes._operator_matrices(two_j).items()
     )
 
@@ -334,7 +335,6 @@ class TestYoungOperators:
         ranks = young_ranks(6)
         assert walks == [6]
         assert set(ranks) == set(partitions_of(5))
-        assert all(young_rank(6, f) == n for f, n in ranks.items())
 
     def test_reach_at_the_modes_cap(self):
         two_j = MAX_TWO_J_MODES
@@ -352,11 +352,10 @@ class TestYoungOperators:
         assert sum(counts.values()) == (two_j + 1) ** 2
         assert 0.0 <= margin <= SPECTRUM_TOL
 
-    @pytest.mark.parametrize("two_j,f", [(3, Partition.of(4)),
-                                         (-1, Partition.of(5)), (2, Partition.of(3, 1))])
+    @pytest.mark.parametrize("two_j,f", [pytest.param(-1, Partition.of(5), id="-1-f1")])
     def test_range_guards(self, two_j, f):
         with pytest.raises(ValueError):
-            young_rank(two_j, f)
+            young_ranks(two_j)[f]
 
     @pytest.mark.parametrize("two_j", [-1, -3])
     def test_negative_degree_is_named(self, two_j):
@@ -368,20 +367,17 @@ class TestYoungOperators:
         ops[0] = cyclic_operators()[1]  # the deck generator in place of (1 2)
         monkeypatch.setattr(modes, "transposition_operators", lambda: tuple(ops))
         with pytest.raises(ConsistencyError, match="margin"):
-            young_rank(4, Partition.of(3, 2))
+            young_ranks(4)
 
     @pytest.mark.parametrize("two_j", range(7))
     def test_rank_dimension_budget(self, two_j):
-        total = sum(young_rank(two_j, f) * f.dimension for f in partitions_of(5))
+        total = sum(n * f.dimension for f, n in young_ranks(two_j).items())
         assert total == (two_j + 1) ** 2
 
     def test_spec_examples(self):
-        assert young_rank(2, Partition.of(3, 2)) == 1
-        assert young_rank(3, Partition.of(3, 1, 1)) == 1
-        assert young_rank(0, Partition.of(5)) == 1
-        for f in partitions_of(5):
-            if f != Partition.of(5):
-                assert young_rank(0, f) == 0
+        assert young_ranks(2)[Partition.of(3, 2)] == 1
+        assert young_ranks(3)[Partition.of(3, 1, 1)] == 1
+        assert young_ranks(0) == {f: int(f == Partition.of(5)) for f in partitions_of(5)}
 
 
 class TestInvariance:
@@ -456,42 +452,38 @@ class TestInvariance:
 
 class TestLowerDimensionalModes:
     def test_circle_allowed(self):
-        desc = lower_dim_modes("circle", O2Label(3, 1))
-        assert desc.allowed
-        assert desc.components[0].partition == Partition.of(3)
+        (comp,) = lower_dim_modes(O2Label(3, 1))
+        assert comp.partition == Partition.of(3)
         amp = 1 / math.sqrt(2)
-        assert np.allclose(desc.components[0].coefficients, (amp, -amp))
+        assert np.allclose(comp.coefficients, (amp, -amp))
 
     def test_circle_constant(self):
-        desc = lower_dim_modes("circle", O2Label(0))
-        assert desc.allowed
-        assert desc.components[0].coefficients == (1.0,)
+        (comp,) = lower_dim_modes(O2Label(0))
+        assert comp.coefficients == (1.0,)
 
     def test_circle_excluded(self):
-        desc = lower_dim_modes("circle", O2Label(2, 1))
-        assert not desc.allowed
-        assert desc.reason == "excluded by selection rule"
-        assert desc.components == ()
+        assert lower_dim_modes(O2Label(2, 1)) == ()
 
     def test_sphere_excluded(self):
-        desc = lower_dim_modes("sphere2", O3Label(1, -1))
-        assert not desc.allowed
+        assert lower_dim_modes(O3Label(1, -1)) == ()
 
     def test_sphere_allowed(self):
-        desc = lower_dim_modes("sphere2", O3Label(3, -1))
-        assert desc.allowed
-        partitions = sorted(str(c.partition) for c in desc.components)
+        comps = lower_dim_modes(O3Label(3, -1))
+        partitions = sorted(str(c.partition) for c in comps)
         assert partitions == ["[211]", "[4]"]
-        vec = next(
-            c.coefficients
-            for c in desc.components
-            if c.partition == Partition.of(2, 1, 1)
-        )
+        vec = next(c.coefficients for c in comps if c.partition == Partition.of(2, 1, 1))
         want = (math.sqrt(1 / 2), math.sqrt(1 / 6), math.sqrt(1 / 3))
         assert np.allclose(vec, want)
 
+    def test_selection_rule_matches_the_tables(self):
+        circle = [O2Label(0)] + [O2Label(m, e) for m in range(1, 31) for e in (1, -1)]
+        sphere = [O3Label(l, (-1) ** l) for l in range(41)]
+        for labels, table in ((circle, o2_multiplicity_table(30)),
+                              (sphere, o3_multiplicity_table(40))):
+            assert len(labels) == len(table.periodic)
+            for label, periodic in zip(labels, table.periodic):
+                assert bool(lower_dim_modes(label)) == (periodic > 0), label
+
     def test_label_type_guard(self):
-        with pytest.raises(ValueError):
-            lower_dim_modes("circle", O3Label(1, -1))
-        with pytest.raises(ValueError):
-            lower_dim_modes("torus", O2Label(0))
+        with pytest.raises(ValueError, match="O2Label or O3Label"):
+            lower_dim_modes((1, -1))

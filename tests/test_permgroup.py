@@ -11,7 +11,6 @@ from simplexmodes.permgroup import (
     character,
     character_table,
     coxeter_element,
-    cycle_type,
     cyclic_elements,
     full_cycle,
     partitions_of,
@@ -86,14 +85,14 @@ class TestPermutation:
         assert (p * p.inverse()).images == Permutation.identity(5).images
 
     def test_cycle_type_examples(self):
-        assert cycle_type(Permutation.identity(5)).parts == (1, 1, 1, 1, 1)
-        assert cycle_type(Permutation.identity(5)).class_size == 1
+        assert Permutation.identity(5).cycle_type().parts == (1, 1, 1, 1, 1)
+        assert Permutation.identity(5).cycle_type().class_size == 1
         five = full_cycle(5)
-        assert cycle_type(five).parts == (5,)
-        assert cycle_type(five).class_size == 24
+        assert five.cycle_type().parts == (5,)
+        assert five.cycle_type().class_size == 24
         p = Permutation.from_cycles(5, [(1, 2), (2, 3)])
-        assert cycle_type(p).parts == (3, 1, 1)
-        assert cycle_type(p).class_size == 20
+        assert p.cycle_type().parts == (3, 1, 1)
+        assert p.cycle_type().class_size == 20
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_class_sizes_by_enumeration(self, n):

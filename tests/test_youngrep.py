@@ -102,49 +102,49 @@ class TestStandardTableaux:
 
 class TestGeneratorMatrices:
     def test_21_generator(self):
-        got = generator_matrix(Partition.of(2, 1), 2).matrix
+        got = generator_matrix(Partition.of(2, 1), 2)
         assert np.allclose(got, [[-0.5, s(3) / 2], [s(3) / 2, 0.5]])
 
     def test_22_generators(self):
         f = Partition.of(2, 2)
-        assert np.allclose(generator_matrix(f, 1).matrix, np.diag([1.0, -1.0]))
+        assert np.allclose(generator_matrix(f, 1), np.diag([1.0, -1.0]))
         assert np.allclose(
-            generator_matrix(f, 2).matrix,
+            generator_matrix(f, 2),
             [[-0.5, -s(3) / 2], [-s(3) / 2, 0.5]],
         )
-        assert np.allclose(generator_matrix(f, 3).matrix, np.diag([1.0, -1.0]))
+        assert np.allclose(generator_matrix(f, 3), np.diag([1.0, -1.0]))
 
     def test_32_generators(self):
         f = Partition.of(3, 2)
         assert np.allclose(
-            generator_matrix(f, 1).matrix, np.diag([1.0, -1, 1, -1, 1])
+            generator_matrix(f, 1), np.diag([1.0, -1, 1, -1, 1])
         )
         want_23 = np.eye(5)
         want_23[1:3, 1:3] = [[0.5, s(3 / 4)], [s(3 / 4), -0.5]]
         want_23[3:5, 3:5] = [[0.5, s(3 / 4)], [s(3 / 4), -0.5]]
-        assert np.allclose(generator_matrix(f, 2).matrix, want_23)
+        assert np.allclose(generator_matrix(f, 2), want_23)
         want_34 = np.diag([0.0, 1, 0, -1, 1])
         want_34[0, 0] = -1 / 3
         want_34[2, 2] = 1 / 3
         want_34[0, 2] = want_34[2, 0] = s(8 / 9)
-        assert np.allclose(generator_matrix(f, 3).matrix, want_34)
+        assert np.allclose(generator_matrix(f, 3), want_34)
         want_45 = np.zeros((5, 5))
         want_45[0, 0] = 1
         want_45[1, 1] = want_45[2, 2] = -0.5
         want_45[3, 3] = want_45[4, 4] = 0.5
         want_45[1, 3] = want_45[3, 1] = s(3 / 4)
         want_45[2, 4] = want_45[4, 2] = s(3 / 4)
-        assert np.allclose(generator_matrix(f, 4).matrix, want_45)
+        assert np.allclose(generator_matrix(f, 4), want_45)
 
     def test_211_s4_generators(self):
         f = Partition.of(2, 1, 1)
-        assert np.allclose(generator_matrix(f, 1).matrix, np.diag([1.0, -1, -1]))
+        assert np.allclose(generator_matrix(f, 1), np.diag([1.0, -1, -1]))
         assert np.allclose(
-            generator_matrix(f, 2).matrix,
+            generator_matrix(f, 2),
             [[-0.5, s(3) / 2, 0], [s(3) / 2, 0.5, 0], [0, 0, -1]],
         )
         assert np.allclose(
-            generator_matrix(f, 3).matrix,
+            generator_matrix(f, 3),
             [[-1, 0, 0], [0, -1 / 3, s(8 / 9)], [0, s(8 / 9), 1 / 3]],
         )
 
@@ -155,7 +155,7 @@ class TestGeneratorMatrices:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_involutions_and_braid_relations(self, n):
         for f in partitions_of(n):
-            gens = [generator_matrix(f, i).matrix for i in range(1, n)]
+            gens = [generator_matrix(f, i) for i in range(1, n)]
             d = len(gens[0])
             for g in gens:
                 assert np.abs(g @ g - np.eye(d)).max() < 1e-12
@@ -172,28 +172,28 @@ class TestGeneratorMatrices:
 
 class TestRepMatrix:
     def test_identity(self):
-        got = rep_matrix(Partition.of(3, 2), Permutation.identity(5)).matrix
+        got = rep_matrix(Partition.of(3, 2), Permutation.identity(5))
         assert np.allclose(got, np.eye(5))
 
     def test_22_full_cycle(self):
-        got = rep_matrix(Partition.of(2, 2), full_cycle(4)).matrix
+        got = rep_matrix(Partition.of(2, 2), full_cycle(4))
         assert np.allclose(got, [[-0.5, s(3) / 2], [s(3) / 2, 0.5]])
 
     def test_coxeter_golden_matrices(self):
         cox5 = coxeter_element(5)
-        assert np.allclose(rep_matrix(Partition.of(3, 2), cox5).matrix, COXETER_32)
-        assert np.allclose(rep_matrix(Partition.of(2, 2, 1), cox5).matrix, COXETER_221)
-        assert np.allclose(rep_matrix(Partition.of(3, 1, 1), cox5).matrix, COXETER_311)
+        assert np.allclose(rep_matrix(Partition.of(3, 2), cox5), COXETER_32)
+        assert np.allclose(rep_matrix(Partition.of(2, 2, 1), cox5), COXETER_221)
+        assert np.allclose(rep_matrix(Partition.of(3, 1, 1), cox5), COXETER_311)
         cox4 = coxeter_element(4)
         assert np.allclose(
-            rep_matrix(Partition.of(2, 1, 1), cox4).matrix, COXETER_211_S4
+            rep_matrix(Partition.of(2, 1, 1), cox4), COXETER_211_S4
         )
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_coxeter_order(self, n):
         cox = coxeter_element(n)
         for f in partitions_of(n):
-            m = rep_matrix(f, cox).matrix
+            m = rep_matrix(f, cox)
             assert np.abs(np.linalg.matrix_power(m, n) - np.eye(len(m))).max() < 1e-10
 
     def test_homomorphism_left_to_right(self):
@@ -202,14 +202,14 @@ class TestRepMatrix:
         perms = all_perms(5)
         for _ in range(20):
             p, q = (perms[rng.integers(len(perms))] for _ in range(2))
-            lhs = rep_matrix(f, p * q).matrix
-            rhs = rep_matrix(f, p).matrix @ rep_matrix(f, q).matrix
+            lhs = rep_matrix(f, p * q)
+            rhs = rep_matrix(f, p) @ rep_matrix(f, q)
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_traces_are_characters_s4(self):
         for f in partitions_of(4):
             for p in all_perms(4):
-                tr = np.trace(rep_matrix(f, p).matrix)
+                tr = np.trace(rep_matrix(f, p))
                 assert abs(tr - character(f, p.cycle_type())) < 1e-10
 
     def test_traces_are_characters_s5_sample(self):
@@ -218,27 +218,27 @@ class TestRepMatrix:
         sample = [perms[i] for i in rng.integers(0, len(perms), size=50)]
         for f in partitions_of(5):
             for p in sample:
-                tr = np.trace(rep_matrix(f, p).matrix)
+                tr = np.trace(rep_matrix(f, p))
                 assert abs(tr - character(f, p.cycle_type())) < 1e-10
 
 
 class TestProjectorsAndFixedVectors:
     def test_projector_22(self):
-        got = trivial_projector(Partition.of(2, 2)).matrix
+        got = trivial_projector(Partition.of(2, 2))
         assert np.allclose(got, np.array([[1, s(3)], [s(3), 3]]) / 4)
 
     def test_projector_211_primed(self):
-        got = trivial_projector(Partition.of(2, 1, 1), primed=True).matrix
+        got = trivial_projector(Partition.of(2, 1, 1), primed=True)
         assert np.allclose(got, np.diag([0.0, 1.0, 0.0]))
 
     def test_projector_41_vanishes(self):
-        got = trivial_projector(Partition.of(4, 1)).matrix
+        got = trivial_projector(Partition.of(4, 1))
         assert np.abs(got).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_projector_idempotent_with_correct_rank(self, n):
         for f in partitions_of(n):
-            p = trivial_projector(f).matrix
+            p = trivial_projector(f)
             assert np.abs(p @ p - p).max() < 1e-12
             assert round(np.trace(p)) == trivial_multiplicity(f)
             assert abs(np.trace(p) - round(np.trace(p))) < 1e-12
@@ -246,31 +246,29 @@ class TestProjectorsAndFixedVectors:
     def test_projector_off_its_spectrum_raises(self, monkeypatch):
         real = youngrep.trivial_projector
         monkeypatch.setattr(youngrep, "trivial_projector",
-                            lambda f: youngrep.ReprMatrix(f, 0.9 * real(f).matrix))
+                            lambda f: 0.9 * real(f))
         with pytest.raises(ConsistencyError, match="margin"):
             fixed_subspace(Partition.of(3, 1, 1))
 
     def test_fixed_211(self):
-        space = fixed_subspace(Partition.of(2, 1, 1))
-        assert space.dim == 1
-        assert np.allclose(space.basis[:, 0], [s(1 / 2), s(1 / 6), s(1 / 3)])
+        basis = fixed_subspace(Partition.of(2, 1, 1))
+        assert basis.shape[1] == 1
+        assert np.allclose(basis[:, 0], [s(1 / 2), s(1 / 6), s(1 / 3)])
 
     def test_fixed_22(self):
-        space = fixed_subspace(Partition.of(2, 2))
-        assert np.allclose(space.basis[:, 0], [0.5, s(3 / 4)])
+        assert np.allclose(fixed_subspace(Partition.of(2, 2))[:, 0], [0.5, s(3 / 4)])
 
     def test_fixed_32_and_221(self):
         raw = np.array([s(2 / 3), -1, -s(1 / 3), -s(1 / 3), 1])
         want = raw / np.linalg.norm(raw)
-        assert np.allclose(fixed_subspace(Partition.of(3, 2)).basis[:, 0], want)
+        assert np.allclose(fixed_subspace(Partition.of(3, 2))[:, 0], want)
         raw221 = np.array([s(2 / 3), -1, s(1 / 3), s(1 / 3), 1])
         want221 = raw221 / np.linalg.norm(raw221)
-        assert np.allclose(fixed_subspace(Partition.of(2, 2, 1)).basis[:, 0], want221)
+        assert np.allclose(fixed_subspace(Partition.of(2, 2, 1))[:, 0], want221)
 
     def test_fixed_311_span(self):
-        space = fixed_subspace(Partition.of(3, 1, 1))
-        assert space.dim == 2
-        b = space.basis
+        b = fixed_subspace(Partition.of(3, 1, 1))
+        assert b.shape[1] == 2
         assert np.abs(b.T @ b - np.eye(2)).max() < 1e-12
         q1 = np.array([s(49 / 45), s(2 / 45), s(8 / 15), s(2 / 3), 0, 1])
         q2 = np.array([s(8 / 45), s(49 / 45), -s(1 / 15), s(1 / 3), 1, 0])
@@ -287,11 +285,11 @@ class TestProjectorsAndFixedVectors:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_dimension_matches_multiplicity(self, n):
         for f in partitions_of(n):
-            assert fixed_subspace(f).dim == trivial_multiplicity(f)
+            assert fixed_subspace(f).shape[1] == trivial_multiplicity(f)
 
     def test_first_component_sign_convention(self):
         for parts in [(2, 2), (2, 1, 1), (3, 2), (2, 2, 1)]:
-            v = fixed_subspace(Partition(parts)).basis[:, 0]
+            v = fixed_subspace(Partition(parts))[:, 0]
             lead = next(x for x in v if abs(x) > 1e-9)
             assert lead > 0
 
@@ -310,22 +308,23 @@ class TestPrimedRepresentation:
     def test_generators(self):
         gens = tetrahedral_primed_generators()
         assert len(gens) == 6
-        assert np.allclose(gens[1].matrix, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        assert np.allclose(gens[0].matrix, [[1, 0, 0], [0, 0, -1], [0, -1, 0]])
+        assert np.allclose(gens[1], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert np.allclose(gens[0], [[1, 0, 0], [0, 0, -1], [0, -1, 0]])
         for g in gens:
-            assert np.allclose(g.matrix @ g.matrix, np.eye(3))
-        for a, b in zip(gens[:3], gens[3:]):
-            assert np.allclose(a.matrix, -b.matrix)
-            assert b.shape == Partition.of(2, 1, 1)
+            assert np.allclose(g @ g, np.eye(3))
+        for i, (a, b) in enumerate(zip(gens[:3], gens[3:]), start=1):
+            assert np.allclose(a, -b)
+            swap = Permutation.transposition(4, i, i + 1)
+            assert np.allclose(b, primed_rep_matrix(Partition.of(2, 1, 1), swap))
 
     def test_primed_coxeter(self):
-        got = primed_rep_matrix(Partition.of(2, 1, 1), coxeter_element(4)).matrix
+        got = primed_rep_matrix(Partition.of(2, 1, 1), coxeter_element(4))
         assert np.allclose(got, [[0, 0, -1], [0, 1, 0], [1, 0, 0]])
 
     def test_primed_traces_match_characters(self):
         for f in (Partition.of(3, 1), Partition.of(2, 1, 1)):
             for p in all_perms(4):
-                tr = np.trace(primed_rep_matrix(f, p).matrix)
+                tr = np.trace(primed_rep_matrix(f, p))
                 assert abs(tr - character(f, p.cycle_type())) < 1e-12
 
     def test_unknown_shape(self):
