@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in {
-        "permgroup": "CharacterTable ConsistencyError CycleType Partition Permutation "
+        "report": "ConsistencyError",
+        "permgroup": "CharacterTable CycleType Partition Permutation "
         "character character_table class_character coxeter_element cyclic_elements "
         "full_cycle partitions_of trivial_multiplicity",
         "youngrep": "StandardTableau fixed_subspace generator_matrix primed_rep_matrix "

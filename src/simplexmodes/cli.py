@@ -2,30 +2,21 @@
 
 Exit codes: 0 success, 2 usage error, 3 a failed check in the report or an
 internal consistency error.  All JSON output is deterministic: sorted keys and
-floats rounded to 15 significant digits.
+floats rounded to 15 significant digits.  Each command imports the library
+modules it runs when it is called, so `--version`, `--help` and usage errors
+load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 
 from . import __version__
-from .permgroup import (
-    ConsistencyError,
-    CycleType,
-    Partition,
-    character_table,
-    class_character,
-    cyclic_elements,
-    trivial_multiplicity,
-)
-from .reduction import TABLES, MultiplicityTable, table_checks
-from .report import REAL_TOL, check, load
+from .report import REAL_TOL, ConsistencyError, check, load
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,6 +34,9 @@ LIMITS = {
     "verify_points": (1, MAX_ROWS),
     "seed": (0, 2**63 - 1),
 }
+#: the table builder in `reduction` of each chain that `reduce --chain` takes
+CHAINS = {"o2s3c3": "o2_multiplicity_table", "o3s4c4": "o3_multiplicity_table",
+          "o4s5c5": "o4_multiplicity_table"}
 
 
 class UsageError(Exception):
@@ -94,6 +88,8 @@ def _emit(doc: dict, args) -> None:
 # ----------------------------------------------------------------- commands
 
 def cmd_chartable(args) -> dict:
+    from .permgroup import CycleType, character_table
+
     table = character_table(args.n)
     classes = table.cycle_types
     # column orthogonality, exact in integers
@@ -121,6 +117,8 @@ def cmd_chartable(args) -> dict:
 
 
 def cmd_branch(args) -> dict:
+    from .permgroup import Partition, character_table, cyclic_elements, trivial_multiplicity
+
     table = character_table(args.n)
     gold = load()["character_tables"][str(args.n)]
     parts = [Partition(tuple(p)) for p in gold["partitions"]]
@@ -139,7 +137,8 @@ def cmd_branch(args) -> dict:
     return report_document("branch", {"n": args.n}, payload, checks)
 
 
-def _table_payload(table: MultiplicityTable) -> dict:
+def _table_payload(table) -> dict:
+    """The `reduce` payload of one `reduction.MultiplicityTable`."""
     payload = {
         "chain": table.chain,
         "row_labels": list(table.row_labels),
@@ -156,6 +155,10 @@ def _table_payload(table: MultiplicityTable) -> dict:
 
 def _table_csv(payload: dict) -> str:
     """The `reduce` payload as CSV: one line per row, then the totals if any."""
+    import csv
+
+    from .permgroup import Partition
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", *(str(Partition(tuple(p))) for p in payload["partitions"]),
@@ -168,9 +171,11 @@ def _table_csv(payload: dict) -> str:
 
 
 def cmd_reduce(args) -> dict:
-    table = TABLES[args.chain](args.max)
+    from . import reduction
+
+    table = getattr(reduction, CHAINS[args.chain])(args.max)
     return report_document("reduce", {"chain": args.chain, "max": args.max},
-                           _table_payload(table), table_checks(table))
+                           _table_payload(table), reduction.table_checks(table))
 
 
 def cmd_modes(args) -> dict:
@@ -205,6 +210,7 @@ def cmd_modes(args) -> dict:
 
 
 def cmd_classchars(args) -> dict:
+    from .permgroup import class_character
     from .weylaction import class_character_table, class_operators, operator_character
 
     rows = class_character_table(args.two_j_max)
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("reduce", help="multiplicity table for one chain")
-    p.add_argument("--chain", choices=list(TABLES), required=True)
+    p.add_argument("--chain", choices=list(CHAINS), required=True)
     p.add_argument("--max", type=int, required=True,
                    help="largest m, l or 2j row")
     common(p)

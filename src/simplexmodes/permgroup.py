@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-
-class ConsistencyError(RuntimeError):
-    """An exactness check failed; indicates a bug, never bad user input."""
+from .report import ConsistencyError
 
 
 @dataclass(frozen=True, order=True)

@@ -254,10 +254,6 @@ def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     return _degree_table("o4s5c5", two_j_max, S5_PARTITION_ORDER, str, totals=True)
 
 
-#: the table builder of each chain, by the name `reduce --chain` takes
-TABLES = {"o2s3c3": o2_multiplicity_table, "o3s4c4": o3_multiplicity_table,
-          "o4s5c5": o4_multiplicity_table}
-
 #: the dimension rule that each audited chain reports
 _AUDIT_RULES = {"o3s4c4": "sum dim(f)*m = 2l+1", "o4s5c5": "sum dim(f)*m = (2j+1)^2"}
 

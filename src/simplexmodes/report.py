@@ -1,19 +1,26 @@
 """The report contract that the command line and the golden gate share.
 
-One check entry, the tolerance of every floating-point table entry, and the
-golden data.  Nothing here imports numpy, so the exact-table commands start
-without it.
+One check entry, the tolerance of every floating-point table entry, the
+golden data, and the error behind exit code 3 when no report can be made.
+Nothing here imports numpy or another module of the package, so the command
+line starts without them.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 REAL_TOL = 1e-9  # tolerance of every floating-point table entry
 
 
+class ConsistencyError(RuntimeError):
+    """An exactness check failed; indicates a bug, never bad user input.
+    The command line exits 3 on it."""
+
+
 def load() -> dict:
+    from importlib import resources
+
     with resources.files("simplexmodes.data").joinpath("golden_tables.json").open() as fh:
         return json.load(fh)
 

@@ -51,7 +51,6 @@ class TestBranch:
             return [Permutation.identity(n)] * n
 
         monkeypatch.setattr(permgroup, "cyclic_elements", identities)
-        monkeypatch.setattr(cli, "cyclic_elements", identities)
         rc, doc = run_json(capsys, "branch", "--n", "5")
         assert rc == 3
         assert doc["payload"]["trivial_multiplicity"] == [1, 1, 0, 0, 1, 1, 2]
@@ -267,8 +266,9 @@ class TestClassChars:
         assert cross["passed"] and 0 <= cross["residual"] < 1e-12
 
     def test_wrong_character_exits_3(self, capsys, monkeypatch):
-        real = cli.class_character
-        monkeypatch.setattr(cli, "class_character", lambda k, t: real(k, t) + (1 if t == 3 else 0))
+        real = permgroup.class_character
+        monkeypatch.setattr(permgroup, "class_character",
+                            lambda k, t: real(k, t) + (1 if t == 3 else 0))
         rc = main(["classchars", "--two-j-max", "5"])
         out, err = capsys.readouterr()
         assert rc == 3

@@ -1,5 +1,6 @@
 """The exact-table commands run on the integer core: only the commands that
-build arrays load numpy."""
+build arrays load numpy, and each command loads only the library modules it
+runs."""
 
 import importlib
 import os
@@ -42,14 +43,14 @@ REMOVED = {
 }
 
 
-def loaded_modules(argv: list[str]) -> set[str]:
+def loaded_modules(argv: list[str], exit_code: int = 0) -> set[str]:
     """The modules loaded after cli.main(argv) in a fresh interpreter, which
-    must exit 0."""
+    must exit with `exit_code`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
     code, *loaded = out.stderr.splitlines()[-1].split()
-    assert code == "0", out.stderr
+    assert code == str(exit_code), out.stderr
     return set(loaded)
 
 
@@ -63,10 +64,22 @@ def test_array_commands_load_numpy(argv):
     assert "numpy" in loaded_modules(argv)
 
 
-def test_version_loads_no_operator_module():
-    # the SU(2) operators serve modes, classchars and verify only
-    loaded = loaded_modules(["--version"])
-    assert not loaded & {"simplexmodes.weylaction", "simplexmodes.su2wigner"}
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(["--version"], 0, id="--version"),
+    pytest.param(["modes", "--two-j", "99"], 2, id="modes --two-j 99"),
+])
+def test_start_up_loads_no_library_module(argv, exit_code):
+    # answered before any command runs
+    loaded = loaded_modules(argv, exit_code)
+    package = {m for m in loaded if m.startswith("simplexmodes.")}
+    assert package == {"simplexmodes.cli", "simplexmodes.report"}
+    assert not loaded & {"dataclasses", "csv"}
+
+
+@pytest.mark.parametrize("argv", [["chartable", "--n", "5"], ["branch", "--n", "5"],
+                                  ["classchars", "--two-j-max", "60"]], ids=" ".join)
+def test_character_commands_do_not_load_reduction(argv):
+    assert "simplexmodes.reduction" not in loaded_modules(argv)
 
 
 def test_every_export_resolves():
