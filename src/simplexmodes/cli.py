@@ -73,11 +73,25 @@ def report_document(command: str, parameters: dict, payload: dict,
     }
 
 
+def _json_text(doc: dict) -> str:
+    """json.dumps(_round_floats(doc), sort_keys=True, indent=1), but a finite payload.coefficients
+    (depth 2) is written from .tolist() directly: with indent, json encodes in pure Python."""
+    coeffs = doc["payload"].get("coefficients")
+    if not getattr(coeffs, "size", 0) or not math.isfinite(abs(coeffs).max()):
+        return json.dumps(_round_floats(doc), sort_keys=True, indent=1)
+    rest = {**doc, "payload": {**doc["payload"], "coefficients": "\0"}}
+    head, tail = json.dumps(_round_floats(rest), sort_keys=True, indent=1).split('"\\u0000"')
+    rows = (",\n    ".join(f"[\n     {float(format(c.real, '.15g'))!r},\n     "
+                             f"{float(format(c.imag, '.15g'))!r}\n    ]" for c in row)
+            for row in coeffs.tolist())
+    return head + "[\n   [\n    " + "\n   ],\n   [\n    ".join(rows) + "\n   ]\n  ]" + tail
+
+
 def _emit(doc: dict, args) -> None:
     if getattr(args, "format", "json") == "csv":
         text = _table_csv(doc["payload"])
     else:
-        text = json.dumps(_round_floats(doc), sort_keys=True, indent=1) + "\n"
+        text = _json_text(doc) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -11,6 +11,8 @@ integer spectra are read one way, by youngrep.integer_eigenspaces.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -191,20 +193,28 @@ def young_ranks(two_j: int) -> dict[Partition, int]:
     return out
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Complex array from its parts, signs of zeros included."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def _sample_pairs(num_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z1, z2) of N uniform points of S^3: normalized 4-dimensional
-    Gaussian draws x of a seeded generator, z1 = x0 - i x3, z2 = -x2 - i x1."""
-    x = np.random.default_rng(seed).normal(size=(num_points, 4))
-    # each row's squared norm by the same BLAS dot as np.linalg.norm(row)
-    x = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
-    return _complex(x[:, 0], -x[:, 3]), _complex(-x[:, 2], -x[:, 1])
+    """(z1, z2) = (x0 - i x3, -x2 - i x1) of N uniform points x of S^3, drawn
+    by Marsaglia's method (Ann. Math. Statist. 43 (1972) 645) from
+    random.Random(seed): points (a, b) and (c, d) of the open unit disc with
+    squared radii s and t give x = (a, b, c k, d k), k = sqrt((1 - s) / t).
+    random() keeps its stream for a seed and the method uses only +, -, *, /
+    and sqrt, so a seed gives the same points on every platform."""
+    rand = random.Random(seed).random
+
+    def disc() -> tuple[float, float, float]:
+        while True:
+            a, b = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
+            if 0.0 < (s := a * a + b * b) < 1.0:
+                return a, b, s
+
+    z1, z2 = [], []
+    for _ in range(num_points):
+        (a, b, s), (c, d, t) = disc(), disc()
+        k = math.sqrt((1.0 - s) / t)
+        z1.append(complex(a, -d * k))
+        z2.append(complex(-c * k, -b))
+    return np.array(z1, dtype=complex), np.array(z2, dtype=complex)
 
 
 #: points x matrix entries per Wigner call of verify_invariance; bounds the

@@ -52,7 +52,7 @@ class SamplePoint:
 
 def sample_points(num_points: int, seed: int) -> list[SamplePoint]:
     """The sample of verify_invariance as SU(2) elements: uniform points of
-    S^3 from normalized 4-dimensional Gaussian draws of a seeded generator."""
+    S^3 drawn by Marsaglia's method from random.Random(seed)."""
     return [
         SamplePoint(SU2Element(complex(z1), complex(z2)), seed, i)
         for i, (z1, z2) in enumerate(zip(*_sample_pairs(num_points, seed)))

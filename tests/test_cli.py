@@ -227,6 +227,20 @@ class TestModes:
         assert MAX_TWO_J_MODES == 24 and doc["payload"]["count"] == 125
         assert len(doc["payload"]["coefficients"][0]) == 625
 
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 7, 12, 24])
+    def test_coefficient_writer_matches_json(self, capsys, monkeypatch, tmp_path, two_j):
+        # 2j = 1 has no periodic mode: an empty matrix
+        docs, real = [], cli.cmd_modes
+        monkeypatch.setattr(cli, "cmd_modes", lambda args: docs.append(real(args)) or docs[-1])
+        argv = ["modes", "--two-j", str(two_j), "--verify-points", "5"]
+        rc, out = run(capsys, *argv)
+        target = tmp_path / "modes.json"
+        assert rc == 0 and main([*argv, "--output", str(target)]) == 0
+        for doc, text in zip(docs, (out, target.read_text())):
+            assert text == json.dumps(cli._round_floats(doc), sort_keys=True, indent=1) + "\n"
+        assert len(docs) == 2
+        assert (docs[0]["payload"]["coefficients"].size == 0) == (two_j == 1)
+
     def test_failed_check_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(modes, "verify_invariance", lambda *args: 1.0)
         rc = main(["modes", "--two-j", "2"])

@@ -2,6 +2,7 @@
 build arrays load numpy, and each command loads only the library modules it
 runs."""
 
+import functools
 import importlib
 import os
 import subprocess
@@ -62,6 +63,21 @@ def test_table_commands_do_not_load_numpy(argv):
 @pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
 def test_array_commands_load_numpy(argv):
     assert "numpy" in loaded_modules(argv)
+
+
+@functools.cache
+def loaded_by_numpy() -> frozenset[str]:
+    """The modules that `import numpy` alone loads in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", "import sys, numpy; print(*sys.modules)"],
+                         capture_output=True, text=True, check=True)
+    return frozenset(out.stdout.split())
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS + ARRAY_COMMANDS, ids=" ".join)
+def test_no_command_loads_numpy_random(argv):
+    # the `modes` sample comes from the standard library; numpy before 2.0
+    # loads numpy.random with numpy itself, numpy 2 on first use
+    assert "numpy.random" not in loaded_modules(argv) - loaded_by_numpy()
 
 
 @pytest.mark.parametrize("argv, exit_code", [

@@ -402,13 +402,30 @@ class TestInvariance:
     def test_sample_stream_is_pinned(self):
         got = list(zip(*modes._sample_pairs(3, 20080514)))
         assert got == [
-            (complex(-0.27766946726402253, -0.3838068813463759),
-             complex(0.6610041258354584, 0.5819497318574725)),
-            (complex(0.07695470468035252, 0.8697153743190731),
-             complex(-0.1263948718614057, -0.4708476159732926)),
-            (complex(0.4594141428528585, 0.8349700178629023),
-             complex(-0.01387498426919066, 0.30260733538420354)),
+            (complex(0.870512723359631, -0.1464540615030332),
+             complex(0.19608892925042767, -0.4269753367159339)),
+            (complex(0.008174418098647607, 0.9255239453131905),
+             complex(0.37597324200423243, -0.04452782093794738)),
+            (complex(-0.10977155229698332, -0.1311447653339818),
+             complex(0.9772335913581744, 0.12556179655058353)),
         ]
+
+    def test_sampled_pairs_are_unit_pairs(self):
+        z1, z2 = modes._sample_pairs(1000, 3)
+        assert z1.dtype == z2.dtype == complex
+        assert np.abs(np.abs(z1) ** 2 + np.abs(z2) ** 2 - 1.0).max() < 1e-15
+
+    def test_sample_moments_are_uniform(self):
+        # uniform on S^3: E[x_i] = 0, E[x_i^2] = 1/4 and E[x_i x_k] = 0 (i != k),
+        # each sample mean within 5 standard errors
+        n = 20000
+        z1, z2 = modes._sample_pairs(n, 11)
+        x = np.stack([z1.real, -z2.imag, -z2.real, -z1.imag], axis=1)
+        moments = [x[:, i] for i in range(4)]
+        moments += [x[:, i] ** 2 - 0.25 for i in range(4)]
+        moments += [x[:, i] * x[:, k] for i in range(4) for k in range(i + 1, 4)]
+        for m in moments:
+            assert abs(m.mean()) < 5 * m.std() / np.sqrt(n)
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_no_samples_raises(self, points):
@@ -423,7 +440,7 @@ class TestInvariance:
             rng = np.random.default_rng(6)
             shape = (basis.coefficients.shape[0], 3)
             basis = ModeBasis(two_j, rng.normal(size=shape) + 0j, (None,) * 3)
-        block, seed = block_points(two_j), 47
+        block, seed = block_points(two_j), 167
         pointwise = []
         for sample in sample_points(block + 1, seed):
             here = evaluate_modes(basis, sample.u)
