@@ -30,10 +30,10 @@ _HOMES = {
         "act_on_points class_character_table class_representatives compose "
         "diagonal_factors operator_character operator_factors permutation_operator "
         "reflection_operator transposition_operators weyl_vectors_s5",
-        "reduction": "MultiplicityTable O2Label O3Label RecursionReport multiplicity_o3_s4 "
-        "multiplicity_o4_s5 o2_multiplicity_table o2_reduce o3_multiplicity_table "
-        "lattice_count_o4 o4_multiplicity_table periodic_count_o4 recursion_report",
-        "modes": "ModeBasis lower_dim_modes periodic_basis verify_invariance young_ranks",
+        "reduction": "MultiplicityTable O2Label O3Label multiplicity_o3_s4 multiplicity_o4_s5 "
+        "o2_multiplicity_table o2_reduce o3_multiplicity_table lattice_count_o4 "
+        "o4_multiplicity_table periodic_count_o4",
+        "modes": "ModeBasis periodic_basis verify_invariance young_ranks",
     }.items()
     for name in names.split()
 }

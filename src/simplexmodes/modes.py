@@ -1,4 +1,4 @@
-"""Explicit cyclic-periodic eigenmode bases on the covering spheres.
+"""Explicit cyclic-periodic eigenmode bases on S^3.
 
 The primary construction spans the periodic modes by the lattice of harmonics
 that the deck generator fixes in its diagonal frame, and tags them by the
@@ -22,16 +22,7 @@ import numpy as np
 from .permgroup import (
     ConsistencyError, Partition, Permutation, coxeter_element, trivial_multiplicity,
 )
-from .reduction import (
-    S4_PARTITION_ORDER,
-    S5_PARTITION_ORDER,
-    O2Label,
-    O3Label,
-    multiplicity_o3_s4,
-    multiplicity_o4_s5,
-    lattice_count_o4,
-    o2_reduce,
-)
+from .reduction import S5_PARTITION_ORDER, lattice_count_o4, multiplicity_o4_s5
 from .su2wigner import wigner_rows
 from .weylaction import (
     GroupOperator,
@@ -44,9 +35,7 @@ from .weylaction import (
     permutation_operator,
     transposition_operators,
 )
-from .youngrep import (
-    SPECTRUM_TOL, canonical_phases, fixed_subspace, integer_eigenspaces, standard_tableaux,
-)
+from .youngrep import SPECTRUM_TOL, canonical_phases, integer_eigenspaces, standard_tableaux
 
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
 PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
@@ -249,34 +238,3 @@ def verify_invariance(basis: ModeBasis, num_points: int, seed: int) -> float:
             if here.size:
                 worst = max(worst, float(np.abs(there - here).max()))
     return worst
-
-
-# ------------------------------------------------------- lower-dimensional
-
-@dataclass(frozen=True)
-class ModeComponent:
-    partition: Partition
-    coefficients: tuple[float, ...]
-    basis: str
-
-
-def lower_dim_modes(label: O2Label | O3Label) -> tuple[ModeComponent, ...]:
-    """Periodic modes of an O(2) label on the circle or of an O(3) label on
-    the 2-sphere; empty when the selection rule excludes the label."""
-    if isinstance(label, O2Label):
-        f, m0 = o2_reduce(label)
-        if m0 == 0:
-            return ()
-        if label.m == 0:
-            return (ModeComponent(f, (1.0,), "Y_0"),)
-        amp = 1.0 / np.sqrt(2.0)
-        pair = (amp, label.epsilon * (-1.0) ** label.m * amp)
-        return (ModeComponent(f, pair, f"(Y_{label.m}, Y_-{label.m})"),)
-    if isinstance(label, O3Label):
-        return tuple(
-            ModeComponent(f, tuple(float(v) for v in vec), "young-yamanouchi")
-            for f in S4_PARTITION_ORDER
-            if multiplicity_o3_s4(label, f) and trivial_multiplicity(f)
-            for vec in fixed_subspace(f).T
-        )
-    raise ValueError(f"expected an O2Label or O3Label, got {label!r}")

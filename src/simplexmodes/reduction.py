@@ -11,17 +11,16 @@ in it as often as its conjugate partition f' occurs in the harmonics.  A
 character sum that the group order does not divide raises ConsistencyError.
 `table_checks` audits every row against the one dimension formula
 dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
-d+n-4 < 0.
+d+n-4 < 0, and the increment of every row over the period lcm(1..n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .permgroup import (
-    CLASS_ORDER_S5,
     CycleType,
     Partition,
     character,
@@ -66,6 +65,35 @@ def _audit(entries, parts) -> int:
     n, dims = parts[0].n, [f.dimension for f in parts]
     return max((abs(sum(m * w for m, w in zip(row, dims)) - harmonic_dimension(n, d))
                 for d, row in enumerate(entries)), default=0)
+
+
+def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
+    """The period P = lcm(1..n) and, for each f in `parts`, the slope and
+    intercept in d of m_f(d+P) - m_f(d), a quasi-polynomial by Molien
+    (Stanley, Bull. AMS 1 (1979) 475).  A class with c cycles has a pole of
+    order c - 2 at t = 1 and, for n <= 5, at most simple poles elsewhere, at
+    roots of unity whose orders divide P.  So only the classes with at least
+    four cycles add to the increment, each chi(d+P) - chi(d), of degree
+    c - 4 <= 1 in d: read off at d = 0 and 1."""
+    n = parts[0].n
+    period = math.lcm(*range(1, n + 1))
+    at = [[exact_quotient(sum(w * (class_character(k, d + period) - class_character(k, d))
+                              for w, k in zip(_class_weights(f), _classes(n))
+                              if len(k.parts) >= 4),
+                          math.factorial(n), "increment of m(%s) at degree %d", f, d)
+           for f in parts] for d in (0, 1)]
+    return period, [(at1 - at0, at0) for at0, at1 in zip(*at)]
+
+
+def _increment(entries, parts) -> tuple[int, int]:
+    """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over the
+    rows d = 0, 1, ...; the min(P, rows) rows past the table are computed."""
+    period, rule = _increment_rule(parts)
+    rows = len(entries)
+    ahead = [*entries[period:], *(_row(d, parts) for d in range(max(period, rows), rows + period))]
+    return period, max(abs(b - a - slope * d - icpt)
+                       for d, (row, later) in enumerate(zip(entries, ahead))
+                       for a, b, (slope, icpt) in zip(row, later, rule))
 
 
 # ---------------------------------------------------------------- O(2) chain
@@ -254,18 +282,25 @@ def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     return _degree_table("o4s5c5", two_j_max, S5_PARTITION_ORDER, str, totals=True)
 
 
-#: the dimension rule that each audited chain reports
-_AUDIT_RULES = {"o3s4c4": "sum dim(f)*m = 2l+1", "o4s5c5": "sum dim(f)*m = (2j+1)^2"}
+#: the dimension rule and the degree-increment rule that each degree chain reports
+_RULES = {
+    "o3s4c4": ("sum dim(f)*m = 2l+1", "m_f(l+12) - m_f(l) = dim f"),
+    "o4s5c5": ("sum dim(f)*m = (2j+1)^2",
+               "m_f(2j+60) - m_f(2j) = (2j+31) dim f + 5 chi_f((2)(1)^3)"),
+}
 
 
 def table_checks(table: MultiplicityTable) -> list[dict]:
     """The exact checks of one `reduce` table, each passing at residual 0:
-    the dimension audit of the degree chains, periodic = sum_f m_f w_f on
-    every chain, and the lattice count on O(4)."""
+    the dimension audit and the degree increment of the degree chains,
+    periodic = sum_f m_f w_f on every chain, and the lattice count on O(4)."""
     checks = []
-    if table.chain in _AUDIT_RULES:
+    if table.chain in _RULES:
+        audit_rule, increment_rule = _RULES[table.chain]
         checks.append(check("dimension_audit", _audit(table.entries, table.partitions), 0,
-                            detail=_AUDIT_RULES[table.chain]))
+                            detail=audit_rule))
+        period, residual = _increment(table.entries, table.partitions)
+        checks.append(check(f"degree_{period}_increment", residual, 0, detail=increment_rule))
     weights = [trivial_multiplicity(f) for f in table.partitions]
     weighted = max(abs(n - sum(w * m for w, m in zip(weights, row)))
                    for n, row in zip(table.periodic, table.entries))
@@ -275,58 +310,3 @@ def table_checks(table: MultiplicityTable) -> list[dict]:
         checks.append(check("periodic_equals_lattice_count", lattice, 0,
                             detail="#{(a, b) in {-2j, -2j+2, .., 2j}^2 : 3a + b = 0 mod 10}"))
     return checks
-
-
-# ---------------------------------------------------------------- recursion
-
-#: the S(5) classes with at most three cycles: their Molien series has at
-#: most a simple pole at t = 1, so their characters are bounded in 2j
-PERIODIC_CLASSES = tuple(k for k in CLASS_ORDER_S5 if len(k.parts) <= 3)
-
-
-@dataclass(frozen=True)
-class PartitionRecursion:
-    """Measured degree-60 multiplicity increments for one partition,
-    compared with the claimed rule delta = 2j + 36."""
-
-    partition: Partition
-    samples: tuple[tuple[int, int, int], ...]  # (2j, measured, claimed)
-
-    @property
-    def claim_holds(self) -> bool:
-        return all(m == c for _, m, c in self.samples)
-
-
-@dataclass(frozen=True)
-class RecursionReport:
-    two_j_max: int
-    character_period_deviation: dict[str, int] = field(repr=False)
-    partitions: tuple[PartitionRecursion, ...] = ()
-    dimension_audit_ok: bool = True
-
-    @property
-    def characters_periodic(self) -> bool:
-        return not any(self.character_period_deviation.values())
-
-
-def recursion_report(two_j_max: int) -> RecursionReport:
-    """Verify the period-60 character identity for the five eligible
-    classes and measure the actual degree-60 increment of every partition
-    multiplicity, rather than assuming the claimed closed form.
-
-    A class's deviation is the largest |chi(2j+60) - chi(2j)| over
-    2j = 0..two_j_max-60, in exact integers."""
-    if two_j_max < 60:
-        raise ValueError("need two_j_max >= 60 to compare degrees 2j and 2j+60")
-    starts = range(two_j_max - 60 + 1)
-    deviations = {
-        str(k): max(abs(class_character(k, t + 60) - class_character(k, t)) for t in starts)
-        for k in PERIODIC_CLASSES
-    }
-    rows = [_row(t, S5_PARTITION_ORDER) for t in range(two_j_max + 1)]
-    partitions = tuple(
-        PartitionRecursion(f, tuple((t, rows[t + 60][i] - rows[t][i], t + 36) for t in starts))
-        for i, f in enumerate(S5_PARTITION_ORDER)
-    )
-    audit_ok = _audit(rows, S5_PARTITION_ORDER) == 0
-    return RecursionReport(two_j_max, deviations, partitions, audit_ok)

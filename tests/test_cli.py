@@ -133,13 +133,50 @@ class TestReduce:
             reduction, "class_character",
             lambda k, t: exact(k, t) + (120 if k == CycleType((1,) * 5) and t == 3 else 0),
         )
+        # and m_f(63) - m_f(3) falls dim(f) short of the rule, at most 6
         rc = main(["reduce", "--chain", "o4s5c5", "--max", "5"])
         out, err = capsys.readouterr()
         assert rc == 3
-        assert err == "verification failed: dimension_audit, periodic_equals_lattice_count\n"
+        assert err == ("verification failed: dimension_audit, degree_60_increment, "
+                       "periodic_equals_lattice_count\n")
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert [(c["name"], c["residual"]) for c in failed] == [
-            ("dimension_audit", 120), ("periodic_equals_lattice_count", 24)]
+            ("dimension_audit", 120), ("degree_60_increment", 6),
+            ("periodic_equals_lattice_count", 24)]
+
+    @pytest.mark.parametrize("chain, name, detail", [
+        ("o3s4c4", "degree_12_increment", "m_f(l+12) - m_f(l) = dim f"),
+        ("o4s5c5", "degree_60_increment",
+         "m_f(2j+60) - m_f(2j) = (2j+31) dim f + 5 chi_f((2)(1)^3)"),
+    ], ids=["o3s4c4", "o4s5c5"])
+    @pytest.mark.parametrize("top", [0, 10, 200, MAX_ROWS])
+    def test_degree_increment_check(self, capsys, chain, name, detail, top):
+        # rows past --max are computed, so --max 0 still compares one pair
+        rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", str(top))
+        assert rc == 0
+        increment = next(c for c in doc["checks"] if c["name"] == name)
+        assert increment == {"name": name, "passed": True, "residual": 0, "tolerance": 0,
+                             "detail": detail}
+
+    def test_broken_period_fails_the_increment(self, capsys, monkeypatch):
+        # the (5) character at 2j = 61 off by 5 moves m_f(61) by chi_f((5)):
+        # the increment from 2j = 1 misses its rule by 1, in either format,
+        # and the periodic count by sum_f w_f chi_f((5)) = 4
+        exact = reduction.class_character
+        monkeypatch.setattr(
+            reduction, "class_character",
+            lambda k, t: exact(k, t) + (5 if (k, t) == (CycleType((5,)), 61) else 0),
+        )
+        rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "61")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("degree_60_increment", 1), ("periodic_equals_lattice_count", 4)]
+        rc = main(["reduce", "--chain", "o4s5c5", "--max", "61", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert err == ("verification failed: degree_60_increment, "
+                       "periodic_equals_lattice_count\n")
+        assert out.startswith("label,[5],")
 
     def test_o4_lattice_count_check(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "300")

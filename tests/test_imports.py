@@ -1,9 +1,12 @@
 """The exact-table commands run on the integer core: only the commands that
 build arrays load numpy, and each command loads only the library modules it
-runs."""
+runs.  Every exported function is reached by some command, or is a named
+reference route."""
 
 import functools
 import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -32,16 +35,68 @@ TABLE_COMMANDS = [
 ]
 ARRAY_COMMANDS = [["modes", "--two-j", "2"], ["verify", "--all"]]
 
-#: names that left the library, by their former module: test-only oracles and
-#: wrappers of a value the caller already holds
+#: names that left the library, by their former module: test-only oracles,
+#: wrappers of a value the caller already holds, and routes no command reached
 REMOVED = {
     "permgroup": ("cyclic_character", "cycle_type"),
     "youngrep": ("FixedSubspace", "ReprMatrix"),
     "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
     "weylaction": ("act_on_point", "operator_matrix"),
-    "modes": ("ModeDescription", "SamplePoint", "cyclic_projector", "evaluate_modes",
-              "sample_points", "young_rank"),
+    "reduction": ("PERIODIC_CLASSES", "PartitionRecursion", "RecursionReport",
+                  "recursion_report"),
+    "modes": ("ModeComponent", "ModeDescription", "SamplePoint", "cyclic_projector",
+              "evaluate_modes", "lower_dim_modes", "sample_points", "young_rank"),
 }
+
+#: every command's code paths: each table, every chain in both formats, both
+#: ends of `modes` and the golden gate with and without its fault
+REACH_COMMANDS = [
+    *(["chartable", "--n", n] for n in "345"),
+    *(["branch", "--n", n] for n in "345"),
+    *(["reduce", "--chain", chain, "--max", "20", "--format", fmt]
+      for chain in ("o2s3c3", "o3s4c4", "o4s5c5") for fmt in ("json", "csv")),
+    ["classchars", "--two-j-max", "60"],
+    ["modes", "--two-j", "0"],
+    ["modes", "--two-j", "4"],
+    ["verify", "--all"],
+    ["verify", "--all", "--inject-fault", "o4:10:5"],
+]
+
+#: exported functions that no command calls: the reference routes that the
+#: tests compare the commands against
+UNREACHED = {
+    # the Young-operator ranks, a route to the multiplicities without characters
+    "young_ranks",
+    # the standard tableaux of f, which only young_ranks walks
+    "standard_tableaux",
+    # one O(3) entry of either parity kappa; the table holds kappa = (-1)^l
+    "multiplicity_o3_s4",
+    # one degree of the o4s5c5 table's periodic column
+    "periodic_count_o4",
+}
+
+#: runs the commands of argv[1] (JSON) in one interpreter under sys.setprofile
+#: and prints their exit codes and the package functions they called
+REACH_PROBE = """
+import json, sys
+from simplexmodes import cli
+
+called = set()
+
+def profile(frame, event, arg):
+    module = frame.f_globals.get("__name__", "")
+    if event == "call" and module.startswith("simplexmodes."):
+        called.add((module, frame.f_code.co_name, frame.f_code.co_firstlineno))
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.setprofile(profile)
+    try:
+        codes.append(cli.main(argv))
+    finally:
+        sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(called)}), file=sys.stderr)
+"""
 
 
 def loaded_modules(argv: list[str], exit_code: int = 0) -> set[str]:
@@ -115,3 +170,22 @@ def test_oracles_are_not_library_api():
             assert name not in simplexmodes.__all__ and not hasattr(home, name), name
     # kept in weylaction for the benchmark trace, but not exported
     assert "operator_matrices" not in simplexmodes.__all__
+
+
+def test_every_exported_function_runs_under_a_command():
+    # in a fresh interpreter, so that no cache filled by another test hides a call
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", REACH_PROBE, json.dumps(REACH_COMMANDS)],
+                         env=env, capture_output=True, text=True, check=True)
+    reach = json.loads(out.stderr.splitlines()[-1])
+    assert reach["codes"] == [0] * (len(REACH_COMMANDS) - 1) + [3]
+    called = {tuple(key) for key in reach["called"]}
+    unreached = set()
+    for name in simplexmodes.__all__:
+        value = getattr(simplexmodes, name)
+        if isinstance(value, type):  # data types are exempt
+            continue
+        code = inspect.unwrap(value).__code__
+        if (value.__module__, code.co_name, code.co_firstlineno) not in called:
+            unreached.add(name)
+    assert unreached == UNREACHED

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from simplexmodes.modes import (
     ModeBasis,
     block_points,
     cyclic_operators,
-    lower_dim_modes,
     periodic_basis,
     verify_invariance,
     young_ranks,
@@ -26,11 +24,7 @@ from simplexmodes.permgroup import (
 )
 from simplexmodes.reduction import (
     S5_PARTITION_ORDER,
-    O2Label,
-    O3Label,
     multiplicity_o4_s5,
-    o2_multiplicity_table,
-    o3_multiplicity_table,
     periodic_count_o4,
 )
 from simplexmodes.weylaction import (
@@ -465,42 +459,3 @@ class TestInvariance:
         monkeypatch.setattr(modes, "wigner_rows", lambda *a: calls.append(1) or real(*a))
         verify_invariance(basis, 2 * block_points(two_j) + 1, 5)  # three blocks
         assert len(calls) == 3 * 5
-
-
-class TestLowerDimensionalModes:
-    def test_circle_allowed(self):
-        (comp,) = lower_dim_modes(O2Label(3, 1))
-        assert comp.partition == Partition.of(3)
-        amp = 1 / math.sqrt(2)
-        assert np.allclose(comp.coefficients, (amp, -amp))
-
-    def test_circle_constant(self):
-        (comp,) = lower_dim_modes(O2Label(0))
-        assert comp.coefficients == (1.0,)
-
-    def test_circle_excluded(self):
-        assert lower_dim_modes(O2Label(2, 1)) == ()
-
-    def test_sphere_excluded(self):
-        assert lower_dim_modes(O3Label(1, -1)) == ()
-
-    def test_sphere_allowed(self):
-        comps = lower_dim_modes(O3Label(3, -1))
-        partitions = sorted(str(c.partition) for c in comps)
-        assert partitions == ["[211]", "[4]"]
-        vec = next(c.coefficients for c in comps if c.partition == Partition.of(2, 1, 1))
-        want = (math.sqrt(1 / 2), math.sqrt(1 / 6), math.sqrt(1 / 3))
-        assert np.allclose(vec, want)
-
-    def test_selection_rule_matches_the_tables(self):
-        circle = [O2Label(0)] + [O2Label(m, e) for m in range(1, 31) for e in (1, -1)]
-        sphere = [O3Label(l, (-1) ** l) for l in range(41)]
-        for labels, table in ((circle, o2_multiplicity_table(30)),
-                              (sphere, o3_multiplicity_table(40))):
-            assert len(labels) == len(table.periodic)
-            for label, periodic in zip(labels, table.periodic):
-                assert bool(lower_dim_modes(label)) == (periodic > 0), label
-
-    def test_label_type_guard(self):
-        with pytest.raises(ValueError, match="O2Label or O3Label"):
-            lower_dim_modes((1, -1))

@@ -39,7 +39,6 @@ from simplexmodes.reduction import (
     lattice_count_o4,
     o4_multiplicity_table,
     periodic_count_o4,
-    recursion_report,
     table_checks,
 )
 
@@ -202,42 +201,66 @@ class TestThreeSphereChain:
 
 
 class TestRecursionReport:
-    def test_needs_sixty(self):
-        with pytest.raises(ValueError):
-            recursion_report(59)
+    """The degree-60 recursion m_f(2j+60) = m_f(2j) + rule_f(2j), which
+    `reduce --chain o4s5c5` reports as the check degree_60_increment."""
+
+    def test_needs_sixty(self, monkeypatch):
+        # each row d is compared with row d + 60: min(60, rows) rows past the
+        # table are computed, so a one-row table still compares one pair
+        computed = []
+        row = reduction._row
+        monkeypatch.setattr(reduction, "_row",
+                            lambda d, parts: computed.append(d) or row(d, parts))
+        for top, past in ((0, [60]), (10, list(range(60, 71))), (80, list(range(81, 141)))):
+            table = o4_multiplicity_table(top)
+            computed.clear()
+            increment = next(c for c in table_checks(table) if c["name"] == "degree_60_increment")
+            assert computed == past and increment["passed"] and increment["residual"] == 0
 
     def test_character_periodicity(self):
-        report = recursion_report(60)
-        assert report.characters_periodic
-        assert max(report.character_period_deviation.values()) < 1e-8
-        assert report.dimension_audit_ok
+        # the classes with at most three cycles repeat with period 60 and
+        # drop out of the rule; the dimension audit holds on the same rows
+        bounded = [k for k in CLASS_ORDER_S5 if len(k.parts) <= 3]
+        assert len(bounded) == 5
+        for k in bounded:
+            assert all(class_character(k, t + 60) == class_character(k, t) for t in range(121))
+        checks = {c["name"]: c for c in table_checks(o4_multiplicity_table(120))}
+        assert checks["dimension_audit"]["residual"] == 0
+        assert checks["degree_60_increment"]["residual"] == 0
 
     def test_claimed_rule_only_for_trivial_partition(self):
-        report = recursion_report(62)
-        holds = {str(p.partition): p.claim_holds for p in report.partitions}
-        assert holds["[5]"] is True
-        for name in ("[41]", "[2111]", "[32]", "[221]", "[311]", "[11111]"):
-            assert holds[name] is False
+        # the rule delta = 2j + 36 is the [5] case of the derived rule
+        period, rule = reduction._increment_rule(S5_PARTITION_ORDER)
+        holds = {str(f): r == (1, 36) for f, r in zip(S5_PARTITION_ORDER, rule)}
+        assert period == 60 and holds.pop("[5]") is True
+        assert set(holds) == {"[41]", "[2111]", "[32]", "[221]", "[311]", "[11111]"}
+        assert not any(holds.values())
 
     def test_measured_increments(self):
-        report = recursion_report(61)
-        measured = {
-            str(p.partition): [(t, m) for t, m, _ in p.samples]
-            for p in report.partitions
-        }
-        assert measured["[5]"] == [(0, 36), (1, 37)]
-        assert measured["[41]"] == [(0, 134), (1, 138)]
-        assert measured["[311]"] == [(0, 186), (1, 192)]
-        assert measured["[11111]"] == [(0, 26), (1, 27)]
+        # slope dim f, intercept 31 dim f + 5 chi_f((2)(1)^3), and the
+        # measured increments at 2j = 0 and 1
+        period, rule = reduction._increment_rule(S5_PARTITION_ORDER)
+        assert [icpt for _, icpt in rule] == [36, 26, 134, 114, 160, 150, 186]
+        assert [slope for slope, _ in rule] == [f.dimension for f in S5_PARTITION_ORDER]
+        for f, (slope, icpt) in zip(S5_PARTITION_ORDER, rule):
+            assert icpt == 31 * f.dimension + 5 * character(f, TRANSPOSITION)
+            for t in (0, 1):
+                measured = multiplicity_o4_s5(t + 60, f) - multiplicity_o4_s5(t, f)
+                assert measured == slope * t + icpt, (f, t)
+        # O(3) > S(4): period 12, slope 0, intercept dim f
+        period, rule = reduction._increment_rule(S4_PARTITION_ORDER)
+        assert period == 12 and rule == [(0, f.dimension) for f in S4_PARTITION_ORDER]
 
     def test_increment_budget(self):
         # summed against dimensions the increments must account for the
         # growth of the harmonic space
-        report = recursion_report(60)
-        total = sum(
-            p.partition.dimension * p.samples[0][1] for p in report.partitions
-        )
-        assert total == 61**2 - 1**2
+        _, rule = reduction._increment_rule(S5_PARTITION_ORDER)
+        for t in (0, 1, 59, 1000):
+            total = sum(f.dimension * (slope * t + icpt)
+                        for f, (slope, icpt) in zip(S5_PARTITION_ORDER, rule))
+            assert total == (t + 61) ** 2 - (t + 1) ** 2
+        _, rule = reduction._increment_rule(S4_PARTITION_ORDER)
+        assert sum(f.dimension * icpt for f, (_, icpt) in zip(S4_PARTITION_ORDER, rule)) == 24
 
 
 class TestEverySimplexDimension:
@@ -395,15 +418,16 @@ class TestExactDivision:
             multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))
 
     def test_deviation_is_the_tabulation_margin(self, monkeypatch):
-        # a character that breaks period 60 shows as its exact deviation; 24
-        # times 5 keeps every character sum divisible by 120
+        # a character that breaks period 60 shows in the degree-60 increment
+        # as its exact deviation; 24 times 5 keeps every character sum
+        # divisible by 120
         exact = reduction.class_character
         monkeypatch.setattr(
             reduction, "class_character",
             lambda k, t: exact(k, t) + (5 if (k, t) == (CycleType((5,)), 61) else 0),
         )
-        report = recursion_report(61)
-        assert report.character_period_deviation == {
-            "(3)(1)^2": 0, "(2)^2(1)": 0, "(3)(2)": 0, "(4)(1)": 0, "(5)": 5,
-        }
-        assert not report.characters_periodic
+        checks = {c["name"]: c for c in table_checks(o4_multiplicity_table(61))}
+        # m_f(61) moves by chi_f((5)), at most 1, and the rule is unchanged
+        assert checks["degree_60_increment"]["residual"] == 1
+        assert not checks["degree_60_increment"]["passed"]
+        assert checks["dimension_audit"]["residual"] == 0
