@@ -24,16 +24,15 @@ _HOMES = {
         "character character_table class_character coxeter_element cyclic_elements "
         "full_cycle partitions_of trivial_multiplicity",
         "youngrep": "StandardTableau fixed_subspace generator_matrix primed_rep_matrix "
-        "rep_matrix standard_tableaux tetrahedral_primed_generators trivial_projector",
+        "rep_matrix tetrahedral_primed_generators trivial_projector",
         "su2wigner": "Point4 SU2Element su2_character su2_from_point wigner_rows",
         "weylaction": "ClassCharacterRow GroupOperator WeylVector act_on_coefficients "
         "act_on_points class_character_table class_representatives compose "
         "diagonal_factors operator_character operator_factors permutation_operator "
         "reflection_operator transposition_operators weyl_vectors_s5",
-        "reduction": "MultiplicityTable O2Label O3Label multiplicity_o3_s4 multiplicity_o4_s5 "
-        "o2_multiplicity_table o2_reduce o3_multiplicity_table lattice_count_o4 "
-        "o4_multiplicity_table periodic_count_o4",
-        "modes": "ModeBasis periodic_basis verify_invariance young_ranks",
+        "reduction": "MultiplicityTable O2Label o2_multiplicity_table o2_reduce "
+        "o3_multiplicity_table lattice_count_o4 o4_multiplicity_table",
+        "modes": "ModeBasis periodic_basis verify_invariance",
     }.items()
     for name in names.split()
 }

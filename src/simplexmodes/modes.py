@@ -1,11 +1,10 @@
 """Explicit cyclic-periodic eigenmode bases on S^3.
 
-The primary construction spans the periodic modes by the lattice of harmonics
-that the deck generator fixes in its diagonal frame, and tags them by the
-integer spectrum of the central transposition sum.  The Jucys-Murphy sums give
-an independent route to the multiplicities: their joint eigenspaces, one per
-standard tableau, have the dimensions that character theory predicts.  Both
-integer spectra are read one way, by youngrep.integer_eigenspaces.
+The construction spans the periodic modes by the lattice of harmonics that
+the deck generator fixes in its diagonal frame, and tags them by the integer
+spectrum of the central transposition sum, read by
+youngrep.integer_eigenspaces.  Each tag's rank comes from the one character
+row reduction._row.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .permgroup import (
     ConsistencyError, Partition, Permutation, coxeter_element, trivial_multiplicity,
 )
-from .reduction import S5_PARTITION_ORDER, lattice_count_o4, multiplicity_o4_s5
+from .reduction import S5_PARTITION_ORDER, _row, lattice_count_o4
 from .su2wigner import wigner_rows
 from .weylaction import (
     GroupOperator,
@@ -35,7 +34,7 @@ from .weylaction import (
     permutation_operator,
     transposition_operators,
 )
-from .youngrep import SPECTRUM_TOL, canonical_phases, integer_eigenspaces, standard_tableaux
+from .youngrep import SPECTRUM_TOL, canonical_phases, integer_eigenspaces
 
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
 PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
@@ -108,8 +107,8 @@ def periodic_basis(two_j: int) -> ModeBasis:
     phase_error = max(np.abs(rot - np.diag(np.exp(1j * np.pi * k * twice_m / 5))).max()
                       for rot, k in ((rot_l, 3), (rot_r, 1)))
     i1, i2 = np.nonzero((3 * twice_m[:, None] + twice_m) % 10 == 0)
-    ranks = {f: multiplicity_o4_s5(two_j, f) * w
-             for f in S5_PARTITION_ORDER if (w := trivial_multiplicity(f))}
+    ranks = {f: m * w for f, m in zip(S5_PARTITION_ORDER, _row(two_j, S5_PARTITION_ORDER))
+             if (w := trivial_multiplicity(f))}
     if phase_error > SPECTRUM_TOL or not len(i1) == lattice_count_o4(two_j) == sum(ranks.values()):
         raise ConsistencyError(
             f"2j={two_j}: generator phases off by {phase_error:.3g}, {len(i1)} lattice "
@@ -142,44 +141,6 @@ def basis_residuals(basis: ModeBasis) -> tuple[float, float]:
     gram = coeffs.conj().T @ coeffs - np.eye(basis.count)
     fixed = act_on_coefficients(basis.two_j, cyclic_operators(), coeffs) / 5.0 - coeffs
     return float(np.abs(gram).max(initial=0.0)), float(np.abs(fixed).max(initial=0.0))
-
-
-def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
-    """Orthonormal bases of the joint eigenspaces of the Jucys-Murphy sums
-    X_k = sum_{i<k} T_(i k), k = 2..5, on the degree-2j harmonics, keyed by
-    the contents (0, c_2, .., c_5) of a standard tableau, and the largest
-    distance of an eigenvalue from its integer in -(k-1)..(k-1).  The X_k
-    commute, so each level splits every node's columns B by B^dagger X_k B."""
-    swaps = dict(zip(itertools.combinations(range(1, 6), 2), transposition_operators()))
-    nodes, margin = {(0,): np.eye((two_j + 1) ** 2, dtype=complex)}, 0.0
-    for k in range(2, 6):
-        ops = [swaps[i, k] for i in range(1, k)]
-        split = {}
-        for key, b in nodes.items():
-            spaces, level_margin = integer_eigenspaces(
-                b.conj().T @ act_on_coefficients(two_j, ops, b), 1 - k, k - 1)
-            margin = max(margin, level_margin)
-            split.update({key + (c,): b @ vecs for c, vecs in spaces.items() if vecs.shape[1]})
-        nodes = split
-    if margin > SPECTRUM_TOL:
-        raise ConsistencyError(f"2j={two_j}: Jucys-Murphy eigenvalues off their integers, "
-                               f"margin {margin:.3g}")
-    return nodes, margin
-
-
-def young_ranks(two_j: int) -> dict[Partition, int]:
-    """Rank of the diagonal Young operators c^f_{r,r} for every partition f of
-    5, from one Jucys-Murphy walk: the dimension of the joint eigenspace at the
-    contents of tableau r.  Every standard tableau of f must give the same
-    value, the multiplicity of f at degree 2j."""
-    counts = {key: b.shape[1] for key, b in _jucys_murphy_leaves(two_j)[0].items()}
-    out = {}
-    for f in S5_PARTITION_ORDER:
-        ranks = {counts.get(t.contents, 0) for t in standard_tableaux(f)}
-        if len(ranks) != 1:
-            raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
-        out[f] = ranks.pop()
-    return out
 
 
 def _sample_pairs(num_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,10 +5,10 @@
 Each multiplicity is a character inner product in integers.  S(n) acts on
 the degree-d harmonics of R^(n-1), and every class character is the integer
 Molien coefficient `permgroup.class_character`, read off the cycle type, so
-one row function serves every n.  The O(3) label (l, kappa) with
-kappa != (-1)^l is the degree-l harmonics times the sign character: f occurs
-in it as often as its conjugate partition f' occurs in the harmonics.  A
-character sum that the group order does not divide raises ConsistencyError.
+one row function serves every n.  The periodic column of each degree table is
+an independent route: the C_n average of the class characters over the
+powers of the full cycle.  A character sum that the group order does not
+divide raises ConsistencyError.
 `table_checks` audits every row against the one dimension formula
 dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
 d+n-4 < 0, and the increment of every row over the period lcm(1..n).
@@ -17,6 +17,7 @@ d+n-4 < 0, and the increment of every row over the period lcm(1..n).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ from .permgroup import (
     Partition,
     character,
     class_character,
+    cyclic_elements,
     exact_quotient,
     partitions_of,
     trivial_multiplicity,
@@ -41,6 +43,19 @@ def _classes(n: int) -> tuple[CycleType, ...]:
 def _class_weights(f: Partition) -> tuple[int, ...]:
     """|k| chi_f(k) for each class k of S(n) in `_classes` order."""
     return tuple(k.class_size * character(f, k) for k in _classes(f.n))
+
+
+@lru_cache(maxsize=None)
+def _cyclic_classes(n: int) -> tuple[tuple[CycleType, int], ...]:
+    """The class of each power of the full cycle of S(n), with its count."""
+    return tuple(Counter(p.cycle_type() for p in cyclic_elements(n)).items())
+
+
+def _cyclic_average(n: int, degree: int) -> int:
+    """Periodic modes among the degree-d harmonics of R^(n-1), without the
+    partitions: (1/n) sum_k chi_d(g^k) over the powers of the full cycle g."""
+    total = sum(c * class_character(k, degree) for k, c in _cyclic_classes(n))
+    return exact_quotient(total, n, "C_%d average at degree %d", n, degree)
 
 
 def harmonic_dimension(n: int, degree: int) -> int:
@@ -131,39 +146,6 @@ def o2_reduce(label: O2Label) -> tuple[Partition, int]:
     return Partition.of(2, 1), 0
 
 
-# ---------------------------------------------------------------- O(3) chain
-
-@dataclass(frozen=True)
-class O3Label:
-    """Irreducible representation label (l, kappa) of O(3) = SO(3) x {1, P}."""
-
-    l: int
-    kappa: int
-
-    def __post_init__(self) -> None:
-        if self.l < 0:
-            raise ValueError("l must be non-negative")
-        if self.kappa not in (1, -1):
-            raise ValueError("kappa must be +1 or -1")
-
-
-S4_PARTITION_ORDER = tuple(
-    Partition(p) for p in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-)
-
-
-def multiplicity_o3_s4(label: O3Label, f: Partition) -> int:
-    """Number of times S(4) partition f occurs in the restriction of the
-    O(3) representation (l, kappa), from first principles.  P acts on the
-    degree-l harmonics as (-1)^l, so for kappa != (-1)^l the label is the
-    harmonics times the sign character, and f counts as its conjugate."""
-    if f.n != 4:
-        raise ValueError(f"expected a partition of 4, got {f}")
-    if label.kappa != (-1) ** label.l:
-        f = f.conjugate()
-    return _row(label.l, (f,))[0]
-
-
 # ---------------------------------------------------------------- O(4) chain
 
 S5_PARTITION_ORDER = tuple(
@@ -178,21 +160,6 @@ S5_PARTITION_ORDER = tuple(
         (3, 1, 1),
     ]
 )
-
-
-def multiplicity_o4_s5(two_j: int, f: Partition) -> int:
-    """Number of times S(5) partition f occurs in the restriction of the
-    degree-2j harmonic representation of O(4)."""
-    if f.n != 5:
-        raise ValueError(f"expected a partition of 5, got {f}")
-    return _row(two_j, (f,))[0]
-
-
-def periodic_count_o4(two_j: int) -> int:
-    """Number of C_5-periodic modes of degree 2j: the branch-weighted sum
-    of the partition multiplicities."""
-    row = _row(two_j, S5_PARTITION_ORDER)
-    return sum(m * trivial_multiplicity(f) for m, f in zip(row, S5_PARTITION_ORDER))
 
 
 def lattice_count_o4(two_j: int) -> int:
@@ -254,14 +221,15 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
 
 def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
                   totals: bool = False) -> MultiplicityTable:
-    """Rows d = 0..top of the degree-d harmonics, labelled label(d),
-    with the periodic count sum_f m_f w_f of each row; with `totals`, also
-    each partition's periodic modes over all rows and their grand total."""
+    """Rows d = 0..top of the degree-d harmonics, labelled label(d), with the
+    periodic count of each row as the C_n average of its class characters;
+    with `totals`, also each partition's periodic modes m_f w_f over all rows
+    and the grand total of the periodic column."""
     entries = tuple(_row(d, parts) for d in range(top + 1))
-    weights = [trivial_multiplicity(f) for f in parts]
-    periodic = tuple(sum(m * w for m, w in zip(row, weights)) for row in entries)
+    periodic = tuple(_cyclic_average(parts[0].n, d) for d in range(top + 1))
     extra = ()
     if totals:
+        weights = [trivial_multiplicity(f) for f in parts]
         extra = (tuple(sum(row[i] for row in entries) * w for i, w in enumerate(weights)),
                  sum(periodic))
     return MultiplicityTable(chain, tuple(map(label, range(top + 1))), parts, entries,
@@ -271,7 +239,7 @@ def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
     """Reduction rows for O(3) labels (l, (-1)^l) with l <= l_max; only
     these parities occur on single-valued spherical harmonics."""
-    return _degree_table("o3s4c4", l_max, S4_PARTITION_ORDER,
+    return _degree_table("o3s4c4", l_max, tuple(partitions_of(4)),
                          lambda l: f"(l={l},kappa={'+' if l % 2 == 0 else '-'})")
 
 

@@ -46,11 +46,6 @@ class StandardTableau:
         where = self._positions()
         return tuple(where[v][0] + 1 for v in range(self.n, 0, -1))
 
-    @property
-    def contents(self) -> tuple[int, ...]:
-        """Content (column - row) of the box holding each value 1..n."""
-        return tuple(c - r for r, c in map(self.position, range(1, self.n + 1)))
-
     def _positions(self) -> dict[int, tuple[int, int]]:
         return {
             v: (i, j) for i, row in enumerate(self.rows) for j, v in enumerate(row)
@@ -127,11 +122,6 @@ def _ordered_tableaux(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
         by_word = {t.yamanouchi: t for t in tableaux}
         return tuple(by_word[w] for w in explicit)
     return tuple(sorted(tableaux, key=lambda t: t.yamanouchi, reverse=True))
-
-
-def standard_tableaux(f: Partition) -> list[StandardTableau]:
-    """All standard tableaux of shape f, in the package basis order."""
-    return list(_ordered_tableaux(f.parts))
 
 
 @lru_cache(maxsize=None)

@@ -1,22 +1,37 @@
-"""Dense and one-point oracles for the tests.
+"""Dense, one-point and Young-operator oracles for the tests.
 
 The library builds its operators in factored form (`operator_factors`,
 `act_on_coefficients`) and evaluates Wigner D in batches (`wigner_rows`).
 These helpers rebuild the dense (2j+1)^2 x (2j+1)^2 matrices and the
 one-point evaluations from those routines, so that tests can check the
-factored results against the plain definitions.
+factored results against the plain definitions.  The Young ranks reach the
+multiplicities without characters: the joint eigenspaces of the Jucys-Murphy
+sums, one per standard tableau, have the dimensions that character theory
+predicts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from simplexmodes.modes import ModeBasis, _sample_pairs, cyclic_operators
+from simplexmodes.permgroup import ConsistencyError, Partition
+from simplexmodes.reduction import S5_PARTITION_ORDER
 from simplexmodes.su2wigner import SU2Element, _as_two_j, wigner_rows
-from simplexmodes.weylaction import GroupOperator, act_on_points, operator_matrices
+from simplexmodes.weylaction import (
+    GroupOperator,
+    act_on_coefficients,
+    act_on_points,
+    operator_matrices,
+    transposition_operators,
+)
+from simplexmodes.youngrep import (
+    SPECTRUM_TOL, StandardTableau, _ordered_tableaux, integer_eigenspaces,
+)
 
 
 def wigner_d(j: float | int | Fraction, u: SU2Element) -> np.ndarray:
@@ -62,3 +77,51 @@ def sample_points(num_points: int, seed: int) -> list[SamplePoint]:
 def evaluate_modes(basis: ModeBasis, u: SU2Element) -> np.ndarray:
     """Values of every mode at a point."""
     return wigner_d(Fraction(basis.two_j, 2), u).reshape(-1) @ basis.coefficients
+
+
+def standard_tableaux(f: Partition) -> list[StandardTableau]:
+    """All standard tableaux of shape f, in the package basis order."""
+    return list(_ordered_tableaux(f.parts))
+
+
+def contents(t: StandardTableau) -> tuple[int, ...]:
+    """Content (column - row) of the box holding each value 1..n of t."""
+    return tuple(c - r for r, c in map(t.position, range(1, t.n + 1)))
+
+
+def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
+    """Orthonormal bases of the joint eigenspaces of the Jucys-Murphy sums
+    X_k = sum_{i<k} T_(i k), k = 2..5, on the degree-2j harmonics, keyed by
+    the contents (0, c_2, .., c_5) of a standard tableau, and the largest
+    distance of an eigenvalue from its integer in -(k-1)..(k-1).  The X_k
+    commute, so each level splits every node's columns B by B^dagger X_k B."""
+    swaps = dict(zip(itertools.combinations(range(1, 6), 2), transposition_operators()))
+    nodes, margin = {(0,): np.eye((two_j + 1) ** 2, dtype=complex)}, 0.0
+    for k in range(2, 6):
+        ops = [swaps[i, k] for i in range(1, k)]
+        split = {}
+        for key, b in nodes.items():
+            spaces, level_margin = integer_eigenspaces(
+                b.conj().T @ act_on_coefficients(two_j, ops, b), 1 - k, k - 1)
+            margin = max(margin, level_margin)
+            split.update({key + (c,): b @ vecs for c, vecs in spaces.items() if vecs.shape[1]})
+        nodes = split
+    if margin > SPECTRUM_TOL:
+        raise ConsistencyError(f"2j={two_j}: Jucys-Murphy eigenvalues off their integers, "
+                               f"margin {margin:.3g}")
+    return nodes, margin
+
+
+def young_ranks(two_j: int) -> dict[Partition, int]:
+    """Rank of the diagonal Young operators c^f_{r,r} for every partition f of
+    5, from one Jucys-Murphy walk: the dimension of the joint eigenspace at the
+    contents of tableau r.  Every standard tableau of f must give the same
+    value, the multiplicity of f at degree 2j."""
+    counts = {key: b.shape[1] for key, b in _jucys_murphy_leaves(two_j)[0].items()}
+    out = {}
+    for f in S5_PARTITION_ORDER:
+        ranks = {counts.get(contents(t), 0) for t in standard_tableaux(f)}
+        if len(ranks) != 1:
+            raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
+        out[f] = ranks.pop()
+    return out

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import simplexmodes as sm
-from oracles import cyclic_projector, operator_matrix, wigner_d
+from oracles import cyclic_projector, operator_matrix, wigner_d, young_ranks
 from simplexmodes.permgroup import CycleType
 from simplexmodes.reduction import S5_PARTITION_ORDER
 
@@ -388,16 +388,17 @@ def test_a07_circle_selection_rules_with_averaging_oracle():
 
 
 def test_a08_projector_ranks_match_character_counts():
+    table = sm.o4_multiplicity_table(8)
     for two_j in range(9):
         projector = cyclic_projector(two_j)
         rank = int(round(np.trace(projector).real))
         assert abs(np.trace(projector).real - rank) < 1e-8
         assert rank == O4_PERIODIC_VERBATIM[two_j], two_j
-        assert rank == sm.periodic_count_o4(two_j), two_j
+        assert rank == table.periodic[two_j], two_j
     for two_j in range(7):
-        ranks = sm.young_ranks(two_j)
-        for f in sm.partitions_of(5):
-            assert ranks[f] == sm.multiplicity_o4_s5(two_j, f)
+        ranks = young_ranks(two_j)
+        assert set(ranks) == set(sm.partitions_of(5))
+        assert [ranks[f] for f in table.partitions] == list(table.entries[two_j]), two_j
 
 
 def test_a09_mode_invariance_with_negative_control():

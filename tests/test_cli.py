@@ -96,6 +96,20 @@ class TestReduce:
         assert weighted == {"name": "periodic_equals_weighted_sum", "passed": True,
                             "residual": 0, "tolerance": 0}
 
+    @pytest.mark.parametrize("chain, parts, residual", [("o3s4c4", (3, 1), 1),
+                                                        ("o4s5c5", (4, 1), 2)])
+    def test_wrong_branching_fails_the_weighted_sum(self, capsys, monkeypatch, chain, parts,
+                                                    residual):
+        # the periodic column is the C_n average of the class characters, so a
+        # wrong branching weight shows as the largest entry of its column
+        real = reduction.trivial_multiplicity
+        monkeypatch.setattr(reduction, "trivial_multiplicity",
+                            lambda f: real(f) + (f == Partition.of(*parts)))
+        rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", "4")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("periodic_equals_weighted_sum", residual)]
+
     def test_o2_selection_rule_against_branching(self, capsys, monkeypatch):
         # a selection rule that lets [21] through disagrees with its C_3 branching
         real = reduction.o2_reduce
@@ -290,10 +304,15 @@ class TestModes:
 
     def test_wrong_tag_counts_exit_3(self, capsys, monkeypatch):
         # character theory with the ranks of [32] and [221] swapped
-        f32, f221, real = Partition.of(3, 2), Partition.of(2, 2, 1), modes.multiplicity_o4_s5
-        swap = {f32: f221, f221: f32}
-        monkeypatch.setattr(modes, "multiplicity_o4_s5",
-                            lambda two_j, f: real(two_j, swap.get(f, f)))
+        i, k = (reduction.S5_PARTITION_ORDER.index(Partition.of(*p)) for p in ((3, 2), (2, 2, 1)))
+        real = modes._row
+
+        def swapped(two_j, parts):
+            row = list(real(two_j, parts))
+            row[i], row[k] = row[k], row[i]
+            return tuple(row)
+
+        monkeypatch.setattr(modes, "_row", swapped)
         assert modes.periodic_basis(2).trace_margin >= 1
         rc = main(["modes", "--two-j", "2"])
         out, err = capsys.readouterr()

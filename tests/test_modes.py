@@ -3,7 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import act_on_point, cyclic_projector, evaluate_modes, operator_matrix, sample_points
+import oracles
+from oracles import (
+    act_on_point,
+    contents,
+    cyclic_projector,
+    evaluate_modes,
+    operator_matrix,
+    sample_points,
+    standard_tableaux,
+    young_ranks,
+)
 from simplexmodes import modes
 from simplexmodes.cli import MAX_TWO_J_MODES
 from simplexmodes.modes import (
@@ -13,7 +23,6 @@ from simplexmodes.modes import (
     cyclic_operators,
     periodic_basis,
     verify_invariance,
-    young_ranks,
 )
 from simplexmodes.permgroup import (
     ConsistencyError,
@@ -22,17 +31,23 @@ from simplexmodes.permgroup import (
     partitions_of,
     trivial_multiplicity,
 )
-from simplexmodes.reduction import (
-    S5_PARTITION_ORDER,
-    multiplicity_o4_s5,
-    periodic_count_o4,
-)
+from simplexmodes.reduction import S5_PARTITION_ORDER, _row, o4_multiplicity_table
 from simplexmodes.weylaction import (
     act_on_coefficients,
     diagonal_factors,
     transposition_operators,
 )
-from simplexmodes.youngrep import rep_matrix, standard_tableaux
+from simplexmodes.youngrep import rep_matrix
+
+
+def multiplicities(two_j):
+    """The character route: the multiplicity of every partition of 5 at degree 2j."""
+    return dict(zip(S5_PARTITION_ORDER, _row(two_j, S5_PARTITION_ORDER)))
+
+
+def periodic_count(two_j):
+    """The periodic column of the o4s5c5 table at degree 2j."""
+    return o4_multiplicity_table(two_j).periodic[two_j]
 
 
 def dense_isotypic_spans(two_j):
@@ -91,7 +106,7 @@ class TestCyclicProjector:
         assert np.abs(p @ p - p).max() < 1e-9
         rank = int(round(np.trace(p).real))
         assert abs(np.trace(p).real - rank) < 1e-8
-        assert rank == periodic_count_o4(two_j)
+        assert rank == periodic_count(two_j)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -118,8 +133,8 @@ class TestPeriodicBasis:
             counts[f.parts] = counts.get(f.parts, 0) + 1
         for parts, got in counts.items():
             f = Partition(parts)
-            assert got == multiplicity_o4_s5(5, f) * trivial_multiplicity(f)
-        assert sum(counts.values()) == periodic_count_o4(5)
+            assert got == multiplicities(5)[f] * trivial_multiplicity(f)
+        assert sum(counts.values()) == periodic_count(5)
 
     def test_stable_under_deck_operators(self):
         basis = periodic_basis(4)
@@ -164,15 +179,15 @@ class TestPeriodicBasis:
         # no (2j+1)^2 x (2j+1)^2 array: one complex one takes 6.25 MB at 2j = 24
         assert peak < 16 * (two_j + 1) ** 4
         assert partition_counts(basis) == {
-            f: multiplicity_o4_s5(two_j, f) * trivial_multiplicity(f)
-            for f in S5_PARTITION_ORDER
-            if multiplicity_o4_s5(two_j, f) * trivial_multiplicity(f)
+            f: m * trivial_multiplicity(f)
+            for f, m in multiplicities(two_j).items()
+            if m * trivial_multiplicity(f)
         }
         c = basis.coefficients
         assert np.abs(c.conj().T @ c - np.eye(basis.count)).max() < 1e-10
         assert verify_invariance(basis, 30, 20080514) < 1e-9
         # the bound is the command line's; the library goes on
-        assert periodic_basis(two_j + 1).count == periodic_count_o4(two_j + 1)
+        assert periodic_basis(two_j + 1).count == periodic_count(two_j + 1)
         with pytest.raises(ValueError):
             periodic_basis(-1)
 
@@ -240,7 +255,7 @@ class TestDiagonalFrame:
         on_lattice = (3 * a + b) % 10 == 0
         assert np.abs(phases[on_lattice] - 1).max(initial=0.0) < 1e-12
         assert np.abs(phases[~on_lattice] - 1).min(initial=2.0) > 0.6
-        assert on_lattice.sum() == periodic_count_o4(two_j)
+        assert on_lattice.sum() == periodic_count(two_j)
         assert np.abs(frame.conj().T @ frame - np.eye(dim * dim)).max() < 1e-12
 
     def test_generator_frames_keep_their_bits(self):
@@ -309,23 +324,21 @@ class TestYoungOperators:
 
     @pytest.mark.parametrize("two_j", range(5))
     def test_leaf_spaces_equal_dense_diagonal_operators(self, two_j):
-        leaves, _ = modes._jucys_murphy_leaves(two_j)
+        leaves, _ = oracles._jucys_murphy_leaves(two_j)
         empty = np.zeros(((two_j + 1) ** 2, 0))
         for f in partitions_of(5):
             for r, t in enumerate(standard_tableaux(f)):
-                b = leaves.get(t.contents, empty)
+                b = leaves.get(contents(t), empty)
                 assert np.abs(b @ b.conj().T - young_operator(two_j, f, r, r)).max() < 1e-10
 
     @pytest.mark.parametrize("two_j", range(13))
     def test_rank_equals_multiplicity(self, two_j):
-        ranks = young_ranks(two_j)
-        for f in partitions_of(5):
-            assert ranks[f] == multiplicity_o4_s5(two_j, f)
+        assert young_ranks(two_j) == multiplicities(two_j)
 
     def test_one_walk_gives_every_rank(self, monkeypatch):
         walks = []
-        real = modes._jucys_murphy_leaves
-        monkeypatch.setattr(modes, "_jucys_murphy_leaves", lambda t: walks.append(t) or real(t))
+        real = oracles._jucys_murphy_leaves
+        monkeypatch.setattr(oracles, "_jucys_murphy_leaves", lambda t: walks.append(t) or real(t))
         ranks = young_ranks(6)
         assert walks == [6]
         assert set(ranks) == set(partitions_of(5))
@@ -333,16 +346,16 @@ class TestYoungOperators:
     def test_reach_at_the_modes_cap(self):
         two_j = MAX_TWO_J_MODES
         tracemalloc.start()
-        leaves, margin = modes._jucys_murphy_leaves(two_j)
+        leaves, margin = oracles._jucys_murphy_leaves(two_j)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # the dense route would hold 120 complex (2j+1)^2 x (2j+1)^2 arrays, 6.25 MB each
         assert peak < 64e6
         counts = {
-            t: leaves[t.contents].shape[1] if t.contents in leaves else 0
+            t: leaves[contents(t)].shape[1] if contents(t) in leaves else 0
             for f in partitions_of(5) for t in standard_tableaux(f)
         }
-        assert all(n == multiplicity_o4_s5(two_j, t.shape) for t, n in counts.items())
+        assert all(n == multiplicities(two_j)[t.shape] for t, n in counts.items())
         assert sum(counts.values()) == (two_j + 1) ** 2
         assert 0.0 <= margin <= SPECTRUM_TOL
 
@@ -359,7 +372,7 @@ class TestYoungOperators:
     def test_another_operator_in_the_sums_raises(self, monkeypatch):
         ops = list(transposition_operators())
         ops[0] = cyclic_operators()[1]  # the deck generator in place of (1 2)
-        monkeypatch.setattr(modes, "transposition_operators", lambda: tuple(ops))
+        monkeypatch.setattr(oracles, "transposition_operators", lambda: tuple(ops))
         with pytest.raises(ConsistencyError, match="margin"):
             young_ranks(4)
 

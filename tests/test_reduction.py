@@ -26,21 +26,28 @@ from simplexmodes.weylaction import (
 )
 from simplexmodes.youngrep import primed_rep_matrix
 from simplexmodes.reduction import (
-    S4_PARTITION_ORDER,
     S5_PARTITION_ORDER,
     O2Label,
-    O3Label,
-    multiplicity_o3_s4,
-    multiplicity_o4_s5,
     o2_multiplicity_table,
     o2_reduce,
     o3_multiplicity_table,
     harmonic_dimension,
     lattice_count_o4,
     o4_multiplicity_table,
-    periodic_count_o4,
     table_checks,
 )
+
+S4_PARTITIONS = tuple(partitions_of(4))
+
+
+def o3_row(l: int) -> tuple[int, ...]:
+    """Multiplicities of the partitions of 4 in the degree-l harmonics of R^3."""
+    return reduction._row(l, S4_PARTITIONS)
+
+
+def o4_row(two_j: int) -> tuple[int, ...]:
+    """Multiplicities in S5_PARTITION_ORDER in the degree-2j harmonics of R^4."""
+    return reduction._row(two_j, S5_PARTITION_ORDER)
 
 #: entries for 2j = 0..10 in S5_PARTITION_ORDER; row 10 carries the value
 #: forced by the dimension sum rule (sum over f of dim(f) * m = (2j+1)^2)
@@ -133,13 +140,17 @@ class TestCircleChain:
             assert {f for f, n in mult.items() if n} == support, m
             weighted = sum(n * trivial_multiplicity(f) for f, n in mult.items())
             assert weighted == sum(table.periodic[i] for i in rows), m
+            assert weighted == reduction._cyclic_average(3, m), m
 
 
 class TestSphereChain:
     def test_spec_values(self):
-        assert multiplicity_o3_s4(O3Label(2, 1), Partition.of(2, 2)) == 1
-        assert multiplicity_o3_s4(O3Label(3, -1), Partition.of(2, 1, 1)) == 1
-        assert multiplicity_o3_s4(O3Label(0, 1), Partition.of(4)) == 1
+        table = o3_multiplicity_table(3)
+        assert table.partitions == S4_PARTITIONS
+        rows = [dict(zip(table.partitions, row)) for row in table.entries]
+        assert rows[2][Partition.of(2, 2)] == 1
+        assert rows[3][Partition.of(2, 1, 1)] == 1
+        assert rows[0][Partition.of(4)] == 1
 
     def test_full_table(self):
         table = o3_multiplicity_table(4)
@@ -154,20 +165,15 @@ class TestSphereChain:
 
     def test_dimension_rule(self):
         for l, row in enumerate(O3_TABLE):
-            dims = [f.dimension for f in S4_PARTITION_ORDER]
+            dims = [f.dimension for f in S4_PARTITIONS]
             assert sum(m * d for m, d in zip(row, dims)) == 2 * l + 1
-
-    def test_wrong_partition_size(self):
-        with pytest.raises(ValueError):
-            multiplicity_o3_s4(O3Label(1, -1), Partition.of(3, 2))
 
 
 class TestThreeSphereChain:
     def test_spec_values(self):
-        assert multiplicity_o4_s5(6, Partition.of(4, 1)) == 3
-        assert multiplicity_o4_s5(10, Partition.of(1, 1, 1, 1, 1)) == 1
-        row = [multiplicity_o4_s5(1, f) for f in S5_PARTITION_ORDER]
-        assert row == [0, 0, 1, 0, 0, 0, 0]
+        assert dict(zip(S5_PARTITION_ORDER, o4_row(6)))[Partition.of(4, 1)] == 3
+        assert dict(zip(S5_PARTITION_ORDER, o4_row(10)))[Partition.of(1, 1, 1, 1, 1)] == 1
+        assert o4_row(1) == (0, 0, 1, 0, 0, 0, 0)
 
     def test_full_table(self):
         table = o4_multiplicity_table(10)
@@ -180,8 +186,9 @@ class TestThreeSphereChain:
         assert sum((t + 1) ** 2 for t in range(11)) == 506
 
     def test_periodic_counts(self):
-        assert periodic_count_o4(3) == 4
-        assert periodic_count_o4(10) == 25
+        periodic = o4_multiplicity_table(10).periodic
+        assert periodic[3] == 4
+        assert periodic[10] == 25
 
     def test_dimension_audit_runs_to_60(self):
         table = o4_multiplicity_table(60)
@@ -242,14 +249,14 @@ class TestRecursionReport:
         period, rule = reduction._increment_rule(S5_PARTITION_ORDER)
         assert [icpt for _, icpt in rule] == [36, 26, 134, 114, 160, 150, 186]
         assert [slope for slope, _ in rule] == [f.dimension for f in S5_PARTITION_ORDER]
-        for f, (slope, icpt) in zip(S5_PARTITION_ORDER, rule):
+        for i, (f, (slope, icpt)) in enumerate(zip(S5_PARTITION_ORDER, rule)):
             assert icpt == 31 * f.dimension + 5 * character(f, TRANSPOSITION)
             for t in (0, 1):
-                measured = multiplicity_o4_s5(t + 60, f) - multiplicity_o4_s5(t, f)
+                measured = o4_row(t + 60)[i] - o4_row(t)[i]
                 assert measured == slope * t + icpt, (f, t)
         # O(3) > S(4): period 12, slope 0, intercept dim f
-        period, rule = reduction._increment_rule(S4_PARTITION_ORDER)
-        assert period == 12 and rule == [(0, f.dimension) for f in S4_PARTITION_ORDER]
+        period, rule = reduction._increment_rule(S4_PARTITIONS)
+        assert period == 12 and rule == [(0, f.dimension) for f in S4_PARTITIONS]
 
     def test_increment_budget(self):
         # summed against dimensions the increments must account for the
@@ -259,8 +266,8 @@ class TestRecursionReport:
             total = sum(f.dimension * (slope * t + icpt)
                         for f, (slope, icpt) in zip(S5_PARTITION_ORDER, rule))
             assert total == (t + 61) ** 2 - (t + 1) ** 2
-        _, rule = reduction._increment_rule(S4_PARTITION_ORDER)
-        assert sum(f.dimension * icpt for f, (_, icpt) in zip(S4_PARTITION_ORDER, rule)) == 24
+        _, rule = reduction._increment_rule(S4_PARTITIONS)
+        assert sum(f.dimension * icpt for f, (_, icpt) in zip(S4_PARTITIONS, rule)) == 24
 
 
 class TestEverySimplexDimension:
@@ -330,7 +337,7 @@ def float_o3_row(l: int, kappa: int, elements) -> tuple[int, ...]:
             sum(chi * character(f, p.cycle_type()) for p, chi in chis) / 24,
             f"m(({l},{kappa}), {f})",
         )
-        for f in S4_PARTITION_ORDER
+        for f in S4_PARTITIONS
     )
 
 
@@ -339,12 +346,10 @@ class TestFloatOracle:
         table = o4_multiplicity_table(200)
         assert list(table.entries) == [float_o4_row(t) for t in range(201)]
 
-    def test_o3_to_200_both_parities(self):
+    def test_o3_table_to_200(self):
         elements = _s4_rotation_cosines()
-        for l in range(201):
-            for kappa in (1, -1):
-                exact = tuple(multiplicity_o3_s4(O3Label(l, kappa), f) for f in S4_PARTITION_ORDER)
-                assert exact == float_o3_row(l, kappa, elements), (l, kappa)
+        table = o3_multiplicity_table(200)
+        assert list(table.entries) == [float_o3_row(l, (-1) ** l, elements) for l in range(201)]
 
 
 # --------------------------------------------- exact properties to 10^6
@@ -356,34 +361,32 @@ TRANSPOSITION = CycleType((2, 1, 1, 1))
 class TestExactProperties:
     @given(st.integers(0, BIG))
     def test_o4_audit_and_non_negative(self, two_j):
-        row = [multiplicity_o4_s5(two_j, f) for f in S5_PARTITION_ORDER]
+        row = o4_row(two_j)
         assert min(row) >= 0
         assert sum(m * f.dimension for m, f in zip(row, S5_PARTITION_ORDER)) == (two_j + 1) ** 2
 
-    @given(st.integers(0, BIG), st.sampled_from([1, -1]))
-    def test_o3_audit_and_non_negative(self, l, kappa):
-        row = [multiplicity_o3_s4(O3Label(l, kappa), f) for f in S4_PARTITION_ORDER]
+    @given(st.integers(0, BIG))
+    def test_o3_audit_and_non_negative(self, l):
+        row = o3_row(l)
         assert min(row) >= 0
-        assert sum(m * f.dimension for m, f in zip(row, S4_PARTITION_ORDER)) == 2 * l + 1
+        assert sum(m * f.dimension for m, f in zip(row, S4_PARTITIONS)) == 2 * l + 1
 
     @given(st.integers(0, BIG - 60))
     def test_o4_degree_sixty_increment(self, two_j):
-        for f in S5_PARTITION_ORDER:
-            delta = multiplicity_o4_s5(two_j + 60, f) - multiplicity_o4_s5(two_j, f)
-            assert delta == (two_j + 31) * f.dimension + 5 * character(f, TRANSPOSITION)
+        for f, later, now in zip(S5_PARTITION_ORDER, o4_row(two_j + 60), o4_row(two_j)):
+            assert later - now == (two_j + 31) * f.dimension + 5 * character(f, TRANSPOSITION)
 
-    @given(st.integers(0, BIG - 12), st.sampled_from([1, -1]))
-    def test_o3_degree_twelve_increment(self, l, kappa):
-        for f in S4_PARTITION_ORDER:
-            delta = multiplicity_o3_s4(O3Label(l + 12, kappa), f) - multiplicity_o3_s4(
-                O3Label(l, kappa), f
-            )
-            assert delta == f.dimension
+    @given(st.integers(0, BIG - 12))
+    def test_o3_degree_twelve_increment(self, l):
+        for f, later, now in zip(S4_PARTITIONS, o3_row(l + 12), o3_row(l)):
+            assert later - now == f.dimension
 
 
     @given(st.integers(0, BIG))
     def test_lattice_count_equals_character_count(self, two_j):
-        assert lattice_count_o4(two_j) == periodic_count_o4(two_j)
+        row = o4_row(two_j)
+        weighted = sum(m * trivial_multiplicity(f) for m, f in zip(row, S5_PARTITION_ORDER))
+        assert lattice_count_o4(two_j) == weighted == reduction._cyclic_average(5, two_j)
 
 
 class TestLatticeCount:
@@ -406,7 +409,7 @@ class TestExactDivision:
             lambda k, t: exact(k, t) + (1 if k == CycleType((5,)) else 0),
         )
         with pytest.raises(ConsistencyError, match=r"^m\(\[5\]\) at degree 3: "):
-            multiplicity_o4_s5(3, Partition.of(5))
+            reduction._row(3, (Partition.of(5),))
 
     def test_o3_remainder_raises(self, monkeypatch):
         exact = reduction.class_character
@@ -415,7 +418,7 @@ class TestExactDivision:
             lambda k, l: exact(k, l) + (1 if k == CycleType((3, 1)) else 0),
         )
         with pytest.raises(ConsistencyError, match=r"^m\(\[4\]\) at degree 0: "):
-            multiplicity_o3_s4(O3Label(0, 1), Partition.of(4))
+            o3_multiplicity_table(0)
 
     def test_deviation_is_the_tabulation_margin(self, monkeypatch):
         # a character that breaks period 60 shows in the degree-60 increment

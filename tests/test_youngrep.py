@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import standard_tableaux
 from simplexmodes import youngrep
 from simplexmodes.permgroup import (
     ConsistencyError,
@@ -21,7 +22,6 @@ from simplexmodes.youngrep import (
     integer_eigenspaces,
     primed_rep_matrix,
     rep_matrix,
-    standard_tableaux,
     tetrahedral_primed_generators,
     trivial_projector,
 )
