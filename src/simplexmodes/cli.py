@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .report import REAL_TOL, ConsistencyError, check, load
+from .report import REAL_TOL, SPECTRUM_TOL, ConsistencyError, check, load
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,10 +201,10 @@ def cmd_modes(args) -> dict:
     checks = [
         check("columns_orthonormal", gram, 1e-10),
         check("columns_fixed_by_projector", fixed, REAL_TOL),
-        check("content_sum_tags", basis.spectrum_margin, modes.SPECTRUM_TOL,
+        check("content_sum_tags", basis.spectrum_margin, SPECTRUM_TOL,
               detail="eigenvalues of the transposition sum on the periodic modes "
               "vs the content sums [5] 10, [32] 2, [311] 0, [221] -2, [11111] -10"),
-        check("tag_projector_traces", basis.trace_margin, modes.SPECTRUM_TOL,
+        check("tag_projector_traces", basis.trace_margin, SPECTRUM_TOL,
               detail="trace of each content projector vs m_f * w_f"),
         check("invariance_max_deviation", deviation, REAL_TOL),
     ]

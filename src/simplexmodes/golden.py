@@ -5,15 +5,15 @@ max |computed - golden| <= tolerance; a tolerance of 0 means exact equality
 and a shape mismatch fails.  Rows sharing a check name are reported as one
 check.  Conventions of the reference tables (a joint sign, a sign-normalised
 vector, a spanned subspace) are applied to the two values before the row is
-built, so one comparator serves every table.
+built, so one comparator serves every table.  Every value is a number or
+a nested sequence of numbers, so the gate needs no array library.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, NamedTuple
-
-import numpy as np
 
 from .permgroup import (
     ConsistencyError,
@@ -26,10 +26,11 @@ from .permgroup import (
 from .reduction import (O2Label, harmonic_dimension, o2_reduce, o3_multiplicity_table,
                         o4_multiplicity_table)
 from .report import REAL_TOL, check
+from .su2wigner import SU2Element
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
-    SPECTRUM_TOL,
-    canonical_phases,
+    _product,
+    canonical_unit,
     fixed_subspace,
     generator_matrix,
     primed_rep_matrix,
@@ -52,10 +53,16 @@ class Row(NamedTuple):
     detail: str = ""
 
 
-def _complex(pairs) -> np.ndarray:
+def _complex(pairs):
     """Golden complex numbers are stored as [re, im] pairs."""
-    a = np.asarray(pairs, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
+    if isinstance(pairs[0], list):
+        return [_complex(p) for p in pairs]
+    return complex(*pairs)
+
+
+def _su2(u: SU2Element) -> list[list[complex]]:
+    """The defining matrix [[z1, z2], [-conj(z2), conj(z1)]] of u."""
+    return [[u.z1, u.z2], [-u.z2.conjugate(), u.z1.conjugate()]]
 
 
 def _erratum(name: str, got, record: dict, label: str, detail: str = "") -> Row:
@@ -154,19 +161,21 @@ def _class_characters(gold):
 def _weyl(gold):
     g = gold["weyl"]
     vectors = weyl_vectors_s5()
-    pts = np.array([v.a.as_array() for v in vectors])
-    yield Row("weyl_gram", pts @ pts.T, g["gram"], 1e-15)
-    yield Row("weyl_v_matrices", [v.v.matrix() for v in vectors], _complex(g["v_matrices"]), 1e-12)
+    pts = [(v.a.x0, v.a.x1, v.a.x2, v.a.x3) for v in vectors]
+    yield Row("weyl_gram", _product(pts, list(zip(*pts))), g["gram"], 1e-15)
+    yield Row("weyl_v_matrices", [_su2(v.v) for v in vectors], _complex(g["v_matrices"]), 1e-12)
     ops = {str(k): op for k, op in class_operators().items()}
     for name, data in g["class_matrices"].items():
         op = ops[name]
         if "g_r_g_l" in data:
-            got, want = (op.g_r * op.g_l).matrix(), _complex(data["g_r_g_l"])
+            got, want = _su2(op.g_r * op.g_l), _complex(data["g_r_g_l"])
         else:
-            got = np.array([op.g_l.matrix(), op.g_r.matrix()])
+            got = [_su2(op.g_l), _su2(op.g_r)]
             want = _complex([data["g_l"], data["g_r"]])
-            if data.get("joint_sign") and np.abs(got + want).max() < np.abs(got - want).max():
-                got = -got  # the rotation pair is fixed only up to a joint sign
+            if data.get("joint_sign"):  # the rotation pair is fixed only up to a joint sign
+                pairs = list(zip(_flatten(got)[1], _flatten(want)[1]))
+                if max(abs(x + y) for x, y in pairs) < max(abs(x - y) for x, y in pairs):
+                    got = [_su2(-op.g_l), _su2(-op.g_r)]
         yield Row("weyl_class_matrices", got, want, REAL_TOL, label=name)
 
 
@@ -176,9 +185,10 @@ def _young(gold):
     generators = {"generators_32": (3, 2), "generators_211_s4": (2, 1, 1),
                   "generators_22_s4": (2, 2), "reflection_generators_s3": (2, 1)}
     for key, shape in generators.items():
-        got = np.array([generator_matrix(Partition(shape), i) for i in range(1, len(g[key]) + 1)])
+        got = [generator_matrix(Partition(shape), i) for i in range(1, len(g[key]) + 1)]
         if key == "reflection_generators_s3":
-            got[0] = -got[0]  # the reference table gives (1,2) the opposite overall sign
+            # the reference table gives (1,2) the opposite overall sign
+            got[0] = [[-x for x in row] for row in got[0]]
         yield Row(name, got, g[key], REAL_TOL, label=key)
     cox5, cox4 = coxeter_element(5), coxeter_element(4)
     matrices = {
@@ -198,14 +208,13 @@ def _young(gold):
     fixed = {"fixed_211": (2, 1, 1), "fixed_22": (2, 2), "fixed_32_raw": (3, 2),
              "fixed_221_raw": (2, 2, 1)}
     for key, shape in fixed.items():
-        want = np.asarray(g[key], dtype=float)
-        want = canonical_phases((want / np.linalg.norm(want))[:, None], SPECTRUM_TOL)[:, 0]
-        yield Row(name, fixed_subspace(Partition(shape))[:, 0], want, REAL_TOL, label=key)
+        got = [row[0] for row in fixed_subspace(Partition(shape))]
+        yield Row(name, got, canonical_unit(g[key]), REAL_TOL, label=key)
     basis = fixed_subspace(Partition.of(3, 1, 1))
-    want = np.asarray(g["span_311"], dtype=float).T
-    want = want / np.linalg.norm(want, axis=0)
+    want = list(zip(*(canonical_unit(w) for w in g["span_311"])))
     # each golden vector lies in the fixed space: it equals its projection
-    yield Row(name, basis @ (basis.T @ want), want, REAL_TOL, label="span_311")
+    yield Row(name, _product(basis, _product(list(zip(*basis)), want)), want, REAL_TOL,
+              label="span_311")
 
 
 SECTIONS = (_character_tables, _circle_rules, _o3, _o4, _class_characters, _weyl, _young)
@@ -241,25 +250,39 @@ def _show(z: complex) -> str:
     return format(z.real if z.imag == 0 else z, ".15g")
 
 
+def _flatten(value) -> tuple[tuple[int, ...] | None, list[complex]]:
+    """The shape of a number or nested sequence and its entries in row-major
+    order; the shape is None when the nesting is ragged."""
+    if not isinstance(value, (list, tuple)):
+        return (), [complex(value)]
+    parts = [_flatten(v) for v in value]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) > 1 or None in shapes:
+        return None, []
+    return (len(parts), *(shapes.pop() if parts else ())), [x for _, xs in parts for x in xs]
+
+
 def _compare(row: Row, fault: str | None) -> tuple[float, str, bool]:
     """The largest deviation of one row, its first failing entry ('' when it
-    passes), and whether `fault` perturbed it."""
-    got = np.atleast_1d(np.array(row.computed, dtype=complex))
-    want = np.atleast_1d(np.array(row.golden, dtype=complex))
-    at = _fault_index(fault, row.fault, got.shape) if fault and row.fault else None
+    passes), and whether `fault` perturbed it.  A number counts as a sequence
+    of one, a ragged value as a shape mismatch, and a NaN deviates by inf."""
+    (shape, got), (want_shape, want) = (
+        _flatten(v if isinstance(v, (list, tuple)) else [v]) for v in (row.computed, row.golden))
+    indices = list(itertools.product(*map(range, shape or ())))  # row-major
+    at = _fault_index(fault, row.fault, shape) if fault and row.fault and shape else None
     if at is not None:
-        got[at] += 1
+        got[indices.index(at)] += 1
     where = f"{row.label} " if row.label else ""
-    if got.shape != want.shape:
-        return math.inf, f"{where}shape {got.shape} != golden {want.shape}", at is not None
-    dev = np.nan_to_num(np.abs(got - want), nan=math.inf)
-    bad = np.argwhere(dev > row.tol)
+    if shape is None or shape != want_shape:
+        return (math.inf, f"{where}shape {shape or 'ragged'} != golden {want_shape or 'ragged'}",
+                at is not None)
+    dev = [math.inf if math.isnan(d := abs(x - y)) else d for x, y in zip(got, want)]
+    bad = next((k for k, d in enumerate(dev) if d > row.tol), None)
     problem = ""
-    if len(bad):
-        i = tuple(int(x) for x in bad[0])
-        problem = (f"{where}index ({', '.join(map(str, i))}): "
-                   f"computed {_show(got[i])}, golden {_show(want[i])}")
-    return float(dev.max(initial=0.0)), problem, at is not None
+    if bad is not None:
+        problem = (f"{where}index ({', '.join(map(str, indices[bad]))}): "
+                   f"computed {_show(got[bad])}, golden {_show(want[bad])}")
+    return max(dev, default=0.0), problem, at is not None
 
 
 def run(gold: dict, fault: str | None = None) -> tuple[list[dict], bool]:

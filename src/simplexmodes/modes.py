@@ -3,7 +3,7 @@
 The construction spans the periodic modes by the lattice of harmonics that
 the deck generator fixes in its diagonal frame, and tags them by the integer
 spectrum of the central transposition sum, read by
-youngrep.integer_eigenspaces.  Each tag's rank comes from the one character
+integer_eigenspaces.  Each tag's rank comes from the one character
 row reduction._row.
 """
 
@@ -22,6 +22,7 @@ from .permgroup import (
     ConsistencyError, Partition, Permutation, coxeter_element, trivial_multiplicity,
 )
 from .reduction import S5_PARTITION_ORDER, _row, lattice_count_o4
+from .report import SPECTRUM_TOL
 from .su2wigner import wigner_rows
 from .weylaction import (
     GroupOperator,
@@ -34,7 +35,6 @@ from .weylaction import (
     permutation_operator,
     transposition_operators,
 )
-from .youngrep import SPECTRUM_TOL, canonical_phases, integer_eigenspaces
 
 PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
 PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
@@ -77,6 +77,24 @@ def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
     perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
     ops = [permutation_operator(p) for p in perms]
     return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
+
+
+def canonical_phases(basis: np.ndarray, tol: float) -> np.ndarray:
+    """The columns times conj(lead) / |lead|, lead the first entry of each whose
+    modulus exceeds tol: that entry becomes real and positive (for real columns,
+    a sign flip)."""
+    lead = basis[np.argmax(np.abs(basis) > tol, axis=0), np.arange(basis.shape[1])]
+    return basis * (np.conj(lead) / np.abs(lead))
+
+
+def integer_eigenspaces(h: np.ndarray, lo: int, hi: int) -> tuple[dict[int, np.ndarray], float]:
+    """Orthonormal eigenvectors of a Hermitian matrix with spectrum in the
+    integers lo..hi, for each c in lo..hi (empty where c is no eigenvalue), and
+    the margin: the largest distance of an eigenvalue from its rounded value."""
+    vals, vecs = np.linalg.eigh(h)
+    ints = np.clip(np.rint(vals), lo, hi)
+    margin = float(np.abs(vals - ints).max(initial=0.0))
+    return {c: vecs[:, ints == c] for c in range(lo, hi + 1)}, margin
 
 
 def _pivoted_gram_schmidt(a: np.ndarray) -> np.ndarray:

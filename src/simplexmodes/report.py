@@ -1,7 +1,7 @@
 """The report contract that the command line and the golden gate share.
 
-One check entry, the tolerance of every floating-point table entry, the
-golden data, and the error behind exit code 3 when no report can be made.
+One check entry, the tolerances of every floating-point table entry and of
+every integer spectrum, the golden data, and the error behind exit code 3 when no report can be made.
 Nothing here imports numpy or another module of the package, so the command
 line starts without them.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 REAL_TOL = 1e-9  # tolerance of every floating-point table entry
+SPECTRUM_TOL = 1e-9  # of generator phases, every integer_eigenspaces margin and fixed-vector leads
 
 
 class ConsistencyError(RuntimeError):

@@ -3,8 +3,10 @@
 Generator matrices are produced from the axial-distance rule, never
 transcribed.  Basis order follows the tableau enumerations used by the
 embedded reference tables (descending last-letter order unless an explicit
-enumeration overrides it), so matrices and eigenvectors can be compared
-positionally with the golden data.
+enumeration overrides it), so matrices and fixed vectors can be compared
+positionally with the golden data.  The golden gate needs them only up to
+6 x 6, so they are built in plain Python: every matrix is a tuple of rows
+of floats.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .permgroup import (
     ConsistencyError,
     Partition,
@@ -22,8 +22,9 @@ from .permgroup import (
     cyclic_elements,
     trivial_multiplicity,
 )
+from .report import SPECTRUM_TOL
 
-SPECTRUM_TOL = 1e-9  # of generator phases, every integer_eigenspaces margin and fixed-vector leads
+Matrix = tuple[tuple[float, ...], ...]  # a tuple of rows
 
 
 @dataclass(frozen=True)
@@ -125,47 +126,64 @@ def _ordered_tableaux(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
 
 
 @lru_cache(maxsize=None)
-def _generator_array(shape: tuple[int, ...], i: int) -> np.ndarray:
+def _generator_array(shape: tuple[int, ...], i: int) -> Matrix:
     tableaux = _ordered_tableaux(shape)
     index = {t: k for k, t in enumerate(tableaux)}
     d = len(tableaux)
-    mat = np.zeros((d, d))
+    mat = [[0.0] * d for _ in range(d)]
     for k, tab in enumerate(tableaux):
         r1, c1 = tab.position(i)
         r2, c2 = tab.position(i + 1)
         if r1 == r2:
-            mat[k, k] = 1.0
+            mat[k][k] = 1.0
         elif c1 == c2:
-            mat[k, k] = -1.0
+            mat[k][k] = -1.0
         else:
             # signed axial distance between i and i+1
             rho = (c2 - r2) - (c1 - r1)
-            mat[k, k] = 1.0 / rho
-            mat[k, index[tab.swap(i, i + 1)]] = math.sqrt(1.0 - 1.0 / rho**2)
-    signs = _BASIS_SIGNS.get(shape)
-    if signs is not None:
-        s = np.diag(signs)
-        mat = s @ mat @ s
-    return mat
+            mat[k][k] = 1.0 / rho
+            mat[k][index[tab.swap(i, i + 1)]] = math.sqrt(1.0 - 1.0 / rho**2)
+    signs = _BASIS_SIGNS.get(shape, (1.0,) * d)
+    return tuple(tuple(signs[a] * mat[a][b] * signs[b] for b in range(d)) for a in range(d))
 
 
-def generator_matrix(f: Partition, i: int) -> np.ndarray:
+def _identity(d: int) -> Matrix:
+    return tuple(tuple(float(a == b) for b in range(d)) for a in range(d))
+
+
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    columns = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in columns) for row in a)
+
+
+def _scaled(c: float, a: Matrix) -> Matrix:
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def _dot(u, v) -> float:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _norm(v) -> float:
+    return math.sqrt(_dot(v, v))
+
+
+def generator_matrix(f: Partition, i: int) -> Matrix:
     """Matrix of the adjacent transposition (i, i+1) for partition f."""
     n = f.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    return _generator_array(f.parts, i).copy()
+    return _generator_array(f.parts, i)
 
 
-def _rep_array(shape: tuple[int, ...], p: Permutation) -> np.ndarray:
-    d = len(_ordered_tableaux(shape))
-    mat = np.eye(d)
+def _rep_array(shape: tuple[int, ...], p: Permutation) -> Matrix:
+    mat = _identity(len(_ordered_tableaux(shape)))
     for i in p.adjacent_factors():
-        mat = mat @ _generator_array(shape, i)
+        mat = _product(mat, _generator_array(shape, i))
     return mat
 
 
-def rep_matrix(f: Partition, p: Permutation) -> np.ndarray:
+def rep_matrix(f: Partition, p: Permutation) -> Matrix:
     """Matrix of an arbitrary permutation, as the product of generator
     matrices along an adjacent-transposition factorization (the left factor
     of a permutation product acts first, matching Permutation.__mul__)."""
@@ -177,68 +195,76 @@ def rep_matrix(f: Partition, p: Permutation) -> np.ndarray:
 # --- the primed (tetrahedral) 3x3 representation of S(4) ---
 
 _PRIMED_31 = (
-    np.array([[1.0, 0, 0], [0, 0, -1], [0, -1, 0]]),
-    np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-    np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, -1.0, 0.0)),
+    ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
 )
 
 _PRIMED_SHAPES = {(3, 1): 1.0, (2, 1, 1): -1.0}
 
 
-def tetrahedral_primed_generators() -> list[np.ndarray]:
+def tetrahedral_primed_generators() -> list[Matrix]:
     """Generators (1,2), (2,3), (3,4) of S(4) in the 3-dimensional
     tetrahedral-axis basis: first the three matrices for partition [31],
     then their negatives, which realize the associate partition [211]."""
-    return [m.copy() for m in _PRIMED_31] + [-m for m in _PRIMED_31]
+    return [*_PRIMED_31, *(_scaled(-1.0, m) for m in _PRIMED_31)]
 
 
-def primed_rep_matrix(f: Partition, p: Permutation) -> np.ndarray:
+def primed_rep_matrix(f: Partition, p: Permutation) -> Matrix:
     """Matrix of a permutation of S(4) in the primed tetrahedral basis."""
     sign = _PRIMED_SHAPES.get(f.parts)
     if sign is None:
         raise ValueError(f"no primed representation for partition {f}")
-    mat = np.eye(3)
+    mat = _identity(3)
     for i in p.adjacent_factors():
-        mat = mat @ (sign * _PRIMED_31[i - 1])
+        mat = _product(mat, _scaled(sign, _PRIMED_31[i - 1]))
     return mat
 
 
-def trivial_projector(f: Partition, primed: bool = False) -> np.ndarray:
+def trivial_projector(f: Partition, primed: bool = False) -> Matrix:
     """Group average over the cyclic subgroup C_n: the orthogonal projector
     onto the subspace transforming by its identity representation."""
     rep = primed_rep_matrix if primed else rep_matrix
-    return sum(rep(f, h) for h in cyclic_elements(f.n)) / f.n
+    mats = [rep(f, h) for h in cyclic_elements(f.n)]
+    return tuple(tuple(sum(entries) / f.n for entries in zip(*rows)) for rows in zip(*mats))
 
 
-def canonical_phases(basis: np.ndarray, tol: float) -> np.ndarray:
-    """The columns times conj(lead) / |lead|, lead the first entry of each whose
-    modulus exceeds tol: that entry becomes real and positive (for real columns,
-    a sign flip)."""
-    lead = basis[np.argmax(np.abs(basis) > tol, axis=0), np.arange(basis.shape[1])]
-    return basis * (np.conj(lead) / np.abs(lead))
+def canonical_unit(v) -> tuple[float, ...]:
+    """v / |v| with its first entry of modulus above SPECTRUM_TOL made
+    positive: the sign rule of every fixed vector.  A zero vector gives NaNs."""
+    norm = _norm(v)
+    unit = [x / norm if norm else math.nan for x in v]
+    lead = next((x for x in unit if abs(x) > SPECTRUM_TOL), 1.0)
+    return tuple(math.copysign(1.0, lead) * x for x in unit)
 
 
-def integer_eigenspaces(h: np.ndarray, lo: int, hi: int) -> tuple[dict[int, np.ndarray], float]:
-    """Orthonormal eigenvectors of a Hermitian matrix with spectrum in the
-    integers lo..hi, for each c in lo..hi (empty where c is no eigenvalue), and
-    the margin: the largest distance of an eigenvalue from its rounded value."""
-    vals, vecs = np.linalg.eigh(h)
-    ints = np.clip(np.rint(vals), lo, hi)
-    margin = float(np.abs(vals - ints).max(initial=0.0))
-    return {c: vecs[:, ints == c] for c in range(lo, hi + 1)}, margin
-
-
-def fixed_subspace(f: Partition) -> np.ndarray:
+def fixed_subspace(f: Partition) -> Matrix:
     """Orthonormal basis, one column each, of the eigenvalue-1 eigenspace of
-    the Coxeter element of S(n) in representation f: the 1-eigenspace of the
-    C_n average, whose spectrum is 0 and 1.  Its dimension is the trivial
-    branching multiplicity."""
-    blocks, margin = integer_eigenspaces(trivial_projector(f), 0, 1)
-    basis = canonical_phases(blocks[1], SPECTRUM_TOL)
+    the Coxeter element of S(n) in representation f: the column space of the
+    C_n average P, spanned by pivoted Gram-Schmidt over P's columns (each step
+    takes the column of largest residual norm, the first of equals).  Its
+    dimension is the trivial branching multiplicity.  The margin is the
+    largest of |P b - b| over the basis vectors b and the residual norm of
+    the columns left over."""
+    p = trivial_projector(f)
     expected = trivial_multiplicity(f)
-    if margin > SPECTRUM_TOL or basis.shape[1] != expected:
+    residual = [list(col) for col in zip(*p)]
+    basis = []
+    for _ in range(expected):
+        norms = [_norm(col) for col in residual]
+        k = norms.index(max(norms))
+        if norms[k] <= SPECTRUM_TOL:
+            break
+        b = canonical_unit(residual[k])
+        for col in residual:
+            overlap = _dot(b, col)
+            col[:] = [x - overlap * y for x, y in zip(col, b)]
+        basis.append(b)
+    margin = max([_norm([_dot(row, b) - x for row, x in zip(p, b)]) for b in basis]
+                 + [_norm(col) for col in residual])
+    if margin > SPECTRUM_TOL or len(basis) != expected:
         raise ConsistencyError(
-            f"fixed space of {f} has dimension {basis.shape[1]}, character theory "
-            f"demands {expected}; projector eigenvalues off 0 and 1 by margin {margin:.3g}"
+            f"fixed space of {f} has dimension {len(basis)}, character theory demands "
+            f"{expected}; |P b - b| and leftover columns reach margin {margin:.3g}"
         )
-    return basis
+    return tuple(tuple(b[i] for b in basis) for i in range(len(p)))

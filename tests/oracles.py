@@ -7,7 +7,8 @@ one-point evaluations from those routines, so that tests can check the
 factored results against the plain definitions.  The Young ranks reach the
 multiplicities without characters: the joint eigenspaces of the Jucys-Murphy
 sums, one per standard tableau, have the dimensions that character theory
-predicts.
+predicts.  The eigh route to the Young fixed spaces is the reference for
+the Gram-Schmidt route of `youngrep.fixed_subspace`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from simplexmodes.modes import ModeBasis, _sample_pairs, cyclic_operators
+from simplexmodes.modes import ModeBasis, _sample_pairs, cyclic_operators, integer_eigenspaces
 from simplexmodes.permgroup import ConsistencyError, Partition
 from simplexmodes.reduction import S5_PARTITION_ORDER
+from simplexmodes.report import SPECTRUM_TOL
 from simplexmodes.su2wigner import SU2Element, _as_two_j, wigner_rows
 from simplexmodes.weylaction import (
     GroupOperator,
@@ -29,9 +31,7 @@ from simplexmodes.weylaction import (
     operator_matrices,
     transposition_operators,
 )
-from simplexmodes.youngrep import (
-    SPECTRUM_TOL, StandardTableau, _ordered_tableaux, integer_eigenspaces,
-)
+from simplexmodes.youngrep import StandardTableau, _ordered_tableaux, trivial_projector
 
 
 def wigner_d(j: float | int | Fraction, u: SU2Element) -> np.ndarray:
@@ -77,6 +77,14 @@ def sample_points(num_points: int, seed: int) -> list[SamplePoint]:
 def evaluate_modes(basis: ModeBasis, u: SU2Element) -> np.ndarray:
     """Values of every mode at a point."""
     return wigner_d(Fraction(basis.two_j, 2), u).reshape(-1) @ basis.coefficients
+
+
+def eigh_fixed_subspace(f: Partition) -> tuple[np.ndarray, float]:
+    """The eigh route to youngrep.fixed_subspace: the eigenvalue-1
+    eigenvectors of the C_n average, whose spectrum is 0 and 1, and the
+    largest distance of an eigenvalue from 0 or 1."""
+    blocks, margin = integer_eigenspaces(np.asarray(trivial_projector(f)), 0, 1)
+    return blocks[1], margin
 
 
 def standard_tableaux(f: Partition) -> list[StandardTableau]:

@@ -435,6 +435,16 @@ class TestVerify:
         assert failed[0]["detail"] == "no rows" and failed[0]["residual"] is None
         assert [c["name"] for c in doc["checks"]] == VERIFY_CHECKS
 
+    def test_ragged_golden_table_fails_its_check(self, capsys, monkeypatch):
+        data = report.load()
+        data["o4_s5"]["entries"][10].pop()
+        monkeypatch.setattr(cli, "load", lambda: data)
+        rc, doc = run_json(capsys, "verify", "--all")
+        assert rc == 3
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["o4_s5_entries"]
+        assert failed[0]["detail"].startswith("shape (")
+
     def test_bad_fault_spec(self, capsys):
         rc, _ = run(capsys, "verify", "--all", "--inject-fault", "nonsense")
         assert rc == 2

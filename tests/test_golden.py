@@ -38,6 +38,13 @@ class TestCompare:
         residual, problem, _ = golden._compare(Row("x", [1, 2], [[1, 2]]), None)
         assert residual == math.inf and "shape" in problem
 
+    def test_ragged_value_is_a_shape_mismatch(self):
+        for got, want in (([[1, 2], [3]], [[1, 2], [3, 4]]), ([[1, 2], [3, 4]], [[1, 2], 3])):
+            residual, problem, _ = golden._compare(Row("x", got, want, label="m"), None)
+            assert residual == math.inf and problem.startswith("m shape ") and "ragged" in problem
+        row = Row("x", [[0, 0], [0]], [[0, 0], [0, 0]], fault="t")
+        assert golden._compare(row, "t:1:0") == (math.inf, "shape ragged != golden (2, 2)", False)
+
     def test_missing_value_fails(self):
         residual, problem, _ = golden._compare(Row("x", [math.nan], [1]), None)
         assert residual == math.inf and problem

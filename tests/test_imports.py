@@ -1,6 +1,7 @@
-"""The exact-table commands run on the integer core: only the commands that
-build arrays load numpy, and each command loads only the library modules it
-runs.  Every exported function is reached by some command."""
+"""The exact-table commands and the golden gate run on the integer core and
+plain floats: only `modes`, which builds arrays, loads numpy, and each
+command loads only the library modules it runs.  Every exported function is
+reached by some command."""
 
 import functools
 import importlib
@@ -32,7 +33,13 @@ TABLE_COMMANDS = [
       for chain in ("o2s3c3", "o3s4c4", "o4s5c5") for fmt in ("json", "csv")),
     ["classchars", "--two-j-max", "60"],
 ]
-ARRAY_COMMANDS = [["modes", "--two-j", "2"], ["verify", "--all"]]
+ARRAY_COMMANDS = [["modes", "--two-j", "2"]]
+#: the golden gate with and without its fault, and their exit codes
+GATE_COMMANDS = [
+    pytest.param(["verify", "--all"], 0, id="verify --all"),
+    pytest.param(["verify", "--all", "--inject-fault", "o4:10:5"], 3,
+                 id="verify --all --inject-fault o4:10:5"),
+]
 
 #: names that left the library, by their former module: test-only oracles,
 #: wrappers of a value the caller already holds, routes no command reached and
@@ -104,9 +111,16 @@ def test_table_commands_do_not_load_numpy(argv):
     assert "numpy" not in loaded_modules(argv)
 
 
+@pytest.mark.parametrize("argv, exit_code", GATE_COMMANDS)
+def test_golden_gate_does_not_load_numpy(argv, exit_code):
+    assert "numpy" not in loaded_modules(argv, exit_code)
+
+
 @pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
 def test_array_commands_load_numpy(argv):
-    assert "numpy" in loaded_modules(argv)
+    loaded = loaded_modules(argv)
+    assert "numpy" in loaded
+    assert not loaded & {"simplexmodes.youngrep", "simplexmodes.golden"}
 
 
 @functools.cache
@@ -117,11 +131,14 @@ def loaded_by_numpy() -> frozenset[str]:
     return frozenset(out.stdout.split())
 
 
-@pytest.mark.parametrize("argv", TABLE_COMMANDS + ARRAY_COMMANDS, ids=" ".join)
-def test_no_command_loads_numpy_random(argv):
+@pytest.mark.parametrize("argv, exit_code", [
+    *(pytest.param(argv, 0, id=" ".join(argv)) for argv in TABLE_COMMANDS + ARRAY_COMMANDS),
+    *GATE_COMMANDS,
+])
+def test_no_command_loads_numpy_random(argv, exit_code):
     # the `modes` sample comes from the standard library; numpy before 2.0
     # loads numpy.random with numpy itself, numpy 2 on first use
-    assert "numpy.random" not in loaded_modules(argv) - loaded_by_numpy()
+    assert "numpy.random" not in loaded_modules(argv, exit_code) - loaded_by_numpy()
 
 
 @pytest.mark.parametrize("argv, exit_code", [

@@ -17,7 +17,6 @@ from oracles import (
 from simplexmodes import modes
 from simplexmodes.cli import MAX_TWO_J_MODES
 from simplexmodes.modes import (
-    SPECTRUM_TOL,
     ModeBasis,
     block_points,
     cyclic_operators,
@@ -32,6 +31,7 @@ from simplexmodes.permgroup import (
     trivial_multiplicity,
 )
 from simplexmodes.reduction import S5_PARTITION_ORDER, _row, o4_multiplicity_table
+from simplexmodes.report import SPECTRUM_TOL
 from simplexmodes.weylaction import (
     act_on_coefficients,
     diagonal_factors,
@@ -72,7 +72,7 @@ def young_operator(two_j, f, row, col):
     c^f_{row,col} = (dim f / 120) sum_p D^f_{row,col}(p) T_p on the degree-2j
     harmonics, from the 120 operator matrices."""
     return (f.dimension / 120.0) * sum(
-        rep_matrix(f, p)[row, col] * mat
+        np.asarray(rep_matrix(f, p))[row, col] * mat
         for p, mat in modes._operator_matrices(two_j).items()
     )
 

@@ -320,7 +320,7 @@ def _s4_rotation_cosines() -> list[tuple[Permutation, int, float]]:
     out = []
     for images in itertools.permutations(range(1, 5)):
         p = Permutation(images)
-        mat = primed_rep_matrix(Partition.of(3, 1), p)
+        mat = np.asarray(primed_rep_matrix(Partition.of(3, 1), p))
         rot = -mat if p.parity() else mat
         cos_phi = min(1.0, max(-1.0, (np.trace(rot) - 1.0) / 2.0))
         out.append((p, p.parity(), math.cos(math.acos(cos_phi) / 2.0)))

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import standard_tableaux
+from oracles import eigh_fixed_subspace, standard_tableaux
 from simplexmodes import youngrep
+from simplexmodes.modes import integer_eigenspaces
 from simplexmodes.permgroup import (
     ConsistencyError,
     Partition,
@@ -19,7 +20,6 @@ from simplexmodes.permgroup import (
 from simplexmodes.youngrep import (
     fixed_subspace,
     generator_matrix,
-    integer_eigenspaces,
     primed_rep_matrix,
     rep_matrix,
     tetrahedral_primed_generators,
@@ -155,7 +155,7 @@ class TestGeneratorMatrices:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_involutions_and_braid_relations(self, n):
         for f in partitions_of(n):
-            gens = [generator_matrix(f, i) for i in range(1, n)]
+            gens = [np.asarray(generator_matrix(f, i)) for i in range(1, n)]
             d = len(gens[0])
             for g in gens:
                 assert np.abs(g @ g - np.eye(d)).max() < 1e-12
@@ -202,8 +202,8 @@ class TestRepMatrix:
         perms = all_perms(5)
         for _ in range(20):
             p, q = (perms[rng.integers(len(perms))] for _ in range(2))
-            lhs = rep_matrix(f, p * q)
-            rhs = rep_matrix(f, p) @ rep_matrix(f, q)
+            lhs = np.asarray(rep_matrix(f, p * q))
+            rhs = np.asarray(rep_matrix(f, p)) @ np.asarray(rep_matrix(f, q))
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_traces_are_characters_s4(self):
@@ -238,7 +238,7 @@ class TestProjectorsAndFixedVectors:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_projector_idempotent_with_correct_rank(self, n):
         for f in partitions_of(n):
-            p = trivial_projector(f)
+            p = np.asarray(trivial_projector(f))
             assert np.abs(p @ p - p).max() < 1e-12
             assert round(np.trace(p)) == trivial_multiplicity(f)
             assert abs(np.trace(p) - round(np.trace(p))) < 1e-12
@@ -246,28 +246,28 @@ class TestProjectorsAndFixedVectors:
     def test_projector_off_its_spectrum_raises(self, monkeypatch):
         real = youngrep.trivial_projector
         monkeypatch.setattr(youngrep, "trivial_projector",
-                            lambda f: 0.9 * real(f))
+                            lambda f: 0.9 * np.asarray(real(f)))
         with pytest.raises(ConsistencyError, match="margin"):
             fixed_subspace(Partition.of(3, 1, 1))
 
     def test_fixed_211(self):
-        basis = fixed_subspace(Partition.of(2, 1, 1))
+        basis = np.asarray(fixed_subspace(Partition.of(2, 1, 1)))
         assert basis.shape[1] == 1
         assert np.allclose(basis[:, 0], [s(1 / 2), s(1 / 6), s(1 / 3)])
 
     def test_fixed_22(self):
-        assert np.allclose(fixed_subspace(Partition.of(2, 2))[:, 0], [0.5, s(3 / 4)])
+        assert np.allclose(np.asarray(fixed_subspace(Partition.of(2, 2)))[:, 0], [0.5, s(3 / 4)])
 
     def test_fixed_32_and_221(self):
         raw = np.array([s(2 / 3), -1, -s(1 / 3), -s(1 / 3), 1])
         want = raw / np.linalg.norm(raw)
-        assert np.allclose(fixed_subspace(Partition.of(3, 2))[:, 0], want)
+        assert np.allclose(np.asarray(fixed_subspace(Partition.of(3, 2)))[:, 0], want)
         raw221 = np.array([s(2 / 3), -1, s(1 / 3), s(1 / 3), 1])
         want221 = raw221 / np.linalg.norm(raw221)
-        assert np.allclose(fixed_subspace(Partition.of(2, 2, 1))[:, 0], want221)
+        assert np.allclose(np.asarray(fixed_subspace(Partition.of(2, 2, 1)))[:, 0], want221)
 
     def test_fixed_311_span(self):
-        b = fixed_subspace(Partition.of(3, 1, 1))
+        b = np.asarray(fixed_subspace(Partition.of(3, 1, 1)))
         assert b.shape[1] == 2
         assert np.abs(b.T @ b - np.eye(2)).max() < 1e-12
         q1 = np.array([s(49 / 45), s(2 / 45), s(8 / 15), s(2 / 3), 0, 1])
@@ -285,11 +285,21 @@ class TestProjectorsAndFixedVectors:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_dimension_matches_multiplicity(self, n):
         for f in partitions_of(n):
-            assert fixed_subspace(f).shape[1] == trivial_multiplicity(f)
+            assert np.asarray(fixed_subspace(f)).shape[1] == trivial_multiplicity(f)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_gram_schmidt_and_eigh_span_one_space(self, n):
+        for f in partitions_of(n):
+            basis = np.asarray(fixed_subspace(f))
+            other, margin = eigh_fixed_subspace(f)
+            assert basis.shape == other.shape and margin < 1e-9, f
+            # the Frobenius norm of (I - B B^T) V bounds the sine of every
+            # principal angle between the two spans
+            assert np.linalg.norm(other - basis @ (basis.T @ other)) <= 1e-10, f
 
     def test_first_component_sign_convention(self):
         for parts in [(2, 2), (2, 1, 1), (3, 2), (2, 2, 1)]:
-            v = fixed_subspace(Partition(parts))[:, 0]
+            v = np.asarray(fixed_subspace(Partition(parts)))[:, 0]
             lead = next(x for x in v if abs(x) > 1e-9)
             assert lead > 0
 
@@ -306,7 +316,7 @@ class TestIntegerEigenspaces:
 
 class TestPrimedRepresentation:
     def test_generators(self):
-        gens = tetrahedral_primed_generators()
+        gens = [np.asarray(g) for g in tetrahedral_primed_generators()]
         assert len(gens) == 6
         assert np.allclose(gens[1], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         assert np.allclose(gens[0], [[1, 0, 0], [0, 0, -1], [0, -1, 0]])
