@@ -30,8 +30,8 @@ _HOMES = {
         "act_on_points class_character_table class_representatives compose "
         "diagonal_factors operator_character operator_factors permutation_operator "
         "reflection_operator transposition_operators weyl_vectors_s5",
-        "reduction": "MultiplicityTable O2Label o2_multiplicity_table o2_reduce "
-        "o3_multiplicity_table lattice_count_o4 o4_multiplicity_table",
+        "reduction": "MultiplicityTable o2_multiplicity_table o3_multiplicity_table "
+        "lattice_count_o4 o4_multiplicity_table",
         "modes": "ModeBasis periodic_basis verify_invariance",
     }.items()
     for name in names.split()

@@ -102,7 +102,7 @@ def _emit(doc: dict, args) -> None:
 # ----------------------------------------------------------------- commands
 
 def cmd_chartable(args) -> dict:
-    from .permgroup import CycleType, character_table
+    from .permgroup import character_table
 
     table = character_table(args.n)
     classes = table.cycle_types
@@ -113,8 +113,8 @@ def cmd_chartable(args) -> dict:
         for a in range(len(classes))
         for b in range(len(classes))
     )
-    identity = classes.index(CycleType((1,) * args.n))
-    dim_sq = sum(row[identity] ** 2 for row in table.values)
+    # the hook-length dimensions, a second route to the identity column
+    dim_sq = sum(f.dimension ** 2 for f in table.partitions)
     checks = [
         check("column_orthogonality_exact", ortho, 0),
         check("sum_of_squared_dimensions", abs(dim_sq - table.order), 0),

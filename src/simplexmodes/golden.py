@@ -23,7 +23,7 @@ from .permgroup import (
     coxeter_element,
     trivial_multiplicity,
 )
-from .reduction import (O2Label, harmonic_dimension, o2_reduce, o3_multiplicity_table,
+from .reduction import (harmonic_dimension, o2_multiplicity_table, o3_multiplicity_table,
                         o4_multiplicity_table)
 from .report import REAL_TOL, check
 from .su2wigner import SU2Element
@@ -90,15 +90,18 @@ def _character_tables(gold):
                            f"{err['reason']}")
 
 
-_CIRCLE_PROBES = {"m=0": O2Label(0), "nu=0,eps=+": O2Label(3, 1), "nu=0,eps=-": O2Label(3, -1),
-                  "nu=1": O2Label(4, 1), "nu=2": O2Label(5, -1)}
+#: the `o2s3c3` table row of each golden circle label
+_CIRCLE_ROWS = {"m=0": "m=0", "nu=0,eps=+": "m=3,eps=+", "nu=0,eps=-": "m=3,eps=-",
+                "nu=1": "m=4,eps=+", "nu=2": "m=5,eps=-"}
 
 
 def _circle_rules(gold):
+    table = o2_multiplicity_table(5)
     for rule in gold["circle_rules"]:
-        f, m0 = o2_reduce(_CIRCLE_PROBES[rule["label"]])
-        yield Row("circle_rules", [*f.parts, m0], [*rule["partition"], rule["periodic"]],
-                  label=rule["label"])
+        i = table.row_labels.index(_CIRCLE_ROWS[rule["label"]])
+        held = [p for f, e in zip(table.partitions, table.entries[i]) if e for p in f.parts]
+        yield Row("circle_rules", [*held, table.periodic[i]],
+                  [*rule["partition"], rule["periodic"]], label=rule["label"])
 
 
 def _o3(gold):

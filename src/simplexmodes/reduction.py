@@ -5,10 +5,11 @@
 Each multiplicity is a character inner product in integers.  S(n) acts on
 the degree-d harmonics of R^(n-1), and every class character is the integer
 Molien coefficient `permgroup.class_character`, read off the cycle type, so
-one row function serves every n.  The periodic column of each degree table is
-an independent route: the C_n average of the class characters over the
-powers of the full cycle.  A character sum that the group order does not
-divide raises ConsistencyError.
+one row function `_row` serves every chain; O(2) splits each degree by the
+sign of a transposition.  The periodic column of each table is an independent
+route: the C_n average of the class characters over the powers of the full
+cycle.  A character sum that the group order does not divide raises
+ConsistencyError.
 `table_checks` audits every row against the one dimension formula
 dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
 d+n-4 < 0, and the increment of every row over the period lcm(1..n).
@@ -111,41 +112,6 @@ def _increment(entries, parts) -> tuple[int, int]:
                        for a, b, (slope, icpt) in zip(row, later, rule))
 
 
-# ---------------------------------------------------------------- O(2) chain
-
-@dataclass(frozen=True)
-class O2Label:
-    """Irreducible representation label of O(2): |angular index| m, and for
-    m > 0 the reflection symmetry epsilon of the symmetrized Fourier pair."""
-
-    m: int
-    epsilon: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
-        if self.m == 0 and self.epsilon is not None:
-            raise ValueError("epsilon is undefined for m = 0")
-        if self.m > 0 and self.epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1 for m > 0")
-
-    @property
-    def nu(self) -> int:
-        return self.m % 3
-
-
-def o2_reduce(label: O2Label) -> tuple[Partition, int]:
-    """S(3) partition carried by an O(2) label, and the number of times the
-    trivial C_3 representation occurs in it (the selection rule)."""
-    if label.m == 0:
-        return Partition.of(3), 1
-    if label.nu == 0:
-        if label.epsilon == 1:
-            return Partition.of(3), 1
-        return Partition.of(1, 1, 1), 1
-    return Partition.of(2, 1), 0
-
-
 # ---------------------------------------------------------------- O(4) chain
 
 S5_PARTITION_ORDER = tuple(
@@ -198,25 +164,24 @@ class MultiplicityTable:
 
 
 def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
-    """Reduction rows for O(2) labels with m <= m_max."""
-    parts = tuple(Partition(p) for p in [(3,), (2, 1), (1, 1, 1)])
-    labels: list[str] = []
-    entries = []
-    periodic = []
-    rows: list[O2Label] = [O2Label(0)]
-    for m in range(1, m_max + 1):
-        rows += [O2Label(m, 1), O2Label(m, -1)]
-    for lab in rows:
-        f, m0 = o2_reduce(lab)
-        if lab.m == 0:
-            labels.append("m=0")
-        else:
-            labels.append(f"m={lab.m},eps={'+' if lab.epsilon == 1 else '-'}")
-        entries.append(tuple(1 if f == g else 0 for g in parts))
-        periodic.append(m0)
-    return MultiplicityTable(
-        "o2s3c3", tuple(labels), parts, tuple(entries), tuple(periodic)
-    )
+    """Reduction rows for the O(2) labels m = 0 and (m, eps), 0 < m <= m_max.
+    The pair (m, +), (m, -) spans the degree-m harmonics H_m of R^2, and a
+    transposition of S(3) acts on (m, eps) by eps; m = 0 takes eps = +.  Row
+    (m, eps) holds f when m_f(m) > 0 and the eps-eigenspace of a transposition
+    in f, of dimension (dim f + eps chi_f((2)(1))) / 2, is not empty.  Its
+    periodic count is the dimension of the C_3-fixed part of the eps-eigenspace
+    on H_m, (C_3 average + eps chi_m((2)(1))) / 2."""
+    parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
+    signed = {eps: [f.dimension + eps * character(f, swap) > 0 for f in parts] for eps in (1, -1)}
+    labels, entries, periodic = [], [], []
+    for m in range(m_max + 1):
+        row, fixed, trace = _row(m, parts), _cyclic_average(3, m), class_character(swap, m)
+        for eps in (1, -1) if m else (1,):
+            labels.append(f"m={m},eps={'+' if eps == 1 else '-'}" if m else "m=0")
+            entries.append(tuple(int(n > 0 and s) for n, s in zip(row, signed[eps])))
+            periodic.append(exact_quotient(fixed + eps * trace, 2,
+                                           "C_3-fixed part of (m=%d, eps=%+d)", m, eps))
+    return MultiplicityTable("o2s3c3", tuple(labels), parts, tuple(entries), tuple(periodic))
 
 
 def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,

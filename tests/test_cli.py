@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -35,6 +36,32 @@ class TestCharTable:
         _, doc = run_json(capsys, "chartable", "--n", "4")
         assert doc["command"] == "chartable"
         assert doc["tolerances"]["real"] == 1e-9
+
+    def test_wrong_character_fails_orthogonality_alone(self, capsys, monkeypatch):
+        # chi_[21]((3)) off by 1; the hook-length dimensions still square to 3!
+        real = permgroup.character_table
+
+        def broken(n):
+            table = real(n)
+            values = [list(row) for row in table.values]
+            values[1][0] += 1
+            return dataclasses.replace(table, values=tuple(map(tuple, values)))
+
+        monkeypatch.setattr(permgroup, "character_table", broken)
+        rc, doc = run_json(capsys, "chartable", "--n", "3")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("column_orthogonality_exact", 2)]
+
+    def test_wrong_dimension_fails_the_squared_dimensions_alone(self, capsys, monkeypatch):
+        # dim [21] off by 1: 1 + 9 + 1 = 11 against 3! = 6; the characters are right
+        real = Partition.dimension.fget
+        monkeypatch.setattr(Partition, "dimension",
+                            property(lambda f: real(f) + (f == Partition.of(2, 1))))
+        rc, doc = run_json(capsys, "chartable", "--n", "3")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("sum_of_squared_dimensions", 5)]
 
 
 class TestBranch:
@@ -97,7 +124,8 @@ class TestReduce:
                             "residual": 0, "tolerance": 0}
 
     @pytest.mark.parametrize("chain, parts, residual", [("o3s4c4", (3, 1), 1),
-                                                        ("o4s5c5", (4, 1), 2)])
+                                                        ("o4s5c5", (4, 1), 2),
+                                                        ("o2s3c3", (2, 1), 1)])
     def test_wrong_branching_fails_the_weighted_sum(self, capsys, monkeypatch, chain, parts,
                                                     residual):
         # the periodic column is the C_n average of the class characters, so a
@@ -109,25 +137,11 @@ class TestReduce:
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
         assert failed == [("periodic_equals_weighted_sum", residual)]
-
-    def test_o2_selection_rule_against_branching(self, capsys, monkeypatch):
-        # a selection rule that lets [21] through disagrees with its C_3 branching
-        real = reduction.o2_reduce
-
-        def lenient(label):
-            f, m0 = real(label)
-            return f, 1 if f == Partition.of(2, 1) else m0
-
-        monkeypatch.setattr(reduction, "o2_reduce", lenient)
-        rc, doc = run_json(capsys, "reduce", "--chain", "o2s3c3", "--max", "5")
-        assert rc == 3
-        weighted = next(c for c in doc["checks"] if c["name"] == "periodic_equals_weighted_sum")
-        assert not weighted["passed"] and weighted["residual"] == 1
         # the CSV table runs the same checks and fails the same way
-        rc = main(["reduce", "--chain", "o2s3c3", "--max", "5", "--format", "csv"])
+        rc = main(["reduce", "--chain", chain, "--max", "4", "--format", "csv"])
         out, err = capsys.readouterr()
         assert rc == 3 and err == "verification failed: periodic_equals_weighted_sum\n"
-        assert out.startswith("label,[3],[21],[111],periodic\n")
+        assert out.startswith(f"label,[{chain[-1]}],")  # [n] of S(n) comes first
 
     def test_csv_format(self, capsys):
         rc, out = run(capsys, "reduce", "--chain", "o4s5c5", "--max", "3",
@@ -175,12 +189,14 @@ class TestReduce:
     def test_broken_period_fails_the_increment(self, capsys, monkeypatch):
         # the (5) character at 2j = 61 off by 5 moves m_f(61) by chi_f((5)):
         # the increment from 2j = 1 misses its rule by 1, in either format,
-        # and the periodic count by sum_f w_f chi_f((5)) = 4
+        # and the periodic count by sum_f w_f chi_f((5)) = 4; the (4)
+        # character at l = 13 off by 4 moves m_f(13) by chi_f((4)), so the
+        # increment from l = 1 misses by 1, while the periodic count moves by
+        # sum_f w_f chi_f((4)) = 2 on both routes and the dimensions not at all
         exact = reduction.class_character
-        monkeypatch.setattr(
-            reduction, "class_character",
-            lambda k, t: exact(k, t) + (5 if (k, t) == (CycleType((5,)), 61) else 0),
-        )
+        broken = {(CycleType((5,)), 61): 5, (CycleType((4,)), 13): 4}
+        monkeypatch.setattr(reduction, "class_character",
+                            lambda k, t: exact(k, t) + broken.get((k, t), 0))
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "61")
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
@@ -191,6 +207,10 @@ class TestReduce:
         assert err == ("verification failed: degree_60_increment, "
                        "periodic_equals_lattice_count\n")
         assert out.startswith("label,[5],")
+        rc, doc = run_json(capsys, "reduce", "--chain", "o3s4c4", "--max", "13")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("degree_12_increment", 1)]
 
     def test_o4_lattice_count_check(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "300")

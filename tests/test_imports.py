@@ -49,9 +49,9 @@ REMOVED = {
     "youngrep": ("FixedSubspace", "ReprMatrix", "standard_tableaux"),
     "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
     "weylaction": ("act_on_point", "operator_matrix"),
-    "reduction": ("O3Label", "PERIODIC_CLASSES", "PartitionRecursion", "RecursionReport",
-                  "S4_PARTITION_ORDER", "multiplicity_o3_s4", "multiplicity_o4_s5",
-                  "periodic_count_o4", "recursion_report"),
+    "reduction": ("O2Label", "O3Label", "PERIODIC_CLASSES", "PartitionRecursion",
+                  "RecursionReport", "S4_PARTITION_ORDER", "multiplicity_o3_s4",
+                  "multiplicity_o4_s5", "o2_reduce", "periodic_count_o4", "recursion_report"),
     "modes": ("ModeComponent", "ModeDescription", "SamplePoint", "cyclic_projector",
               "evaluate_modes", "lower_dim_modes", "sample_points", "young_rank",
               "young_ranks"),

@@ -27,9 +27,7 @@ from simplexmodes.weylaction import (
 from simplexmodes.youngrep import primed_rep_matrix
 from simplexmodes.reduction import (
     S5_PARTITION_ORDER,
-    O2Label,
     o2_multiplicity_table,
-    o2_reduce,
     o3_multiplicity_table,
     harmonic_dimension,
     lattice_count_o4,
@@ -76,26 +74,27 @@ O3_TABLE = [
 O3_PERIODIC = [1, 0, 1, 2, 3]
 
 
-class TestCircleChain:
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            O2Label(0, 1)
-        with pytest.raises(ValueError):
-            O2Label(2)
-        with pytest.raises(ValueError):
-            O2Label(2, 2)
+def o2_rows(m_max: int) -> dict[str, tuple[list[Partition], int]]:
+    """The partitions each `o2s3c3` row holds and its periodic count, by label."""
+    table = o2_multiplicity_table(m_max)
+    return {label: ([f for f, e in zip(table.partitions, row) if e], per)
+            for label, row, per in zip(table.row_labels, table.entries, table.periodic)}
 
+
+class TestCircleChain:
     def test_rule_rows(self):
-        assert o2_reduce(O2Label(0)) == (Partition.of(3), 1)
-        assert o2_reduce(O2Label(6, -1)) == (Partition.of(1, 1, 1), 1)
-        assert o2_reduce(O2Label(6, 1)) == (Partition.of(3), 1)
-        assert o2_reduce(O2Label(4, 1)) == (Partition.of(2, 1), 0)
-        assert o2_reduce(O2Label(5, -1)) == (Partition.of(2, 1), 0)
+        rows = o2_rows(6)
+        assert rows["m=0"] == ([Partition.of(3)], 1)
+        assert rows["m=6,eps=-"] == ([Partition.of(1, 1, 1)], 1)
+        assert rows["m=6,eps=+"] == ([Partition.of(3)], 1)
+        assert rows["m=4,eps=+"] == ([Partition.of(2, 1)], 0)
+        assert rows["m=5,eps=-"] == ([Partition.of(2, 1)], 0)
 
     @pytest.mark.parametrize("m", range(13))
     def test_averaging_oracle(self, m):
         # numeric projection onto rotations by 2*pi*k/3 on the circle
         phis = np.linspace(0.1, 2 * math.pi, 17)
+        rows = o2_rows(m)
 
         def basis_fn(eps):
             def fn(phi):
@@ -108,8 +107,8 @@ class TestCircleChain:
 
         for eps in ((None,) if m == 0 else (1, -1)):
             fn = basis_fn(eps if eps is not None else 1)
-            label = O2Label(m) if m == 0 else O2Label(m, eps)
-            _, allowed = o2_reduce(label)
+            label = "m=0" if m == 0 else f"m={m},eps={'+' if eps == 1 else '-'}"
+            _, allowed = rows[label]
             for phi in phis:
                 avg = sum(fn(phi + 2 * math.pi * k / 3) for k in range(3)) / 3
                 if allowed:
@@ -125,22 +124,20 @@ class TestCircleChain:
         assert table.periodic == (1, 0, 0, 0, 0, 1, 1)
 
     def test_character_route_agrees_with_the_rules(self):
-        # S(3) acts on H_m(R^2), the sum of the rows (m, +) and (m, -); its
-        # Molien characters give the same partitions and periodic count
-        classes = [CycleType(p.parts) for p in partitions_of(3)]
+        # the closed-form selection rule: [3] at m = 0; [3] for (m, +) and
+        # [111] for (m, -), both periodic, when 3 | m; otherwise [21], not periodic
         table = o2_multiplicity_table(1000)
-        for m in range(1001):
-            rows = [0] if m == 0 else [2 * m - 1, 2 * m]
-            mult = {}
-            for f in table.partitions:
-                total = sum(k.class_size * character(f, k) * class_character(k, m) for k in classes)
-                mult[f], remainder = divmod(total, 6)
-                assert remainder == 0, (m, f)
-            support = {f for i in rows for f, e in zip(table.partitions, table.entries[i]) if e}
-            assert {f for f, n in mult.items() if n} == support, m
-            weighted = sum(n * trivial_multiplicity(f) for f, n in mult.items())
-            assert weighted == sum(table.periodic[i] for i in rows), m
-            assert weighted == reduction._cyclic_average(3, m), m
+        one, two, three = (Partition.of(*p) for p in [(3,), (2, 1), (1, 1, 1)])
+        rules = [("m=0", one, 1)]
+        for m in range(1, 1001):
+            for eps, sign in ((1, "+"), (-1, "-")):
+                f, per = ((one if eps == 1 else three), 1) if m % 3 == 0 else (two, 0)
+                rules.append((f"m={m},eps={sign}", f, per))
+        assert table.partitions == (one, two, three)
+        assert table.row_labels == tuple(label for label, _, _ in rules)
+        assert table.entries == tuple(tuple(int(g == f) for g in table.partitions)
+                                      for _, f, _ in rules)
+        assert table.periodic == tuple(per for _, _, per in rules)
 
 
 class TestSphereChain:
