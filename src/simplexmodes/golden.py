@@ -15,18 +15,10 @@ import itertools
 import math
 from typing import Any, NamedTuple
 
-from .permgroup import (
-    ConsistencyError,
-    CycleType,
-    Partition,
-    character_table,
-    coxeter_element,
-    trivial_multiplicity,
-)
+from .permgroup import CycleType, Partition, character_table, coxeter_element, trivial_multiplicity
 from .reduction import (harmonic_dimension, o2_multiplicity_table, o3_multiplicity_table,
                         o4_multiplicity_table)
-from .report import REAL_TOL, check
-from .su2wigner import SU2Element
+from .report import REAL_TOL, ConsistencyError, check
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
     _product,
@@ -58,11 +50,6 @@ def _complex(pairs):
     if isinstance(pairs[0], list):
         return [_complex(p) for p in pairs]
     return complex(*pairs)
-
-
-def _su2(u: SU2Element) -> list[list[complex]]:
-    """The defining matrix [[z1, z2], [-conj(z2), conj(z1)]] of u."""
-    return [[u.z1, u.z2], [-u.z2.conjugate(), u.z1.conjugate()]]
 
 
 def _erratum(name: str, got, record: dict, label: str, detail: str = "") -> Row:
@@ -164,21 +151,22 @@ def _class_characters(gold):
 def _weyl(gold):
     g = gold["weyl"]
     vectors = weyl_vectors_s5()
-    pts = [(v.a.x0, v.a.x1, v.a.x2, v.a.x3) for v in vectors]
+    pts = [v.a for v in vectors]
     yield Row("weyl_gram", _product(pts, list(zip(*pts))), g["gram"], 1e-15)
-    yield Row("weyl_v_matrices", [_su2(v.v) for v in vectors], _complex(g["v_matrices"]), 1e-12)
+    yield Row("weyl_v_matrices", [v.v.matrix() for v in vectors], _complex(g["v_matrices"]),
+              1e-12)
     ops = {str(k): op for k, op in class_operators().items()}
     for name, data in g["class_matrices"].items():
         op = ops[name]
         if "g_r_g_l" in data:
-            got, want = _su2(op.g_r * op.g_l), _complex(data["g_r_g_l"])
+            got, want = (op.g_r * op.g_l).matrix(), _complex(data["g_r_g_l"])
         else:
-            got = [_su2(op.g_l), _su2(op.g_r)]
+            got = [op.g_l.matrix(), op.g_r.matrix()]
             want = _complex([data["g_l"], data["g_r"]])
             if data.get("joint_sign"):  # the rotation pair is fixed only up to a joint sign
                 pairs = list(zip(_flatten(got)[1], _flatten(want)[1]))
                 if max(abs(x + y) for x, y in pairs) < max(abs(x - y) for x, y in pairs):
-                    got = [_su2(-op.g_l), _su2(-op.g_r)]
+                    got = [[[-x for x in row] for row in m] for m in got]
         yield Row("weyl_class_matrices", got, want, REAL_TOL, label=name)
 
 

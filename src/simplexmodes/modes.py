@@ -18,11 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permgroup import (
-    ConsistencyError, Partition, Permutation, coxeter_element, trivial_multiplicity,
-)
+from .permgroup import Partition, Permutation, coxeter_element, trivial_multiplicity
 from .reduction import S5_PARTITION_ORDER, _row, lattice_count_o4
-from .report import SPECTRUM_TOL
+from .report import SPECTRUM_TOL, ConsistencyError
 from .su2wigner import wigner_rows
 from .weylaction import (
     GroupOperator,

@@ -41,9 +41,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "[" + "".join(str(p) for p in self.parts) + "]"
 
@@ -142,10 +139,6 @@ class Permutation:
             p = p * cls(tuple(images))
         return p
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> Permutation:
-        return cls.from_cycles(n, [(i, j)])
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -157,20 +150,6 @@ class Permutation:
         if self.n != other.n:
             raise ValueError("permutations act on different sets")
         return Permutation(tuple(other.images[i - 1] for i in self.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, x in enumerate(self.images):
-            inv[x - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        lengths = self.cycle_type().parts
-        return sum(length - 1 for length in lengths) % 2
-
-    def sign(self) -> int:
-        return -1 if self.parity() else 1
 
     def cycle_type(self) -> CycleType:
         seen = [False] * (self.n + 1)

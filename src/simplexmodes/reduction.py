@@ -4,12 +4,13 @@
 
 Each multiplicity is a character inner product in integers.  S(n) acts on
 the degree-d harmonics of R^(n-1), and every class character is the integer
-Molien coefficient `permgroup.class_character`, read off the cycle type, so
-one row function `_row` serves every chain; O(2) splits each degree by the
-sign of a transposition.  The periodic column of each table is an independent
-route: the C_n average of the class characters over the powers of the full
-cycle.  A character sum that the group order does not divide raises
-ConsistencyError.
+Molien coefficient `permgroup.class_character`, read off the cycle type.
+Each table evaluates the class characters of a degree once, as one row
+`_class_row`, and reads from it the multiplicities, the periodic count and,
+on O(2), the trace of a transposition, by which O(2) splits each degree.
+The periodic column of each table is an independent route: the C_n average
+of the class characters over the powers of the full cycle.  A character sum
+that the group order does not divide raises ConsistencyError.
 `table_checks` audits every row against the one dimension formula
 dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
 d+n-4 < 0, and the increment of every row over the period lcm(1..n).
@@ -47,15 +48,23 @@ def _class_weights(f: Partition) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cyclic_classes(n: int) -> tuple[tuple[CycleType, int], ...]:
-    """The class of each power of the full cycle of S(n), with its count."""
-    return tuple(Counter(p.cycle_type() for p in cyclic_elements(n)).items())
+def _cyclic_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """The `_classes` index of each power of the full cycle of S(n), with its count."""
+    counts = Counter(p.cycle_type() for p in cyclic_elements(n))
+    return tuple((_classes(n).index(k), c) for k, c in counts.items())
 
 
-def _cyclic_average(n: int, degree: int) -> int:
+def _class_row(n: int, degree: int) -> list[int]:
+    """chi_d(k) on the degree-d harmonics of R^(n-1) for each class k of S(n)
+    in `_classes` order: every table reads a degree from this one row."""
+    return [class_character(k, degree) for k in _classes(n)]
+
+
+def _cyclic_average(n: int, degree: int, chars) -> int:
     """Periodic modes among the degree-d harmonics of R^(n-1), without the
-    partitions: (1/n) sum_k chi_d(g^k) over the powers of the full cycle g."""
-    total = sum(c * class_character(k, degree) for k, c in _cyclic_classes(n))
+    partitions: (1/n) sum_k chi_d(g^k) over the powers of the full cycle g,
+    read from the class characters `chars` of `_class_row`."""
+    total = sum(c * chars[i] for i, c in _cyclic_classes(n))
     return exact_quotient(total, n, "C_%d average at degree %d", n, degree)
 
 
@@ -66,14 +75,18 @@ def harmonic_dimension(n: int, degree: int) -> int:
     return math.comb(degree + n - 2, n - 2) - drop
 
 
-def _row(degree: int, parts) -> tuple[int, ...]:
+def _multiplicities(degree: int, chars, parts) -> tuple[int, ...]:
     """Multiplicities of the partitions `parts` of n in the degree-d harmonics
-    of R^(n-1): (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k."""
-    n = parts[0].n
-    chars = [class_character(k, degree) for k in _classes(n)]
+    of R^(n-1): (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k, with
+    chi_d read from `chars`, the `_class_row` of the degree."""
     return tuple(exact_quotient(sum(w * c for w, c in zip(_class_weights(f), chars)),
-                                math.factorial(n), "m(%s) at degree %d", f, degree)
+                                math.factorial(f.n), "m(%s) at degree %d", f, degree)
                  for f in parts)
+
+
+def _row(degree: int, parts) -> tuple[int, ...]:
+    """The multiplicities of `parts` at one degree, from its own class row."""
+    return _multiplicities(degree, _class_row(parts[0].n, degree), parts)
 
 
 def _audit(entries, parts) -> int:
@@ -173,13 +186,15 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
     on H_m, (C_3 average + eps chi_m((2)(1))) / 2."""
     parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
     signed = {eps: [f.dimension + eps * character(f, swap) > 0 for f in parts] for eps in (1, -1)}
+    at_swap = _classes(3).index(swap)
     labels, entries, periodic = [], [], []
     for m in range(m_max + 1):
-        row, fixed, trace = _row(m, parts), _cyclic_average(3, m), class_character(swap, m)
+        chars = _class_row(3, m)
+        row, fixed = _multiplicities(m, chars, parts), _cyclic_average(3, m, chars)
         for eps in (1, -1) if m else (1,):
             labels.append(f"m={m},eps={'+' if eps == 1 else '-'}" if m else "m=0")
             entries.append(tuple(int(n > 0 and s) for n, s in zip(row, signed[eps])))
-            periodic.append(exact_quotient(fixed + eps * trace, 2,
+            periodic.append(exact_quotient(fixed + eps * chars[at_swap], 2,
                                            "C_3-fixed part of (m=%d, eps=%+d)", m, eps))
     return MultiplicityTable("o2s3c3", tuple(labels), parts, tuple(entries), tuple(periodic))
 
@@ -190,8 +205,10 @@ def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
     periodic count of each row as the C_n average of its class characters;
     with `totals`, also each partition's periodic modes m_f w_f over all rows
     and the grand total of the periodic column."""
-    entries = tuple(_row(d, parts) for d in range(top + 1))
-    periodic = tuple(_cyclic_average(parts[0].n, d) for d in range(top + 1))
+    n = parts[0].n
+    chars = [_class_row(n, d) for d in range(top + 1)]
+    entries = tuple(_multiplicities(d, c, parts) for d, c in enumerate(chars))
+    periodic = tuple(_cyclic_average(n, d, c) for d, c in enumerate(chars))
     extra = ()
     if totals:
         weights = [trivial_multiplicity(f) for f in parts]

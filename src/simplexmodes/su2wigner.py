@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .permgroup import ConsistencyError
+from .report import ConsistencyError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,8 +42,7 @@ def _as_two_j(j: float | int | Fraction) -> int:
     return int(two_j)
 
 
-@dataclass(frozen=True)
-class Point4:
+class Point4(NamedTuple):
     """Point of E^4; unit norm when it lies on the 3-sphere."""
 
     x0: float
@@ -51,18 +50,8 @@ class Point4:
     x2: float
     x3: float
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
     def norm(self) -> float:
         return math.sqrt(self.x0**2 + self.x1**2 + self.x2**2 + self.x3**2)
-
-    @classmethod
-    def from_array(cls, x) -> Point4:
-        a, b, c, d = (float(v) for v in x)
-        return cls(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -79,27 +68,17 @@ class SU2Element:
     def identity(cls) -> SU2Element:
         return cls(1.0 + 0j, 0j)
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [[self.z1, self.z2], [-np.conj(self.z2), np.conj(self.z1)]],
-            dtype=complex,
-        )
+    def matrix(self) -> list[list[complex]]:
+        """The defining matrix [[z1, z2], [-conj(z2), conj(z1)]]."""
+        return [[self.z1, self.z2], [-self.z2.conjugate(), self.z1.conjugate()]]
 
     def __mul__(self, other: SU2Element) -> SU2Element:
         z1 = self.z1 * other.z1 - self.z2 * other.z2.conjugate()
         z2 = self.z1 * other.z2 + self.z2 * other.z1.conjugate()
         return SU2Element(complex(z1), complex(z2))
 
-    def __neg__(self) -> SU2Element:
-        return SU2Element(-self.z1, -self.z2)
-
     def inverse(self) -> SU2Element:
         return SU2Element(self.z1.conjugate(), -self.z2)
-
-    def transpose(self) -> SU2Element:
-        return SU2Element(self.z1, -self.z2.conjugate())
 
     def diagonal_frame(self) -> SU2Element:
         """h with h^-1 u h = (exp(i phi/2), 0), phi/2 = half_angle(u): its first
@@ -115,14 +94,6 @@ class SU2Element:
         if norm == 0.0:  # u is that diagonal element already
             return SU2Element.identity()
         return SU2Element(v1 / norm, -np.conj(v2) / norm)
-
-    def point(self) -> Point4:
-        return Point4(
-            self.z1.real, -self.z2.imag, -self.z2.real, -self.z1.imag
-        )
-
-    def isclose(self, other: SU2Element, tol: float = 1e-12) -> bool:
-        return abs(self.z1 - other.z1) <= tol and abs(self.z2 - other.z2) <= tol
 
 
 #: fixed matrix with q^T = q^{-1} = -q, conjugating u to its complex conjugate

@@ -15,14 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permgroup import (
-    ConsistencyError,
-    Partition,
-    Permutation,
-    cyclic_elements,
-    trivial_multiplicity,
-)
-from .report import SPECTRUM_TOL
+from .permgroup import Partition, Permutation, cyclic_elements, trivial_multiplicity
+from .report import SPECTRUM_TOL, ConsistencyError
 
 Matrix = tuple[tuple[float, ...], ...]  # a tuple of rows
 
@@ -32,10 +26,6 @@ class StandardTableau:
     """Standard Young tableau: rows strictly increase left-right and top-down."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
 
     @property
     def n(self) -> int:
@@ -61,9 +51,6 @@ class StandardTableau:
         return StandardTableau(
             tuple(tuple(table.get(v, v) for v in row) for row in self.rows)
         )
-
-    def __str__(self) -> str:
-        return "/".join(",".join(str(v) for v in row) for row in self.rows)
 
 
 def _fill_tableaux(shape: tuple[int, ...]) -> list[StandardTableau]:

@@ -1,4 +1,4 @@
-"""Dense, one-point and Young-operator oracles for the tests.
+"""Dense, one-point, Young-operator and group-element oracles for the tests.
 
 The library builds its operators in factored form (`operator_factors`,
 `act_on_coefficients`) and evaluates Wigner D in batches (`wigner_rows`).
@@ -8,7 +8,10 @@ factored results against the plain definitions.  The Young ranks reach the
 multiplicities without characters: the joint eigenspaces of the Jucys-Murphy
 sums, one per standard tableau, have the dimensions that character theory
 predicts.  The eigh route to the Young fixed spaces is the reference for
-the Gram-Schmidt route of `youngrep.fixed_subspace`.
+the Gram-Schmidt route of `youngrep.fixed_subspace`.  The inverse coordinate
+map, the SU(2) transpose and closeness, and the inverse and parity of a
+permutation are plain functions here: tests use them as references, and no
+command needs them.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from simplexmodes.modes import ModeBasis, _sample_pairs, cyclic_operators, integer_eigenspaces
-from simplexmodes.permgroup import ConsistencyError, Partition
+from simplexmodes.permgroup import Partition, Permutation
 from simplexmodes.reduction import S5_PARTITION_ORDER
-from simplexmodes.report import SPECTRUM_TOL
-from simplexmodes.su2wigner import SU2Element, _as_two_j, wigner_rows
+from simplexmodes.report import SPECTRUM_TOL, ConsistencyError
+from simplexmodes.su2wigner import Point4, SU2Element, _as_two_j, wigner_rows
 from simplexmodes.weylaction import (
     GroupOperator,
     act_on_coefficients,
@@ -32,6 +35,32 @@ from simplexmodes.weylaction import (
     transposition_operators,
 )
 from simplexmodes.youngrep import StandardTableau, _ordered_tableaux, trivial_projector
+
+
+def point(u: SU2Element) -> Point4:
+    """The point of S^3 that su2_from_point sends to u."""
+    return Point4(u.z1.real, -u.z2.imag, -u.z2.real, -u.z1.imag)
+
+
+def transpose(u: SU2Element) -> SU2Element:
+    """The element whose defining matrix is the transpose of u's."""
+    return SU2Element(u.z1, -u.z2.conjugate())
+
+
+def isclose(u: SU2Element, v: SU2Element, tol: float = 1e-12) -> bool:
+    return abs(u.z1 - v.z1) <= tol and abs(u.z2 - v.z2) <= tol
+
+
+def inverse(p: Permutation) -> Permutation:
+    images = [0] * p.n
+    for i, x in enumerate(p.images):
+        images[x - 1] = i + 1
+    return Permutation(tuple(images))
+
+
+def parity(p: Permutation) -> int:
+    """0 for even, 1 for odd."""
+    return sum(length - 1 for length in p.cycle_type().parts) % 2
 
 
 def wigner_d(j: float | int | Fraction, u: SU2Element) -> np.ndarray:

@@ -322,6 +322,28 @@ class TestModes:
         assert [c["name"] for c in failed] == ["invariance_max_deviation"]
         assert failed[0]["residual"] == 1.0 and failed[0]["tolerance"] == 1e-9
 
+    def test_unfixed_columns_exit_3(self, capsys, monkeypatch):
+        # the deck projector moves every coefficient by 1e-6
+        real = modes.act_on_coefficients
+        monkeypatch.setattr(modes, "act_on_coefficients", lambda *args: real(*args) + 1e-6)
+        rc = main(["modes", "--two-j", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert err == "verification failed: columns_fixed_by_projector\n"
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["columns_fixed_by_projector"]
+
+    def test_off_integer_spectrum_exits_3(self, capsys, monkeypatch):
+        # the true content blocks, reported with eigenvalues a whole unit off
+        real = modes.integer_eigenspaces
+        monkeypatch.setattr(modes, "integer_eigenspaces", lambda *args: (real(*args)[0], 1.0))
+        rc = main(["modes", "--two-j", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "content_sum_tags" in err
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [(c["name"], c["residual"]) for c in failed] == [("content_sum_tags", 1.0)]
+
     def test_wrong_tag_counts_exit_3(self, capsys, monkeypatch):
         # character theory with the ranks of [32] and [221] swapped
         i, k = (reduction.S5_PARTITION_ORDER.index(Partition.of(*p)) for p in ((3, 2), (2, 2, 1)))

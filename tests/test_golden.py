@@ -8,7 +8,7 @@ import pytest
 
 from simplexmodes import golden, report
 from simplexmodes.golden import Row
-from simplexmodes.permgroup import ConsistencyError
+from simplexmodes.report import ConsistencyError
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_golden_tables.py"
 
@@ -67,6 +67,27 @@ class TestCompare:
         [c], _ = golden.run({})
         assert not c["passed"] and c["residual"] == 1.0 and c["tolerance"] == 0
         assert c["detail"] == "late index (0): computed 2, golden 1; note"
+
+
+def _negated(value):
+    if isinstance(value, list):
+        return [_negated(v) for v in value]
+    return -value
+
+
+@pytest.mark.parametrize("joint_sign", [True, False])
+def test_negated_coxeter_pair_needs_the_joint_sign(joint_sign):
+    # the golden (5) rotation pair is fixed only up to a joint sign, so the
+    # gate compares the sign of the computed pair that fits the record better
+    gold = report.load()
+    record = gold["weyl"]["class_matrices"]["(5)"]
+    record.update(g_l=_negated(record["g_l"]), g_r=_negated(record["g_r"]))
+    if not joint_sign:
+        del record["joint_sign"]
+    checks, _ = golden.run(gold)
+    c = next(c for c in checks if c["name"] == "weyl_class_matrices")
+    assert c["passed"] == joint_sign
+    assert joint_sign or c["detail"].startswith("(5) index")
 
 
 class TestRegistry:

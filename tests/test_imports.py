@@ -1,8 +1,9 @@
 """The exact-table commands and the golden gate run on the integer core and
 plain floats: only `modes`, which builds arrays, loads numpy, and each
-command loads only the library modules it runs.  Every exported function is
-reached by some command."""
+command loads only the library modules it runs.  Every function and method of
+the library is reached by some command."""
 
+import ast
 import functools
 import importlib
 import inspect
@@ -10,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +180,38 @@ def test_oracles_are_not_library_api():
     assert "operator_matrices" not in simplexmodes.__all__
 
 
+#: the only defs that no command reaches, each with the reason it stays
+REACH_EXEMPT = {
+    "modes._operator_matrices": "perfbench/shim.py reads its cache_info() by name",
+    "weylaction.operator_matrices": "builds the matrices that modes._operator_matrices caches",
+}
+
+
+def library_defs() -> dict[tuple[str, str, int], str]:
+    """Every def of the library modules, nested defs, properties and dunders
+    included, keyed as the profiler sees its code (module, name, first line,
+    the first decorator's if any), with its dotted name."""
+    out = {}
+    for path in sorted(Path(simplexmodes.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"simplexmodes.{path.stem}"
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef):
+                        first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                        out[module, child.name, first] = name
+                    walk(child, name)
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(path.read_text()), path.stem)
+    return out
+
+
 def test_every_exported_function_runs_under_a_command():
     # in a fresh interpreter, so that no cache filled by another test hides a call
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -186,12 +220,12 @@ def test_every_exported_function_runs_under_a_command():
     reach = json.loads(out.stderr.splitlines()[-1])
     assert reach["codes"] == [0] * (len(REACH_COMMANDS) - 1) + [3]
     called = {tuple(key) for key in reach["called"]}
-    unreached = set()
+    defs = library_defs()
+    # exactly the exemptions, each still unreached
+    assert sorted(name for key, name in defs.items() if key not in called) == sorted(REACH_EXEMPT)
+    # every exported function is one of those defs
     for name in simplexmodes.__all__:
         value = getattr(simplexmodes, name)
-        if isinstance(value, type):  # data types are exempt
-            continue
-        code = inspect.unwrap(value).__code__
-        if (value.__module__, code.co_name, code.co_firstlineno) not in called:
-            unreached.add(name)
-    assert not unreached, sorted(unreached)
+        if not isinstance(value, type):
+            code = inspect.unwrap(value).__code__
+            assert (value.__module__, code.co_name, code.co_firstlineno) in defs, name

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import parity
 from simplexmodes import reduction
 from simplexmodes.permgroup import (
-    ConsistencyError,
     CycleType,
     Partition,
     Permutation,
@@ -17,6 +17,7 @@ from simplexmodes.permgroup import (
     partitions_of,
     trivial_multiplicity,
 )
+from simplexmodes.report import ConsistencyError
 from simplexmodes.su2wigner import chebyshev_u
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
@@ -267,6 +268,24 @@ class TestRecursionReport:
         assert sum(f.dimension * icpt for f, (_, icpt) in zip(S4_PARTITIONS, rule)) == 24
 
 
+class TestOneCharacterRowPerDegree:
+    """Each table evaluates every class character once per degree and reads
+    the multiplicities, the C_n average and the O(2) transposition trace from
+    that one row."""
+
+    @pytest.mark.parametrize("build, top, n", [
+        (o2_multiplicity_table, 40, 3), (o3_multiplicity_table, 30, 4),
+        (o4_multiplicity_table, 20, 5),
+    ], ids=["o2s3c3", "o3s4c4", "o4s5c5"])
+    def test_each_class_character_once(self, monkeypatch, build, top, n):
+        calls = []
+        exact = reduction.class_character
+        monkeypatch.setattr(reduction, "class_character",
+                            lambda k, d: calls.append((k, d)) or exact(k, d))
+        build(top)
+        assert len(calls) == len(set(calls)) == len(partitions_of(n)) * (top + 1)
+
+
 class TestEverySimplexDimension:
     """The one row function of every chain, for S(n) on R^(n-1), n = 3..8."""
 
@@ -318,9 +337,9 @@ def _s4_rotation_cosines() -> list[tuple[Permutation, int, float]]:
     for images in itertools.permutations(range(1, 5)):
         p = Permutation(images)
         mat = np.asarray(primed_rep_matrix(Partition.of(3, 1), p))
-        rot = -mat if p.parity() else mat
+        rot = -mat if parity(p) else mat
         cos_phi = min(1.0, max(-1.0, (np.trace(rot) - 1.0) / 2.0))
-        out.append((p, p.parity(), math.cos(math.acos(cos_phi) / 2.0)))
+        out.append((p, parity(p), math.cos(math.acos(cos_phi) / 2.0)))
     return out
 
 
@@ -383,7 +402,8 @@ class TestExactProperties:
     def test_lattice_count_equals_character_count(self, two_j):
         row = o4_row(two_j)
         weighted = sum(m * trivial_multiplicity(f) for m, f in zip(row, S5_PARTITION_ORDER))
-        assert lattice_count_o4(two_j) == weighted == reduction._cyclic_average(5, two_j)
+        periodic = reduction._cyclic_average(5, two_j, reduction._class_row(5, two_j))
+        assert lattice_count_o4(two_j) == weighted == periodic
 
 
 class TestLatticeCount:

@@ -8,7 +8,6 @@ from oracles import eigh_fixed_subspace, standard_tableaux
 from simplexmodes import youngrep
 from simplexmodes.modes import integer_eigenspaces
 from simplexmodes.permgroup import (
-    ConsistencyError,
     Partition,
     Permutation,
     character,
@@ -17,6 +16,7 @@ from simplexmodes.permgroup import (
     partitions_of,
     trivial_multiplicity,
 )
+from simplexmodes.report import ConsistencyError
 from simplexmodes.youngrep import (
     fixed_subspace,
     generator_matrix,
@@ -324,7 +324,7 @@ class TestPrimedRepresentation:
             assert np.allclose(g @ g, np.eye(3))
         for i, (a, b) in enumerate(zip(gens[:3], gens[3:]), start=1):
             assert np.allclose(a, -b)
-            swap = Permutation.transposition(4, i, i + 1)
+            swap = Permutation.from_cycles(4, [(i, i + 1)])
             assert np.allclose(b, primed_rep_matrix(Partition.of(2, 1, 1), swap))
 
     def test_primed_coxeter(self):
