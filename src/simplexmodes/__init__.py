@@ -22,11 +22,11 @@ _HOMES = {
         "report": "ConsistencyError",
         "permgroup": "CharacterTable CycleType Partition Permutation "
         "character character_table class_character coxeter_element cyclic_elements "
-        "full_cycle partitions_of trivial_multiplicity",
-        "youngrep": "StandardTableau fixed_subspace generator_matrix primed_rep_matrix "
+        "partitions_of trivial_multiplicity",
+        "youngrep": "fixed_subspace generator_matrix primed_rep_matrix "
         "rep_matrix tetrahedral_primed_generators trivial_projector",
         "su2wigner": "Point4 SU2Element su2_character su2_from_point wigner_rows",
-        "weylaction": "ClassCharacterRow GroupOperator WeylVector act_on_coefficients "
+        "weylaction": "ClassCharacterRow GroupOperator act_on_coefficients "
         "act_on_points class_character_table class_representatives compose "
         "diagonal_factors operator_character operator_factors permutation_operator "
         "reflection_operator transposition_operators weyl_vectors_s5",

@@ -243,7 +243,7 @@ def cmd_classchars(args) -> dict:
     # the integer characters against the float operator traces on 2j = 0..11,
     # two periods of every bounded class (the lcm of its cycle lengths is <= 6)
     traces = max(
-        abs(class_character(k, t) - operator_character(t / 2, op))
+        abs(class_character(k, t) - operator_character(t, op))
         for k, op in class_operators().items() for t in range(min(args.two_j_max, 11) + 1)
     )
     checks = [check("characters_match_operator_traces", traces, REAL_TOL)]

@@ -19,6 +19,7 @@ from .permgroup import CycleType, Partition, character_table, coxeter_element, t
 from .reduction import (harmonic_dimension, o2_multiplicity_table, o3_multiplicity_table,
                         o4_multiplicity_table)
 from .report import REAL_TOL, ConsistencyError, check
+from .su2wigner import su2_from_point
 from .weylaction import class_character_table, class_operators, weyl_vectors_s5
 from .youngrep import (
     _product,
@@ -150,11 +151,10 @@ def _class_characters(gold):
 
 def _weyl(gold):
     g = gold["weyl"]
-    vectors = weyl_vectors_s5()
-    pts = [v.a for v in vectors]
+    pts = weyl_vectors_s5()
     yield Row("weyl_gram", _product(pts, list(zip(*pts))), g["gram"], 1e-15)
-    yield Row("weyl_v_matrices", [v.v.matrix() for v in vectors], _complex(g["v_matrices"]),
-              1e-12)
+    yield Row("weyl_v_matrices", [su2_from_point(p).matrix() for p in pts],
+              _complex(g["v_matrices"]), 1e-12)
     ops = {str(k): op for k, op in class_operators().items()}
     for name, data in g["class_matrices"].items():
         op = ops[name]

@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -74,7 +73,7 @@ def _operator_matrices(two_j: int) -> dict[Permutation, np.ndarray]:
     it stays only because the benchmark trace reads its cache by this name."""
     perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
     ops = [permutation_operator(p) for p in perms]
-    return dict(zip(perms, operator_matrices(Fraction(two_j, 2), ops)))
+    return dict(zip(perms, operator_matrices(two_j, ops)))
 
 
 def canonical_phases(basis: np.ndarray, tol: float) -> np.ndarray:

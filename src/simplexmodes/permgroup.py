@@ -193,19 +193,16 @@ def coxeter_element(n: int) -> Permutation:
     return Permutation.from_cycles(n, [(i, i + 1) for i in range(1, n)])
 
 
-def full_cycle(n: int) -> Permutation:
-    return Permutation.from_cycles(n, [tuple(range(1, n + 1))])
-
-
 def cyclic_elements(n: int) -> list[Permutation]:
-    """The n powers of the full cycle (1,2,...,n); last element is the identity."""
+    """The powers g, g^2, ..., g^n = identity of the full cycle g = (1,2,...,n),
+    the inverse of the Coxeter element c: g^k = c^(n-k)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    g = full_cycle(n)
-    out = [g]
+    c = coxeter_element(n)
+    powers = [Permutation.identity(n)]
     for _ in range(n - 1):
-        out.append(out[-1] * g)
-    return out
+        powers.append(powers[-1] * c)
+    return powers[:0:-1] + powers[:1]
 
 
 @lru_cache(maxsize=None)

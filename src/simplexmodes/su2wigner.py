@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -35,11 +34,9 @@ UNIT_TOL = 1e-12
 JY_TOL = 1e-10  # of the J_y eigenvalues from their m; 2j = 400 lands at 4.3e-14
 
 
-def _as_two_j(j: float | int | Fraction) -> int:
-    two_j = 2 * Fraction(j)
-    if two_j.denominator != 1 or two_j < 0:
-        raise ValueError(f"j must be a non-negative half-integer, got {j}")
-    return int(two_j)
+def _times(a1, a2, b1, b2):
+    """(a1, a2) * (b1, b2) as SU(2) pairs; either side may be an array of points."""
+    return a1 * b1 - a2 * b2.conjugate(), a1 * b2 + a2 * b1.conjugate()
 
 
 class Point4(NamedTuple):
@@ -73,8 +70,7 @@ class SU2Element:
         return [[self.z1, self.z2], [-self.z2.conjugate(), self.z1.conjugate()]]
 
     def __mul__(self, other: SU2Element) -> SU2Element:
-        z1 = self.z1 * other.z1 - self.z2 * other.z2.conjugate()
-        z2 = self.z1 * other.z2 + self.z2 * other.z1.conjugate()
+        z1, z2 = _times(self.z1, self.z2, other.z1, other.z2)
         return SU2Element(complex(z1), complex(z2))
 
     def inverse(self) -> SU2Element:
@@ -163,12 +159,13 @@ def chebyshev_u(n: int, x: float) -> float:
     return cur
 
 
-def su2_character(j: float | int | Fraction, u: SU2Element) -> float:
+def su2_character(two_j: int, u: SU2Element) -> float:
     """Character chi^j(u) = sin((2j+1)phi/2)/sin(phi/2) with
     cos(phi/2) = Re(z1) clamped into [-1, 1], evaluated as the Chebyshev
     polynomial U_{2j}(cos(phi/2)) so the phi -> 0 and phi -> 2*pi limits
     come out exact (2j+1 and (-1)^{2j} (2j+1))."""
-    two_j = _as_two_j(j)
+    if two_j < 0:
+        raise ValueError(f"2j must be non-negative, got {two_j}")
     return chebyshev_u(two_j, min(1.0, max(-1.0, u.z1.real)))
 
 

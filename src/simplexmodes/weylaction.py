@@ -20,7 +20,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -29,7 +28,7 @@ from .su2wigner import (
     Point4,
     Q_ELEMENT,
     SU2Element,
-    _as_two_j,
+    _times,
     half_angle,
     su2_character,
     su2_from_point,
@@ -38,18 +37,6 @@ from .su2wigner import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class WeylVector:
-    """Unit reflection vector a together with its coordinate image v."""
-
-    a: Point4
-    v: SU2Element
-
-    @classmethod
-    def from_point(cls, a: Point4) -> WeylVector:
-        return cls(a, su2_from_point(a))
 
 
 @dataclass(frozen=True)
@@ -66,22 +53,22 @@ class GroupOperator:
         return cls(SU2Element.identity(), SU2Element.identity(), False)
 
 
-def weyl_vectors_s5() -> list[WeylVector]:
-    """The four reflection vectors realizing the generators (i, i+1) of S(5);
-    adjacent vectors meet at 60 degrees, all others are orthogonal."""
-    points = [
+def weyl_vectors_s5() -> list[Point4]:
+    """The four unit reflection vectors realizing the generators (i, i+1) of
+    S(5); adjacent vectors meet at 60 degrees, all others are orthogonal."""
+    return [
         Point4(0.0, 0.0, 0.0, 1.0),
         Point4(0.0, 0.0, math.sqrt(3.0 / 4.0), 0.5),
         Point4(0.0, math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 3.0), 0.0),
         Point4(math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 8.0), 0.0, 0.0),
     ]
-    return [WeylVector.from_point(p) for p in points]
 
 
-def reflection_operator(a: WeylVector) -> GroupOperator:
-    """The Weyl reflection about a, factored as a rotation pair followed by
-    the base reflection."""
-    return GroupOperator(a.v, a.v.inverse(), True)
+def reflection_operator(a: Point4) -> GroupOperator:
+    """The Weyl reflection about the unit vector a, factored as the rotation
+    pair (v, v^-1), v = su2_from_point(a), followed by the base reflection."""
+    v = su2_from_point(a)
+    return GroupOperator(v, v.inverse(), True)
 
 
 def compose(s: GroupOperator, t: GroupOperator) -> GroupOperator:
@@ -123,11 +110,6 @@ def transposition_operators() -> tuple[GroupOperator, ...]:
     )
 
 
-def _times(a1, a2, b1, b2):
-    """(a1, a2) * (b1, b2) as SU(2) pairs; either side may be an array of points."""
-    return a1 * b1 - a2 * b2.conjugate(), a1 * b2 + a2 * b1.conjugate()
-
-
 def act_on_points(
     op: GroupOperator, z1: np.ndarray, z2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +132,12 @@ def act_on_points(
     return _times(z1, z2, right.z1, right.z2)
 
 
-def operator_character(j: float | int | Fraction, op: GroupOperator) -> float:
+def operator_character(two_j: int, op: GroupOperator) -> float:
     """Trace of the operator on the degree-2j harmonic space: the product
     chi^j(g_l^{-1}) chi^j(g_r) for rotations, chi^j(g_r g_l) otherwise."""
     if op.reflective:
-        return su2_character(j, op.g_r * op.g_l)
-    return su2_character(j, op.g_l.inverse()) * su2_character(j, op.g_r)
+        return su2_character(two_j, op.g_r * op.g_l)
+    return su2_character(two_j, op.g_l.inverse()) * su2_character(two_j, op.g_r)
 
 
 def operator_factors(two_j: int, ops: Sequence[GroupOperator]) -> np.ndarray:
@@ -188,16 +170,13 @@ def diagonal_factors(two_j: int, op: GroupOperator) -> tuple[np.ndarray, ...]:
     return x.conj(), y, rot_l, rot_r
 
 
-def operator_matrices(
-    j: float | int | Fraction, ops: Sequence[GroupOperator]
-) -> list[np.ndarray]:
+def operator_matrices(two_j: int, ops: Sequence[GroupOperator]) -> list[np.ndarray]:
     """Matrices of the operators on the (2j+1)^2 harmonics D^j_{m1 m2}, with
     the pair (m1, m2) flattened row-major and m ascending; see operator_factors.
     A dense oracle that no library route calls: it stays only because the
     benchmark trace reads the cache of modes._operator_matrices by name."""
     import numpy as np
 
-    two_j = _as_two_j(j)
     dim = two_j + 1
     out = []
     for op, (left, right) in zip(ops, operator_factors(two_j, ops)):
@@ -231,27 +210,18 @@ def act_on_coefficients(
     return out.reshape(-1, dim * dim).T
 
 
-_CLASS_STRINGS: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-    (1, 1, 1, 1, 1): [],
-    (2, 1, 1, 1): [(1, 2)],
-    (2, 2, 1): [(1, 2), (3, 4)],
-    (3, 1, 1): [(1, 2), (2, 3)],
-    (3, 2): [(1, 2), (2, 3), (4, 5)],
-    (4, 1): [(1, 2), (2, 3), (3, 4)],
-    (5,): [(1, 2), (2, 3), (3, 4), (4, 5)],
-}
-
-
 @lru_cache(maxsize=None)
 def class_representatives() -> dict[CycleType, Permutation]:
-    """One representative per conjugacy class of S(5), written as the fixed
-    transposition strings used by the reference tables."""
+    """One representative per conjugacy class of S(5), the transposition
+    string of the reference tables: each cycle of length c, on the next
+    consecutive letters s..s+c-1, becomes (s, s+1)(s+1, s+2)...(s+c-2, s+c-1)."""
     out = {}
     for k in CLASS_ORDER_S5:
-        p = Permutation.from_cycles(5, _CLASS_STRINGS[k.parts])
-        if p.cycle_type() != k:
-            raise AssertionError(f"representative for {k} has wrong type")
-        out[k] = p
+        string, s = [], 1
+        for c in k.parts:
+            string += [(a, a + 1) for a in range(s, s + c - 1)]
+            s += c
+        out[k] = Permutation.from_cycles(5, string)
     return out
 
 

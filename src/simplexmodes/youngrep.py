@@ -1,18 +1,19 @@
 """Young orthogonal representations of S(n) and their cyclic-invariant vectors.
 
-Generator matrices are produced from the axial-distance rule, never
-transcribed.  Basis order follows the tableau enumerations used by the
-embedded reference tables (descending last-letter order unless an explicit
-enumeration overrides it), so matrices and fixed vectors can be compared
-positionally with the golden data.  The golden gate needs them only up to
-6 x 6, so they are built in plain Python: every matrix is a tuple of rows
-of floats.
+A standard tableau is its Yamanouchi word, and generator matrices are
+produced from the axial-distance rule on its contents (Okounkov & Vershik,
+Selecta Math. 2 (1996) 581), never transcribed.  Basis order follows the
+tableau enumerations used by the embedded reference tables (descending
+words unless an explicit enumeration overrides it), so matrices and fixed
+vectors can be compared positionally with the golden data.  The golden
+gate needs them only up to 6 x 6, so they are built in plain Python:
+every matrix is a tuple of rows of floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .permgroup import Partition, Permutation, cyclic_elements, trivial_multiplicity
@@ -21,62 +22,34 @@ from .report import SPECTRUM_TOL, ConsistencyError
 Matrix = tuple[tuple[float, ...], ...]  # a tuple of rows
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """Standard Young tableau: rows strictly increase left-right and top-down."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    @property
-    def yamanouchi(self) -> tuple[int, ...]:
-        """Row indices (1-based) of n, n-1, ..., 1; determines the tableau."""
-        where = self._positions()
-        return tuple(where[v][0] + 1 for v in range(self.n, 0, -1))
-
-    def _positions(self) -> dict[int, tuple[int, int]]:
-        return {
-            v: (i, j) for i, row in enumerate(self.rows) for j, v in enumerate(row)
-        }
-
-    def position(self, value: int) -> tuple[int, int]:
-        """(row, column) of a value, 0-based."""
-        return self._positions()[value]
-
-    def swap(self, a: int, b: int) -> StandardTableau:
-        table = {a: b, b: a}
-        return StandardTableau(
-            tuple(tuple(table.get(v, v) for v in row) for row in self.rows)
-        )
+@lru_cache(maxsize=None)
+def _words(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Yamanouchi words of a shape in descending order: the word of a standard
+    tableau lists the rows (1-based) of n, n-1, ..., 1, and the row of n is a
+    removable corner; zero parts stand for emptied rows."""
+    if not any(shape):
+        return ((),)
+    out: list[tuple[int, ...]] = []
+    for r in range(len(shape), 0, -1):
+        if shape[r - 1] > (shape[r] if r < len(shape) else 0):
+            smaller = shape[:r - 1] + (shape[r - 1] - 1,) + shape[r:]
+            out += [(r,) + w for w in _words(smaller)]
+    return tuple(out)
 
 
-def _fill_tableaux(shape: tuple[int, ...]) -> list[StandardTableau]:
-    n = sum(shape)
-    rows = [[0] * r for r in shape]
-    found: list[StandardTableau] = []
-
-    def fill(k: int) -> None:
-        if k > n:
-            found.append(StandardTableau(tuple(tuple(r) for r in rows)))
-            return
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v == 0:
-                    if (j == 0 or row[j - 1] != 0) and (i == 0 or rows[i - 1][j] != 0):
-                        row[j] = k
-                        fill(k + 1)
-                        row[j] = 0
-                    break  # only the first free cell of each row can take k
-
-    fill(1)
-    return found
+def _contents(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Content (column - row, 0-based) of the box holding each value 1..n
+    in the tableau of a Yamanouchi word."""
+    filled: dict[int, int] = {}
+    out = []
+    for r in reversed(word):
+        out.append(filled.get(r, 0) - (r - 1))
+        filled[r] = filled.get(r, 0) + 1
+    return tuple(out)
 
 
 # Basis enumerations fixed by the reference tables where they differ from the
-# descending last-letter default (keys are shapes, values Yamanouchi words).
+# descending-word default (keys are shapes, values Yamanouchi words).
 _EXPLICIT_ORDER: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
     (3, 2): (
         (2, 2, 1, 1, 1),
@@ -102,36 +75,35 @@ _BASIS_SIGNS: dict[tuple[int, ...], tuple[float, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def _ordered_tableaux(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    tableaux = _fill_tableaux(shape)
-    explicit = _EXPLICIT_ORDER.get(shape)
-    if explicit is not None:
-        by_word = {t.yamanouchi: t for t in tableaux}
-        return tuple(by_word[w] for w in explicit)
-    return tuple(sorted(tableaux, key=lambda t: t.yamanouchi, reverse=True))
+def _basis(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The Yamanouchi words of a shape in basis order."""
+    return _EXPLICIT_ORDER.get(shape) or _words(shape)
 
 
 @lru_cache(maxsize=None)
-def _generator_array(shape: tuple[int, ...], i: int) -> Matrix:
-    tableaux = _ordered_tableaux(shape)
-    index = {t: k for k, t in enumerate(tableaux)}
-    d = len(tableaux)
-    mat = [[0.0] * d for _ in range(d)]
-    for k, tab in enumerate(tableaux):
-        r1, c1 = tab.position(i)
-        r2, c2 = tab.position(i + 1)
-        if r1 == r2:
-            mat[k][k] = 1.0
-        elif c1 == c2:
-            mat[k][k] = -1.0
-        else:
-            # signed axial distance between i and i+1
-            rho = (c2 - r2) - (c1 - r1)
-            mat[k][k] = 1.0 / rho
-            mat[k][index[tab.swap(i, i + 1)]] = math.sqrt(1.0 - 1.0 / rho**2)
+def _generators(shape: tuple[int, ...]) -> tuple[Matrix, ...]:
+    """Images of (1,2), ..., (n-1,n), read off the contents alone: with
+    rho = c(i+1) - c(i), word w gets 1/rho on the diagonal and, where
+    |rho| > 1 (i and i+1 share no row or column), sqrt(1 - 1/rho^2) at w
+    with i and i+1 swapped."""
+    words = _basis(shape)
+    index = {w: k for k, w in enumerate(words)}
+    contents = [_contents(w) for w in words]
+    d, n = len(words), len(words[0])
     signs = _BASIS_SIGNS.get(shape, (1.0,) * d)
-    return tuple(tuple(signs[a] * mat[a][b] * signs[b] for b in range(d)) for a in range(d))
+    out = []
+    for i in range(1, n):
+        mat = [[0.0] * d for _ in range(d)]
+        for k, (w, c) in enumerate(zip(words, contents)):
+            rho = c[i] - c[i - 1]
+            mat[k][k] = 1.0 / rho
+            if abs(rho) > 1:
+                # i sits at position n-i of the word, i+1 just before it
+                swapped = w[:n - i - 1] + (w[n - i], w[n - i - 1]) + w[n - i + 1:]
+                mat[k][index[swapped]] = math.sqrt(1.0 - 1.0 / rho**2)
+        out.append(tuple(tuple(signs[a] * mat[a][b] * signs[b] for b in range(d))
+                         for a in range(d)))
+    return tuple(out)
 
 
 def _identity(d: int) -> Matrix:
@@ -160,13 +132,15 @@ def generator_matrix(f: Partition, i: int) -> Matrix:
     n = f.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    return _generator_array(f.parts, i)
+    return _generators(f.parts)[i - 1]
 
 
-def _rep_array(shape: tuple[int, ...], p: Permutation) -> Matrix:
-    mat = _identity(len(_ordered_tableaux(shape)))
+def _along(gens: Sequence[Matrix], dim: int, p: Permutation) -> Matrix:
+    """Product of the images gens[i-1] of the adjacent factors i of p, in
+    order, starting from the dim x dim identity."""
+    mat = _identity(dim)
     for i in p.adjacent_factors():
-        mat = _product(mat, _generator_array(shape, i))
+        mat = _product(mat, gens[i - 1])
     return mat
 
 
@@ -176,7 +150,7 @@ def rep_matrix(f: Partition, p: Permutation) -> Matrix:
     of a permutation product acts first, matching Permutation.__mul__)."""
     if p.n != f.n:
         raise ValueError(f"permutation of {p.n} letters for partition of {f.n}")
-    return _rep_array(f.parts, p)
+    return _along(_generators(f.parts), f.dimension, p)
 
 
 # --- the primed (tetrahedral) 3x3 representation of S(4) ---
@@ -202,10 +176,7 @@ def primed_rep_matrix(f: Partition, p: Permutation) -> Matrix:
     sign = _PRIMED_SHAPES.get(f.parts)
     if sign is None:
         raise ValueError(f"no primed representation for partition {f}")
-    mat = _identity(3)
-    for i in p.adjacent_factors():
-        mat = _product(mat, _scaled(sign, _PRIMED_31[i - 1]))
-    return mat
+    return _along([_scaled(sign, m) for m in _PRIMED_31], 3, p)
 
 
 def trivial_projector(f: Partition, primed: bool = False) -> Matrix:

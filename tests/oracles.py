@@ -26,7 +26,7 @@ from simplexmodes.modes import ModeBasis, _sample_pairs, cyclic_operators, integ
 from simplexmodes.permgroup import Partition, Permutation
 from simplexmodes.reduction import S5_PARTITION_ORDER
 from simplexmodes.report import SPECTRUM_TOL, ConsistencyError
-from simplexmodes.su2wigner import Point4, SU2Element, _as_two_j, wigner_rows
+from simplexmodes.su2wigner import Point4, SU2Element, wigner_rows
 from simplexmodes.weylaction import (
     GroupOperator,
     act_on_coefficients,
@@ -34,7 +34,7 @@ from simplexmodes.weylaction import (
     operator_matrices,
     transposition_operators,
 )
-from simplexmodes.youngrep import StandardTableau, _ordered_tableaux, trivial_projector
+from simplexmodes.youngrep import _basis, _contents as contents, trivial_projector
 
 
 def point(u: SU2Element) -> Point4:
@@ -63,16 +63,24 @@ def parity(p: Permutation) -> int:
     return sum(length - 1 for length in p.cycle_type().parts) % 2
 
 
+def _two_j(j: float | int | Fraction) -> int:
+    """2j for a non-negative half-integer j."""
+    two_j = 2 * Fraction(j)
+    if two_j.denominator != 1 or two_j < 0:
+        raise ValueError(f"j must be a non-negative half-integer, got {j}")
+    return int(two_j)
+
+
 def wigner_d(j: float | int | Fraction, u: SU2Element) -> np.ndarray:
     """Wigner representation matrix D^j(u), (2j+1) x (2j+1) with m ascending
     on both axes, from one wigner_rows call."""
-    two_j = _as_two_j(j)
+    two_j = _two_j(j)
     return wigner_rows(two_j, u.z1, u.z2)[0].reshape(two_j + 1, two_j + 1)
 
 
 def operator_matrix(j: float | int | Fraction, op: GroupOperator) -> np.ndarray:
     """Matrix of one operator on the degree-2j harmonics; see operator_matrices."""
-    return operator_matrices(j, [op])[0]
+    return operator_matrices(_two_j(j), [op])[0]
 
 
 def act_on_point(op: GroupOperator, u: SU2Element) -> SU2Element:
@@ -84,7 +92,7 @@ def act_on_point(op: GroupOperator, u: SU2Element) -> SU2Element:
 def cyclic_projector(two_j: int) -> np.ndarray:
     """Average of the five deck-operator matrices: the Hermitian idempotent
     projecting onto the periodic subspace of degree 2j."""
-    return sum(operator_matrices(Fraction(two_j, 2), cyclic_operators())) / 5.0
+    return sum(operator_matrices(two_j, cyclic_operators())) / 5.0
 
 
 @dataclass(frozen=True)
@@ -116,14 +124,18 @@ def eigh_fixed_subspace(f: Partition) -> tuple[np.ndarray, float]:
     return blocks[1], margin
 
 
-def standard_tableaux(f: Partition) -> list[StandardTableau]:
-    """All standard tableaux of shape f, in the package basis order."""
-    return list(_ordered_tableaux(f.parts))
+def standard_tableaux(f: Partition) -> list[tuple[int, ...]]:
+    """The Yamanouchi words of all standard tableaux of shape f, in the
+    package basis order: the rows (1-based) of n, n-1, ..., 1."""
+    return list(_basis(f.parts))
 
 
-def contents(t: StandardTableau) -> tuple[int, ...]:
-    """Content (column - row) of the box holding each value 1..n of t."""
-    return tuple(c - r for r, c in map(t.position, range(1, t.n + 1)))
+def rows(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the standard tableau of a Yamanouchi word."""
+    out: list[list[int]] = [[] for _ in range(max(word))]
+    for v, r in enumerate(reversed(word), start=1):
+        out[r - 1].append(v)
+    return tuple(map(tuple, out))
 
 
 def _jucys_murphy_leaves(two_j: int) -> tuple[dict[tuple[int, ...], np.ndarray], float]:

@@ -47,10 +47,10 @@ GATE_COMMANDS = [
 #: wrappers of a value the caller already holds, routes no command reached and
 #: duplicated constants
 REMOVED = {
-    "permgroup": ("cyclic_character", "cycle_type"),
-    "youngrep": ("FixedSubspace", "ReprMatrix", "standard_tableaux"),
+    "permgroup": ("cyclic_character", "cycle_type", "full_cycle"),
+    "youngrep": ("FixedSubspace", "ReprMatrix", "StandardTableau", "standard_tableaux"),
     "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
-    "weylaction": ("act_on_point", "operator_matrix"),
+    "weylaction": ("WeylVector", "act_on_point", "operator_matrix"),
     "reduction": ("O2Label", "O3Label", "PERIODIC_CLASSES", "PartitionRecursion",
                   "RecursionReport", "S4_PARTITION_ORDER", "multiplicity_o3_s4",
                   "multiplicity_o4_s5", "o2_reduce", "periodic_count_o4", "recursion_report"),

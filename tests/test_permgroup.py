@@ -13,7 +13,6 @@ from simplexmodes.permgroup import (
     character_table,
     coxeter_element,
     cyclic_elements,
-    full_cycle,
     partitions_of,
     trivial_multiplicity,
 )
@@ -88,7 +87,7 @@ class TestPermutation:
     def test_cycle_type_examples(self):
         assert Permutation.identity(5).cycle_type().parts == (1, 1, 1, 1, 1)
         assert Permutation.identity(5).cycle_type().class_size == 1
-        five = full_cycle(5)
+        five = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
         assert five.cycle_type().parts == (5,)
         assert five.cycle_type().class_size == 24
         p = Permutation.from_cycles(5, [(1, 2), (2, 3)])

@@ -1,7 +1,6 @@
 import cmath
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,7 +319,7 @@ def float_o4_row(two_j: int) -> tuple[int, ...]:
     """Multiplicities (1/120) sum_k |k| chi_k(2j) chi_f(k), with the class
     characters chi_k summed in floats from the Chebyshev recurrence."""
     ops = class_operators()
-    chis = {k: operator_character(Fraction(two_j, 2), ops[k]) for k in CLASS_ORDER_S5}
+    chis = {k: operator_character(two_j, ops[k]) for k in CLASS_ORDER_S5}
     return tuple(
         _rounded(
             sum(k.class_size * chis[k] * character(f, k) for k in CLASS_ORDER_S5) / 120,

@@ -187,7 +187,7 @@ class TestWignerMatrices:
             for _ in range(10):
                 u = random_su2(rng)
                 tr = np.trace(wigner_d(j, u))
-                assert abs(tr - su2_character(j, u)) < 1e-9
+                assert abs(tr - su2_character(int(2 * j), u)) < 1e-9
                 assert abs(tr.imag) < 1e-10
 
 
@@ -280,7 +280,7 @@ class TestWignerReach:
     def test_trace_equals_character(self, case):
         two_j, us, mats = case
         for u, d in zip(us, mats):
-            assert abs(np.trace(d) - su2_character(Fraction(two_j, 2), u)) <= 1e-10 * (two_j + 1)
+            assert abs(np.trace(d) - su2_character(two_j, u)) <= 1e-10 * (two_j + 1)
 
     def test_identity_and_poles(self, case):
         two_j = case[0]
@@ -297,24 +297,28 @@ class TestWignerReach:
 class TestCharacter:
     def test_identity_value(self):
         for j in (0, Fraction(1, 2), 3, Fraction(11, 2)):
-            assert su2_character(j, SU2Element.identity()) == float(2 * j) + 1
+            assert su2_character(int(2 * j), SU2Element.identity()) == float(2 * j) + 1
 
     def test_negative_identity(self):
         minus_e = SU2Element(-1.0 + 0j, 0j)
         for two_j in range(6):
             want = (-1) ** two_j * (two_j + 1)
-            assert su2_character(Fraction(two_j, 2), minus_e) == want
+            assert su2_character(two_j, minus_e) == want
 
     def test_half_turn_alternation(self):
         u = SU2Element(1j, 0j)  # phi = pi
-        got = [su2_character(Fraction(t, 2), u) for t in range(8)]
+        got = [su2_character(t, u) for t in range(8)]
         assert got == [1, 0, -1, 0, 1, 0, -1, 0]
 
     def test_fundamental_character_is_trace(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             u = random_su2(rng)
-            assert abs(su2_character(Fraction(1, 2), u) - 2 * u.z1.real) < 1e-12
+            assert abs(su2_character(1, u) - 2 * u.z1.real) < 1e-12
+
+    def test_negative_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="2j must be non-negative, got -1"):
+            su2_character(-1, SU2Element.identity())
 
     def test_chebyshev_endpoint(self):
         assert chebyshev_u(6, 1.0) == 7.0

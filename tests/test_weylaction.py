@@ -10,11 +10,10 @@ import pytest
 
 from oracles import act_on_point, isclose, operator_matrix, parity, point, wigner_d
 from simplexmodes.permgroup import CycleType, Permutation, coxeter_element
-from simplexmodes.su2wigner import Point4, SU2Element
+from simplexmodes.su2wigner import Point4, SU2Element, su2_from_point
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
     GroupOperator,
-    WeylVector,
     act_on_coefficients,
     act_on_points,
     class_character,
@@ -44,6 +43,17 @@ CLASS_CHARACTERS = {
     (3, 2): [1, -1, 0, 1, -1, 0],
     (4, 1): [1, 0, -1, 0, 1, 0],
     (5,): [1, -1, -1, 1, 0, 1],
+}
+
+#: transposition strings of the class representatives in the reference tables
+CLASS_STRINGS = {
+    (1, 1, 1, 1, 1): [],
+    (2, 1, 1, 1): [(1, 2)],
+    (2, 2, 1): [(1, 2), (3, 4)],
+    (3, 1, 1): [(1, 2), (2, 3)],
+    (3, 2): [(1, 2), (2, 3), (4, 5)],
+    (4, 1): [(1, 2), (2, 3), (3, 4)],
+    (5,): [(1, 2), (2, 3), (3, 4), (4, 5)],
 }
 
 GOLDEN_ROTATION_PAIRS = {
@@ -91,10 +101,10 @@ def random_su2(rng):
 class TestWeylVectors:
     def test_first_vector(self):
         vectors = weyl_vectors_s5()
-        assert vectors[0].a == Point4(0.0, 0.0, 0.0, 1.0)
+        assert vectors[0] == Point4(0.0, 0.0, 0.0, 1.0)
 
     def test_gram_matrix(self):
-        pts = np.array([w.a for w in weyl_vectors_s5()])
+        pts = np.array(weyl_vectors_s5())
         gram = pts @ pts.T
         want = np.array([
             [1, 0.5, 0, 0], [0.5, 1, 0.5, 0], [0, 0.5, 1, 0.5], [0, 0, 0.5, 1]
@@ -102,7 +112,7 @@ class TestWeylVectors:
         assert np.abs(gram - want).max() < 1e-15
 
     def test_v_matrices(self):
-        v = [w.v.matrix() for w in weyl_vectors_s5()]
+        v = [su2_from_point(a).matrix() for a in weyl_vectors_s5()]
         assert np.allclose(v[0], [[-1j, 0], [0, 1j]])
         assert np.allclose(v[1], [[-0.5j, -s(3) / 2], [s(3) / 2, 0.5j]])
         want3 = np.array([
@@ -117,7 +127,7 @@ class TestWeylVectors:
 
 class TestReflectionOperators:
     def test_base_point_gives_pure_reflection(self):
-        op = reflection_operator(WeylVector.from_point(Point4(1.0, 0.0, 0.0, 0.0)))
+        op = reflection_operator(Point4(1.0, 0.0, 0.0, 0.0))
         assert op.reflective
         assert isclose(op.g_l, SU2Element.identity())
         assert isclose(op.g_r, SU2Element.identity())
@@ -139,14 +149,12 @@ class TestReflectionOperators:
         # independent geometric oracle: x -> x - 2 <x,a> a
         rng = np.random.default_rng(21)
         for w in weyl_vectors_s5():
-            a = np.array(w.a)
+            a = np.array(w)
             op = reflection_operator(w)
             for _ in range(20):
                 p = random_point(rng)
                 x = np.array(p)
                 want = x - 2 * float(x @ a) * a
-                from simplexmodes.su2wigner import su2_from_point
-
                 got = np.array(point(act_on_point(op, su2_from_point(p))))
                 assert np.abs(got - want).max() < 1e-12
 
@@ -162,17 +170,18 @@ class TestCompose:
 
     def test_two_reflection_pattern(self):
         vecs = weyl_vectors_s5()
+        v = [su2_from_point(w) for w in vecs]
         for b, a in itertools.permutations(range(4), 2):
             got = compose(reflection_operator(vecs[b]), reflection_operator(vecs[a]))
             assert not got.reflective
-            want_l = vecs[b].v * vecs[a].v.inverse()
-            want_r = vecs[b].v.inverse() * vecs[a].v
+            want_l = v[b] * v[a].inverse()
+            want_r = v[b].inverse() * v[a]
             assert isclose(got.g_l, want_l, tol=1e-12)
             assert isclose(got.g_r, want_r, tol=1e-12)
 
     def test_three_and_four_reflection_patterns(self):
         vecs = weyl_vectors_s5()
-        v = [w.v for w in vecs]
+        v = [su2_from_point(w) for w in vecs]
         ops = [reflection_operator(w) for w in vecs]
         three = compose(ops[0], compose(ops[1], ops[2]))
         assert three.reflective
@@ -196,6 +205,15 @@ class TestPermutationOperator:
             images = rng.permutation(np.arange(1, 6))
             p = Permutation(tuple(int(v) for v in images))
             assert permutation_operator(p).reflective == (parity(p) == 1)
+
+    @pytest.mark.parametrize("parts", list(CLASS_STRINGS), ids=str)
+    def test_class_representative_is_reference_string(self, parts):
+        p = class_representatives()[CycleType(parts)]
+        assert p == Permutation.from_cycles(5, CLASS_STRINGS[parts])
+        assert p.cycle_type() == CycleType(parts)
+
+    def test_class_representatives_in_class_order(self):
+        assert list(class_representatives()) == list(CLASS_ORDER_S5)
 
     def test_golden_rotation_pairs(self):
         reps = class_representatives()
@@ -318,7 +336,7 @@ class TestBatchedAction:
         ops = all_s5_operators()
         for two_j in (0, 1, 4):
             j = Fraction(two_j, 2)
-            for op, m in zip(ops, operator_matrices(j, ops)):
+            for op, m in zip(ops, operator_matrices(two_j, ops)):
                 assert np.array_equal(m, operator_matrix(j, op))
 
     @pytest.mark.parametrize("two_j", [-1, -3])
@@ -354,7 +372,7 @@ class TestBatchedAction:
         rng = np.random.default_rng(two_j)
         shape = ((two_j + 1) ** 2, 3)
         coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dense = operator_matrices(Fraction(two_j, 2), ops)
+        dense = operator_matrices(two_j, ops)
         for op, m in zip(ops, dense):
             assert np.abs(act_on_coefficients(two_j, [op], coeffs) - m @ coeffs).max() < 1e-13
         total = act_on_coefficients(two_j, ops, coeffs)
@@ -366,11 +384,11 @@ class TestCharactersAndMatrices:
         reps = class_representatives()
         op = permutation_operator(reps[CycleType((2, 1, 1, 1))])
         for two_j in (0, 1, 2, 7, 12):
-            got = operator_character(Fraction(two_j, 2), op)
+            got = operator_character(two_j, op)
             assert abs(got - (two_j + 1)) < 1e-12
         # independent of which reflection vector realizes it
         for w in weyl_vectors_s5():
-            got = operator_character(3, reflection_operator(w))
+            got = operator_character(6, reflection_operator(w))
             assert abs(got - 7) < 1e-12
 
     def test_character_values_table(self):
@@ -407,8 +425,8 @@ class TestCharactersAndMatrices:
         for parts in [(3, 1, 1), (2, 2, 1), (3, 2), (4, 1), (5,)]:
             op = ops[CycleType(parts)]
             for t in (0, 1, 7, 31):
-                a = operator_character(Fraction(t, 2), op)
-                b = operator_character(Fraction(t + 60, 2), op)
+                a = operator_character(t, op)
+                b = operator_character(t + 60, op)
                 assert abs(a - b) < 1e-8
 
     def test_matrix_traces_match_characters(self):
@@ -463,7 +481,7 @@ class TestExactClassCharacters:
             for two_j in range(121):
                 exact = class_character(k, two_j)
                 assert isinstance(exact, int)
-                assert abs(exact - operator_character(Fraction(two_j, 2), ops[k])) < 1e-8
+                assert abs(exact - operator_character(two_j, ops[k])) < 1e-8
 
     def test_closed_forms_far_out(self):
         assert class_character(CycleType((1, 1, 1, 1, 1)), 10**6) == (10**6 + 1) ** 2
