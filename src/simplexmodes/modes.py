@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ PHASE_TOL = 1e-8  # the first coefficient above this is made real and positive
 PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real > 1.8e-5
 
 
-@dataclass(frozen=True)
-class ModeBasis:
+class ModeBasis(NamedTuple):
     """Orthonormal periodic modes of one degree in the harmonics D^j_{m1 m2}
     flattened row-major, one optional partition tag per column, and the tag
     margins of periodic_basis: the largest distance of an eigenvalue of M from

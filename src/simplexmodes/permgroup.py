@@ -10,28 +10,27 @@ off its cycle type alone, in integers, from the Molien series of S(n)
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .report import ConsistencyError
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """Weakly decreasing positive integers labelling an irreducible
     representation of S(n), n = sum of the parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(cls, parts: tuple[int, ...]) -> Partition:
+        if not parts:
             raise ValueError("partition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        return super().__new__(cls, parts)
 
     @classmethod
     def of(cls, *parts: int) -> Partition:
@@ -79,14 +78,14 @@ def partitions_of(n: int) -> list[Partition]:
     return [Partition(p) for p in gen(n, n)]
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(namedtuple("CycleType", "parts")):
     """Conjugacy-class label of S(n): the multiset of cycle lengths."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        Partition(self.parts)  # same validity conditions
+    def __new__(cls, parts: tuple[int, ...]) -> CycleType:
+        Partition(parts)  # same validity conditions
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -109,8 +108,7 @@ class CycleType:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """Bijection of {1..n}, stored in one-line notation.
 
     Products compose left to right: ``(p * q)(x) == q(p(x))``, i.e. the left
@@ -118,11 +116,12 @@ class Permutation:
     (1,2)(2,3)(3,4)(4,5) are read throughout the package.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..n: {self.images}")
+    def __new__(cls, images: tuple[int, ...]) -> Permutation:
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..n: {images}")
+        return super().__new__(cls, images)
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
@@ -236,8 +235,7 @@ def character(f: Partition, k: CycleType) -> int:
     return _mn(f.parts, k.parts)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Full character table of S(n); rows are partitions, columns classes."""
 
     n: int

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .permgroup import (
     CycleType,
@@ -161,8 +161,7 @@ def lattice_count_o4(two_j: int) -> int:
 
 # ------------------------------------------------------------------- tables
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(NamedTuple):
     """Reduction table for one chain: entries[i][j] is the multiplicity of
     partitions[j] in the representation labelled row_labels[i]; `periodic`
     counts the cyclic-invariant modes per row, `totals` per partition."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -51,15 +51,14 @@ class Point4(NamedTuple):
         return math.sqrt(self.x0**2 + self.x1**2 + self.x2**2 + self.x3**2)
 
 
-@dataclass(frozen=True)
-class SU2Element:
-    z1: complex
-    z2: complex
+class SU2Element(namedtuple("SU2Element", "z1 z2")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        norm = abs(self.z1) ** 2 + abs(self.z2) ** 2
+    def __new__(cls, z1: complex, z2: complex) -> SU2Element:
+        norm = abs(z1) ** 2 + abs(z2) ** 2
         if abs(norm - 1.0) > UNIT_TOL:
             raise ValueError(f"|z1|^2+|z2|^2 = {norm}, not a unit pair")
+        return super().__new__(cls, z1, z2)
 
     @classmethod
     def identity(cls) -> SU2Element:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .permgroup import CLASS_ORDER_S5, CycleType, Permutation, class_character
 from .su2wigner import (
@@ -39,8 +38,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class GroupOperator:
+class GroupOperator(NamedTuple):
     """Element of O(4) in factored form; `reflective` marks a trailing
     base-reflection factor."""
 
@@ -232,8 +230,7 @@ def class_operators() -> dict[CycleType, GroupOperator]:
     }
 
 
-@dataclass(frozen=True)
-class ClassCharacterRow:
+class ClassCharacterRow(NamedTuple):
     """Characters chi^{(j,j)}(k) of one S(5) class for 2j = 0..two_j_max."""
 
     cycle_type: CycleType

@@ -1,9 +1,9 @@
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from simplexmodes import cli, modes, permgroup, reduction, report
@@ -45,7 +45,7 @@ class TestCharTable:
             table = real(n)
             values = [list(row) for row in table.values]
             values[1][0] += 1
-            return dataclasses.replace(table, values=tuple(map(tuple, values)))
+            return table._replace(values=tuple(map(tuple, values)))
 
         monkeypatch.setattr(permgroup, "character_table", broken)
         rc, doc = run_json(capsys, "chartable", "--n", "3")
@@ -290,6 +290,30 @@ class TestModes:
             "tag_projector_traces", "invariance_max_deviation",
         ]
         assert all(0 <= c["residual"] <= c["tolerance"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("two_j", [12, MAX_TWO_J_MODES])
+    def test_blas_thread_count_keeps_tags_and_spans(self, two_j):
+        # OpenBLAS's thread count may move the last digits of the coefficients
+        # and of the residuals, nothing else
+        docs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-m", "simplexmodes.cli", "modes", "--two-j", str(two_j),
+                 "--verify-points", "5"],
+                env=env, capture_output=True, text=True, check=True)
+            docs.append(json.loads(out.stdout))
+        one, two = (doc["payload"] for doc in docs)
+        assert one["count"] == two["count"] and one["partitions"] == two["partitions"]
+        assert ([(c["name"], c["passed"]) for c in docs[0]["checks"]]
+                == [(c["name"], c["passed"]) for c in docs[1]["checks"]])
+        spans = [np.array(p["coefficients"]) @ [1, 1j] for p in (one, two)]
+        for tag in set(one["partitions"]):
+            mask = [t == tag for t in one["partitions"]]
+            old, new = (s[mask].T for s in spans)
+            # sine of the largest principal angle between the two spans
+            assert np.linalg.norm(new - old @ (old.conj().T @ new), 2) <= 1e-10, tag
 
     def test_at_the_modes_cap(self, capsys):
         rc, doc = run_json(capsys, "modes", "--two-j", str(MAX_TWO_J_MODES),

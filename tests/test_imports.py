@@ -42,6 +42,15 @@ GATE_COMMANDS = [
     pytest.param(["verify", "--all", "--inject-fault", "o4:10:5"], 3,
                  id="verify --all --inject-fault o4:10:5"),
 ]
+ALL_COMMANDS = [
+    *(pytest.param(argv, 0, id=" ".join(argv)) for argv in TABLE_COMMANDS + ARRAY_COMMANDS),
+    *GATE_COMMANDS,
+]
+#: no command loads `dataclasses`: with the introspection modules it imports,
+#: about 10 ms of every cold command
+NO_COMMAND_LOADS = {"dataclasses"}
+#: numpy imports these itself, so only the numpy-free commands are held to them
+INTROSPECTION = {"inspect", "ast", "dis", "tokenize"}
 
 #: names that left the library, by their former module: test-only oracles,
 #: wrappers of a value the caller already holds, routes no command reached and
@@ -100,12 +109,19 @@ print(json.dumps({"codes": codes, "called": sorted(called)}), file=sys.stderr)
 def loaded_modules(argv: list[str], exit_code: int = 0) -> set[str]:
     """The modules loaded after cli.main(argv) in a fresh interpreter, which
     must exit with `exit_code`."""
+    code, stderr, loaded = _probe(tuple(argv))
+    assert code == str(exit_code), stderr
+    return set(loaded)
+
+
+@functools.cache
+def _probe(argv: tuple[str, ...]) -> tuple[str, str, frozenset[str]]:
+    """The exit code, stderr and loaded modules of one PROBE run, once per argv."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
     code, *loaded = out.stderr.splitlines()[-1].split()
-    assert code == str(exit_code), out.stderr
-    return set(loaded)
+    return code, out.stderr, frozenset(loaded)
 
 
 @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=" ".join)
@@ -133,14 +149,18 @@ def loaded_by_numpy() -> frozenset[str]:
     return frozenset(out.stdout.split())
 
 
-@pytest.mark.parametrize("argv, exit_code", [
-    *(pytest.param(argv, 0, id=" ".join(argv)) for argv in TABLE_COMMANDS + ARRAY_COMMANDS),
-    *GATE_COMMANDS,
-])
+@pytest.mark.parametrize("argv, exit_code", ALL_COMMANDS)
 def test_no_command_loads_numpy_random(argv, exit_code):
     # the `modes` sample comes from the standard library; numpy before 2.0
     # loads numpy.random with numpy itself, numpy 2 on first use
     assert "numpy.random" not in loaded_modules(argv, exit_code) - loaded_by_numpy()
+
+
+@pytest.mark.parametrize("argv, exit_code", ALL_COMMANDS)
+def test_no_command_loads_dataclasses(argv, exit_code):
+    # the library's records are named tuples
+    forbidden = NO_COMMAND_LOADS if argv in ARRAY_COMMANDS else NO_COMMAND_LOADS | INTROSPECTION
+    assert not loaded_modules(argv, exit_code) & forbidden
 
 
 @pytest.mark.parametrize("argv, exit_code", [

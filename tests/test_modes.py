@@ -157,10 +157,9 @@ class TestPeriodicBasis:
     def test_spans_equal_dense_isotypic_route(self, two_j):
         basis = periodic_basis(two_j)
         spans = dense_isotypic_spans(two_j)
-        tags = np.array(basis.partitions, dtype=object)
         assert partition_counts(basis) == {f: v.shape[1] for f, v in spans.items() if v.shape[1]}
         for f, old in spans.items():
-            new = basis.coefficients[:, tags == f]
+            new = basis.coefficients[:, [t == f for t in basis.partitions]]
             # sine of the largest principal angle between equal-dimensional spans
             sine = np.linalg.norm(new - old @ (old.conj().T @ new), 2) if old.shape[1] else 0.0
             assert sine <= 1e-10, (two_j, f)
