@@ -21,8 +21,8 @@ _HOMES = {
     for module, names in {
         "report": "ConsistencyError",
         "permgroup": "CharacterTable CycleType Partition Permutation "
-        "character character_table class_character coxeter_element cyclic_elements "
-        "partitions_of trivial_multiplicity",
+        "character character_table class_character class_column coxeter_element "
+        "cyclic_elements partitions_of trivial_multiplicity",
         "youngrep": "fixed_subspace generator_matrix primed_rep_matrix "
         "rep_matrix tetrahedral_primed_generators trivial_projector",
         "su2wigner": "Point4 SU2Element su2_character su2_from_point wigner_rows",

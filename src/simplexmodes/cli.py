@@ -45,21 +45,6 @@ class UsageError(Exception):
 
 # ------------------------------------------------------------ serialization
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        # JSON has no infinity or NaN: a residual that measured nothing is null
-        return float(format(obj, ".15g")) if math.isfinite(obj) else None
-    if isinstance(obj, complex):
-        return [_round_floats(obj.real), _round_floats(obj.imag)]
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python values
-        return _round_floats(obj.tolist())
-    return obj
-
-
 def report_document(command: str, parameters: dict, payload: dict,
                     checks: list[dict], seed: int | None = None) -> dict:
     return {
@@ -73,18 +58,32 @@ def report_document(command: str, parameters: dict, payload: dict,
     }
 
 
-def _json_text(doc: dict) -> str:
-    """json.dumps(_round_floats(doc), sort_keys=True, indent=1), but a finite payload.coefficients
-    (depth 2) is written from .tolist() directly: with indent, json encodes in pure Python."""
-    coeffs = doc["payload"].get("coefficients")
-    if not getattr(coeffs, "size", 0) or not math.isfinite(abs(coeffs).max()):
-        return json.dumps(_round_floats(doc), sort_keys=True, indent=1)
-    rest = {**doc, "payload": {**doc["payload"], "coefficients": "\0"}}
-    head, tail = json.dumps(_round_floats(rest), sort_keys=True, indent=1).split('"\\u0000"')
-    rows = (",\n    ".join(f"[\n     {float(format(c.real, '.15g'))!r},\n     "
-                             f"{float(format(c.imag, '.15g'))!r}\n    ]" for c in row)
-            for row in coeffs.tolist())
-    return head + "[\n   [\n    " + "\n   ],\n   [\n    ".join(rows) + "\n   ]\n  ]" + tail
+def _json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=1) with floats rounded to 15 significant
+    digits (null if not finite), complex numbers as [re, im] and numpy values as Python
+    values.  With indent, json encodes in pure Python, so a list of ints and a list of
+    finite complex numbers (a row of `modes` coefficients) are joined here directly."""
+    if hasattr(obj, "tolist"):  # numpy: a matrix row by row, so one row is a list at a time
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, float):
+        return repr(float(format(obj, ".15g"))) if math.isfinite(obj) else "null"
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner, deeper, types = pad + " ", pad + "  ", set(map(type, obj))
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj))
+    elif types == {int}:
+        items = map(int.__repr__, obj)
+    elif types == {complex} and math.isfinite(abs(sum(obj))):
+        items = (f"[{deeper}{float(format(c.real, '.15g'))!r},"
+                 f"{deeper}{float(format(c.imag, '.15g'))!r}{inner}]" for c in obj)
+    else:
+        items = (_json_text(v, inner) for v in obj)
+    body, ends = ("," + inner).join(items), "{}" if isinstance(obj, dict) else "[]"
+    # one f-string copies body once, where a chain of + copies it per operand
+    return f"{ends[0]}{inner}{body}{pad}{ends[1]}" if body else ends
 
 
 def _emit(doc: dict, args) -> None:
@@ -224,7 +223,6 @@ def cmd_modes(args) -> dict:
 
 
 def cmd_classchars(args) -> dict:
-    from .permgroup import class_character
     from .weylaction import class_character_table, class_operators, operator_character
 
     rows = class_character_table(args.two_j_max)
@@ -240,11 +238,12 @@ def cmd_classchars(args) -> dict:
             for r in rows
         ],
     }
-    # the integer characters against the float operator traces on 2j = 0..11,
+    # the printed characters against the float operator traces on 2j = 0..11,
     # two periods of every bounded class (the lcm of its cycle lengths is <= 6)
     traces = max(
-        abs(class_character(k, t) - operator_character(t, op))
-        for k, op in class_operators().items() for t in range(min(args.two_j_max, 11) + 1)
+        abs(row["values"][t] - operator_character(t, op))
+        for row, op in zip(payload["rows"], class_operators().values())
+        for t in range(min(args.two_j_max, 11) + 1)
     )
     checks = [check("characters_match_operator_traces", traces, REAL_TOL)]
     return report_document(

@@ -4,7 +4,8 @@ Characters are computed with the Murnaghan-Nakayama recursion in integer
 arithmetic, so every table entry and branching multiplicity is exact.  The
 character of a class of S(n) on the degree-2j harmonics of R^(n-1) is read
 off its cycle type alone, in integers, from the Molien series of S(n)
-(Stanley, Bull. AMS 1 (1979) 475).
+(Stanley, Bull. AMS 1 (1979) 475): one degree by `class_character`, or all
+degrees up to a top by `class_column`, as strided prefix sums.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .report import ConsistencyError
@@ -304,11 +306,11 @@ CLASS_ORDER_S5: tuple[CycleType, ...] = tuple(
 
 
 @lru_cache(maxsize=None)
-def _molien_terms(k: CycleType) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+def _molien_terms(k: CycleType) -> tuple[int, int, tuple[int, ...]]:
     """The Molien series (1-t)(1-t^2) / prod_c (1-t^c) of the class k, c over
     its cycle lengths, written as M(t) / (1-t^P)^r with P the lcm of the c
-    and r their number: returns P, r and the nonzero terms (i, M_i) of the
-    integer polynomial M grouped by i mod P."""
+    and r their number: returns P, r and the coefficients M_i of the integer
+    polynomial M."""
     period, r = math.lcm(*k.parts), len(k.parts)
     poly = [1, -1, -1, 1]  # (1-t)(1-t^2)
     for c in k.parts:  # times (1-t^P)/(1-t^c) = 1 + t^c + ... + t^(P-c)
@@ -317,11 +319,7 @@ def _molien_terms(k: CycleType) -> tuple[int, int, tuple[tuple[tuple[int, int], 
             for shift in range(0, period, c):
                 out[i + shift] += a
         poly = out
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(period)]
-    for i, a in enumerate(poly):
-        if a:
-            groups[i % period].append((i, a))
-    return period, r, tuple(map(tuple, groups))
+    return period, r, tuple(poly)
 
 
 def class_character(k: CycleType, two_j: int) -> int:
@@ -330,8 +328,20 @@ def class_character(k: CycleType, two_j: int) -> int:
     sum over i = 2j (mod P), i <= 2j of M_i C((2j-i)/P + r-1, r-1)."""
     if two_j < 0:
         raise ValueError("two_j must be non-negative")
-    period, r, groups = _molien_terms(k)
-    return sum(
-        a * math.comb((two_j - i) // period + r - 1, r - 1)
-        for i, a in groups[two_j % period] if i <= two_j
-    )
+    period, r, poly = _molien_terms(k)
+    below = range(two_j % period, min(two_j + 1, len(poly)), period)
+    return sum(poly[i] * math.comb((two_j - i) // period + r - 1, r - 1) for i in below)
+
+
+def class_column(k: CycleType, top: int) -> list[int]:
+    """class_character(k, d) for d = 0..top: the coefficients of M(t) / (1-t^P)^r,
+    M divided by 1 - t^P r times, each a prefix sum along every residue class
+    mod P (Stanley, Enumerative Combinatorics 1, sec. 4.4)."""
+    if top < 0:
+        raise ValueError("top must be non-negative")
+    period, r, poly = _molien_terms(k)
+    col = [*poly[:top + 1], *[0] * (top + 1 - len(poly))]
+    for _ in range(r):
+        for s in range(min(period, top + 1)):
+            col[s::period] = accumulate(col[s::period])
+    return col

@@ -5,12 +5,14 @@
 Each multiplicity is a character inner product in integers.  S(n) acts on
 the degree-d harmonics of R^(n-1), and every class character is the integer
 Molien coefficient `permgroup.class_character`, read off the cycle type.
-Each table evaluates the class characters of a degree once, as one row
-`_class_row`, and reads from it the multiplicities, the periodic count and,
-on O(2), the trace of a transposition, by which O(2) splits each degree.
-The periodic column of each table is an independent route: the C_n average
-of the class characters over the powers of the full cycle.  A character sum
-that the group order does not divide raises ConsistencyError.
+Each table reads one `permgroup.class_column` per class, all its degrees at
+once, and builds each printed column, the multiplicities, the periodic count
+and, on O(2), the trace of a transposition, by which O(2) splits each degree,
+as an integer combination of class columns with one exact division pass.
+The periodic column is an independent route: the C_n average of the class
+characters over the powers of the full cycle.  A character sum that the
+group order does not divide raises ConsistencyError.  `_row` is the
+per-degree route, from `class_character`, of `modes` and the increment rule.
 `table_checks` audits every row against the one dimension formula
 dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
 d+n-4 < 0, and the increment of every row over the period lcm(1..n).
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, floordiv, mod, mul
 from typing import NamedTuple
 
 from .permgroup import (
@@ -28,6 +32,7 @@ from .permgroup import (
     Partition,
     character,
     class_character,
+    class_column,
     cyclic_elements,
     exact_quotient,
     partitions_of,
@@ -48,24 +53,32 @@ def _class_weights(f: Partition) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cyclic_classes(n: int) -> tuple[tuple[int, int], ...]:
-    """The `_classes` index of each power of the full cycle of S(n), with its count."""
+def _cyclic_weights(n: int) -> tuple[int, ...]:
+    """How many powers of the full cycle of S(n) lie in each class of `_classes`."""
     counts = Counter(p.cycle_type() for p in cyclic_elements(n))
-    return tuple((_classes(n).index(k), c) for k, c in counts.items())
+    return tuple(counts[k] for k in _classes(n))
 
 
-def _class_row(n: int, degree: int) -> list[int]:
-    """chi_d(k) on the degree-d harmonics of R^(n-1) for each class k of S(n)
-    in `_classes` order: every table reads a degree from this one row."""
-    return [class_character(k, degree) for k in _classes(n)]
+def _combine(weights, cols, order: int, what: str, *args, start: int = 0) -> list[int]:
+    """(1/order) sum_k weights[k] cols[k] at every degree d = start, start + 1, ...
+    in integers: one exact division pass, which raises ConsistencyError at the
+    first degree that `order` does not divide, naming `what % (*args, d)`."""
+    total = [0] * len(cols[0])
+    for w, col in zip(weights, cols):
+        if w:
+            total = list(map(add, total, map(w.__mul__, col)))
+    for i in compress(range(len(total)), map(mod, total, repeat(order))):
+        exact_quotient(total[i], order, what, *args, start + i)
+    return list(map(floordiv, total, repeat(order)))
 
 
-def _cyclic_average(n: int, degree: int, chars) -> int:
-    """Periodic modes among the degree-d harmonics of R^(n-1), without the
-    partitions: (1/n) sum_k chi_d(g^k) over the powers of the full cycle g,
-    read from the class characters `chars` of `_class_row`."""
-    total = sum(c * chars[i] for i, c in _cyclic_classes(n))
-    return exact_quotient(total, n, "C_%d average at degree %d", n, degree)
+def _columns(parts, top: int, start: int = 0) -> tuple[list[list[int]], list[list[int]]]:
+    """The class columns of S(n) for d = start..top and, from them, the
+    multiplicity column of each partition in `parts`."""
+    n = parts[0].n
+    cols = [class_column(k, top)[start:] for k in _classes(n)]
+    return cols, [_combine(_class_weights(f), cols, math.factorial(n), "m(%s) at degree %d", f,
+                           start=start) for f in parts]
 
 
 def harmonic_dimension(n: int, degree: int) -> int:
@@ -75,18 +88,13 @@ def harmonic_dimension(n: int, degree: int) -> int:
     return math.comb(degree + n - 2, n - 2) - drop
 
 
-def _multiplicities(degree: int, chars, parts) -> tuple[int, ...]:
-    """Multiplicities of the partitions `parts` of n in the degree-d harmonics
-    of R^(n-1): (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k, with
-    chi_d read from `chars`, the `_class_row` of the degree."""
-    return tuple(exact_quotient(sum(w * c for w, c in zip(_class_weights(f), chars)),
-                                math.factorial(f.n), "m(%s) at degree %d", f, degree)
-                 for f in parts)
-
-
 def _row(degree: int, parts) -> tuple[int, ...]:
-    """The multiplicities of `parts` at one degree, from its own class row."""
-    return _multiplicities(degree, _class_row(parts[0].n, degree), parts)
+    """The multiplicities of `parts` at one degree, from its class characters:
+    (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k of S(n)."""
+    n = parts[0].n
+    chars = [class_character(k, degree) for k in _classes(n)]
+    return tuple(exact_quotient(sum(map(mul, _class_weights(f), chars)), math.factorial(n),
+                                "m(%s) at degree %d", f, degree) for f in parts)
 
 
 def _audit(entries, parts) -> int:
@@ -116,10 +124,11 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
 
 def _increment(entries, parts) -> tuple[int, int]:
     """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over the
-    rows d = 0, 1, ...; the min(P, rows) rows past the table are computed."""
+    rows d = 0, 1, ...; the min(P, rows) rows past the table are read from
+    class columns extended to rows + P."""
     period, rule = _increment_rule(parts)
     rows = len(entries)
-    ahead = [*entries[period:], *(_row(d, parts) for d in range(max(period, rows), rows + period))]
+    ahead = [*entries[period:], *zip(*_columns(parts, rows + period - 1, max(period, rows))[1])]
     return period, max(abs(b - a - slope * d - icpt)
                        for d, (row, later) in enumerate(zip(entries, ahead))
                        for a, b, (slope, icpt) in zip(row, later, rule))
@@ -184,18 +193,18 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
     periodic count is the dimension of the C_3-fixed part of the eps-eigenspace
     on H_m, (C_3 average + eps chi_m((2)(1))) / 2."""
     parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
-    signed = {eps: [f.dimension + eps * character(f, swap) > 0 for f in parts] for eps in (1, -1)}
-    at_swap = _classes(3).index(swap)
-    labels, entries, periodic = [], [], []
-    for m in range(m_max + 1):
-        chars = _class_row(3, m)
-        row, fixed = _multiplicities(m, chars, parts), _cyclic_average(3, m, chars)
-        for eps in (1, -1) if m else (1,):
-            labels.append(f"m={m},eps={'+' if eps == 1 else '-'}" if m else "m=0")
-            entries.append(tuple(int(n > 0 and s) for n, s in zip(row, signed[eps])))
-            periodic.append(exact_quotient(fixed + eps * chars[at_swap], 2,
-                                           "C_3-fixed part of (m=%d, eps=%+d)", m, eps))
-    return MultiplicityTable("o2s3c3", tuple(labels), parts, tuple(entries), tuple(periodic))
+    (cols, mults), at_swap = _columns(parts, m_max), _classes(3).index(swap)
+    rows, fixed = {}, {}
+    for eps in (1, -1):
+        signed = [f.dimension + eps * character(f, swap) > 0 for f in parts]
+        rows[eps] = list(zip(*([int(v > 0 and s) for v in col] for col, s in zip(mults, signed))))
+        # (C_3 average + eps chi_swap) / 2 = (sum_k c_k chi_k + 3 eps chi_swap) / 6
+        weights = [c + 3 * eps * (i == at_swap) for i, c in enumerate(_cyclic_weights(3))]
+        fixed[eps] = _combine(weights, cols, 6, "C_3-fixed part of eps=%+d at m=%d", eps)
+    picks = [(1, 0)] + [(eps, m) for m in range(1, m_max + 1) for eps in (1, -1)]
+    labels = tuple(f"m={m},eps={'+' if eps == 1 else '-'}" if m else "m=0" for eps, m in picks)
+    return MultiplicityTable("o2s3c3", labels, parts, tuple(rows[eps][m] for eps, m in picks),
+                             tuple(fixed[eps][m] for eps, m in picks))
 
 
 def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
@@ -205,16 +214,14 @@ def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
     with `totals`, also each partition's periodic modes m_f w_f over all rows
     and the grand total of the periodic column."""
     n = parts[0].n
-    chars = [_class_row(n, d) for d in range(top + 1)]
-    entries = tuple(_multiplicities(d, c, parts) for d, c in enumerate(chars))
-    periodic = tuple(_cyclic_average(n, d, c) for d, c in enumerate(chars))
+    cols, mults = _columns(parts, top)
+    periodic = tuple(_combine(_cyclic_weights(n), cols, n, "C_%d average at degree %d", n))
     extra = ()
     if totals:
-        weights = [trivial_multiplicity(f) for f in parts]
-        extra = (tuple(sum(row[i] for row in entries) * w for i, w in enumerate(weights)),
+        extra = (tuple(sum(col) * trivial_multiplicity(f) for f, col in zip(parts, mults)),
                  sum(periodic))
-    return MultiplicityTable(chain, tuple(map(label, range(top + 1))), parts, entries,
-                             periodic, *extra)
+    return MultiplicityTable(chain, tuple(map(label, range(top + 1))), parts,
+                             tuple(zip(*mults)), periodic, *extra)
 
 
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:

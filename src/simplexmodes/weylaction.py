@@ -7,11 +7,11 @@ written order, the left factor acting on points first, which matches
 both the permutation convention of `permgroup` and the reflection-string
 factorizations used throughout.
 
-The character of a class on the degree-2j harmonics is the integer Molien
-coefficient `permgroup.class_character`, read off its cycle type; the float
-traces of the operators (`operator_character`) serve as its independent
-cross-check.  The group algebra is scalar: only the functions that build
-arrays import numpy.
+The characters of a class on the degree-2j harmonics, 2j = 0..top, are the
+integer Molien coefficients `permgroup.class_column`, read off its cycle
+type; the float traces of the operators (`operator_character`) serve as
+their independent cross-check.  The group algebra is scalar: only the
+functions that build arrays import numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .permgroup import CLASS_ORDER_S5, CycleType, Permutation, class_character
+from .permgroup import CLASS_ORDER_S5, CycleType, Permutation, class_column
 from .su2wigner import (
     Point4,
     Q_ELEMENT,
@@ -241,14 +241,12 @@ class ClassCharacterRow(NamedTuple):
 
 def class_character_table(two_j_max: int) -> list[ClassCharacterRow]:
     """Exact characters of all seven classes on the degree-2j harmonic spaces."""
-    if two_j_max < 0:
-        raise ValueError("two_j_max must be non-negative")
     rows = []
     for k, op in class_operators().items():
         if op.reflective:
             angles = (half_angle(op.g_r * op.g_l),)
         else:
             angles = (half_angle(op.g_l), half_angle(op.g_r))
-        values = tuple(class_character(k, t) for t in range(two_j_max + 1))
+        values = tuple(class_column(k, two_j_max))
         rows.append(ClassCharacterRow(k, op.reflective, angles, values))
     return rows

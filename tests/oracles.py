@@ -11,12 +11,15 @@ predicts.  The eigh route to the Young fixed spaces is the reference for
 the Gram-Schmidt route of `youngrep.fixed_subspace`.  The inverse coordinate
 map, the SU(2) transpose and closeness, and the inverse and parity of a
 permutation are plain functions here: tests use them as references, and no
-command needs them.
+command needs them.  `round_floats` is the reference for the CLI's JSON
+writer: json.dumps(round_floats(doc), sort_keys=True, indent=1) is the text
+that `cli._json_text` writes by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +38,23 @@ from simplexmodes.weylaction import (
     transposition_operators,
 )
 from simplexmodes.youngrep import _basis, _contents as contents, trivial_projector
+
+
+def round_floats(obj):
+    """obj with every float rounded to 15 significant digits, complex numbers as
+    [re, im] and numpy values as Python values."""
+    if isinstance(obj, float):
+        # JSON has no infinity or NaN: a residual that measured nothing is null
+        return float(format(obj, ".15g")) if math.isfinite(obj) else None
+    if isinstance(obj, complex):
+        return [round_floats(obj.real), round_floats(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python values
+        return round_floats(obj.tolist())
+    return obj
 
 
 def point(u: SU2Element) -> Point4:

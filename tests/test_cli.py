@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from simplexmodes import cli, modes, permgroup, reduction, report
+from oracles import round_floats
+from simplexmodes import cli, modes, permgroup, reduction, report, weylaction
 from simplexmodes.cli import MAX_ROWS, MAX_TWO_J_MODES, main
 from simplexmodes.permgroup import CycleType, Partition, Permutation
 
@@ -20,6 +21,20 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     rc, out = run(capsys, *argv)
     return rc, json.loads(out)
+
+
+def break_columns(monkeypatch, module, faults):
+    """Add faults[(k, d)] to chi_d(k) in every class column that `module` reads."""
+    exact = module.class_column
+
+    def broken(k, top):
+        col = exact(k, top)
+        for (cls, d), delta in faults.items():
+            if cls == k and d <= top:
+                col[d] += delta
+        return col
+
+    monkeypatch.setattr(module, "class_column", broken)
 
 
 class TestCharTable:
@@ -156,11 +171,7 @@ class TestReduce:
         # the identity character at 2j = 3 off by 120 adds dim(f) to every
         # m_f: sum_f dim(f)^2 = 120 to the row's dimension and
         # sum_f dim(f) w_f = 120 / 5 to its periodic count
-        exact = reduction.class_character
-        monkeypatch.setattr(
-            reduction, "class_character",
-            lambda k, t: exact(k, t) + (120 if k == CycleType((1,) * 5) and t == 3 else 0),
-        )
+        break_columns(monkeypatch, reduction, {(CycleType((1,) * 5), 3): 120})
         # and m_f(63) - m_f(3) falls dim(f) short of the rule, at most 6
         rc = main(["reduce", "--chain", "o4s5c5", "--max", "5"])
         out, err = capsys.readouterr()
@@ -193,10 +204,7 @@ class TestReduce:
         # character at l = 13 off by 4 moves m_f(13) by chi_f((4)), so the
         # increment from l = 1 misses by 1, while the periodic count moves by
         # sum_f w_f chi_f((4)) = 2 on both routes and the dimensions not at all
-        exact = reduction.class_character
-        broken = {(CycleType((5,)), 61): 5, (CycleType((4,)), 13): 4}
-        monkeypatch.setattr(reduction, "class_character",
-                            lambda k, t: exact(k, t) + broken.get((k, t), 0))
+        break_columns(monkeypatch, reduction, {(CycleType((5,)), 61): 5, (CycleType((4,)), 13): 4})
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "61")
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
@@ -332,7 +340,7 @@ class TestModes:
         target = tmp_path / "modes.json"
         assert rc == 0 and main([*argv, "--output", str(target)]) == 0
         for doc, text in zip(docs, (out, target.read_text())):
-            assert text == json.dumps(cli._round_floats(doc), sort_keys=True, indent=1) + "\n"
+            assert text == json.dumps(round_floats(doc), sort_keys=True, indent=1) + "\n"
         assert len(docs) == 2
         assert (docs[0]["payload"]["coefficients"].size == 0) == (two_j == 1)
 
@@ -388,6 +396,40 @@ class TestModes:
         assert [c["name"] for c in failed] == ["tag_projector_traces"]
 
 
+class TestJsonWriter:
+    """`cli._json_text` writes json.dumps(round_floats(doc), sort_keys=True,
+    indent=1) by hand."""
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--chain", "o2s3c3", "--max", "13"],
+        ["reduce", "--chain", "o3s4c4", "--max", "13"],
+        ["reduce", "--chain", "o4s5c5", "--max", "61"],
+        ["classchars", "--two-j-max", "61"],
+        ["verify", "--all"],
+        ["verify", "--all", "--inject-fault", "o4:10:5"],
+        ["chartable", "--n", "5"],
+        ["branch", "--n", "4"],
+    ], ids=" ".join)
+    def test_documents_match_json(self, capsys, monkeypatch, argv):
+        docs, real = [], cli.report_document
+        monkeypatch.setattr(cli, "report_document",
+                            lambda *args, **kw: docs.append(real(*args, **kw)) or docs[-1])
+        rc, out = run(capsys, *argv)
+        assert rc == (3 if "--inject-fault" in argv else 0)
+        [doc] = docs
+        assert out == json.dumps(round_floats(doc), sort_keys=True, indent=1) + "\n"
+
+    def test_edge_values_match_json(self):
+        nan, inf = float("nan"), float("inf")
+        doc = {"b": [], "a": {}, "nan": nan, "inf": [-inf, 1.5, -0.0, 1e-320, 0.1 + 0.2],
+               "flags": [True, False, None], "mixed": [1, 2.0, "x", (3, 4)], "big": 10**30,
+               "complex": [complex(1, -0.0), complex(nan, 1)], "z": complex(inf, 2),
+               "rows": np.array([[1 + 2j, 3], [0.1 + 0.2j, -1j]]), "ints": np.arange(3),
+               "scalar": np.float64(0.1) + np.float64(0.2), "text": "chi \u03c7 \"quoted\"",
+               "nested": [[[]], [{}], [[1], [2.5]]], "empty_rows": np.zeros((0, 4), complex)}
+        assert cli._json_text(doc) == json.dumps(round_floats(doc), sort_keys=True, indent=1)
+
+
 class TestClassChars:
     def test_values(self, capsys):
         rc, doc = run_json(capsys, "classchars", "--two-j-max", "5")
@@ -402,9 +444,8 @@ class TestClassChars:
         assert cross["passed"] and 0 <= cross["residual"] < 1e-12
 
     def test_wrong_character_exits_3(self, capsys, monkeypatch):
-        real = permgroup.class_character
-        monkeypatch.setattr(permgroup, "class_character",
-                            lambda k, t: real(k, t) + (1 if t == 3 else 0))
+        # the check reads the printed values: each class one off at 2j = 3
+        break_columns(monkeypatch, weylaction, {(k, 3): 1 for k in permgroup.CLASS_ORDER_S5})
         rc = main(["classchars", "--two-j-max", "5"])
         out, err = capsys.readouterr()
         assert rc == 3

@@ -3,6 +3,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import inverse
 from simplexmodes.permgroup import (
@@ -11,6 +12,8 @@ from simplexmodes.permgroup import (
     Permutation,
     character,
     character_table,
+    class_character,
+    class_column,
     coxeter_element,
     cyclic_elements,
     partitions_of,
@@ -223,3 +226,27 @@ class TestCyclicCharacter:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             cyclic_character(3, 3, 1)
+
+
+#: every class of S(3), S(4) and S(5)
+CLASSES_3_TO_5 = [CycleType(f.parts) for n in (3, 4, 5) for f in partitions_of(n)]
+
+
+class TestClassColumn:
+    """The column route against the per-degree Molien coefficient."""
+
+    @pytest.mark.parametrize("k", CLASSES_3_TO_5, ids=str)
+    def test_equals_class_character(self, k):
+        period = math.lcm(*k.parts)
+        for top in sorted({0, 1, period - 1, period, period + 1, 1500}):
+            assert class_column(k, top) == [class_character(k, d) for d in range(top + 1)], top
+
+    @given(st.sampled_from(CLASSES_3_TO_5), st.integers(0, 300))
+    def test_prefix_of_a_longer_column(self, k, top):
+        column = class_column(k, top)
+        assert column == class_column(k, 300)[:top + 1]
+        assert column[-1] == class_character(k, top)
+
+    def test_negative_top_raises(self):
+        with pytest.raises(ValueError):
+            class_column(CycleType((5,)), -1)

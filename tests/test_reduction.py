@@ -9,21 +9,19 @@ from hypothesis import given, strategies as st
 from oracles import parity
 from simplexmodes import reduction
 from simplexmodes.permgroup import (
+    CLASS_ORDER_S5,
     CycleType,
     Partition,
     Permutation,
     character,
+    class_character,
+    cyclic_elements,
     partitions_of,
     trivial_multiplicity,
 )
 from simplexmodes.report import ConsistencyError
 from simplexmodes.su2wigner import chebyshev_u
-from simplexmodes.weylaction import (
-    CLASS_ORDER_S5,
-    class_character,
-    class_operators,
-    operator_character,
-)
+from simplexmodes.weylaction import class_operators, operator_character
 from simplexmodes.youngrep import primed_rep_matrix
 from simplexmodes.reduction import (
     S5_PARTITION_ORDER,
@@ -209,17 +207,20 @@ class TestRecursionReport:
     `reduce --chain o4s5c5` reports as the check degree_60_increment."""
 
     def test_needs_sixty(self, monkeypatch):
-        # each row d is compared with row d + 60: min(60, rows) rows past the
-        # table are computed, so a one-row table still compares one pair
-        computed = []
-        row = reduction._row
-        monkeypatch.setattr(reduction, "_row",
-                            lambda d, parts: computed.append(d) or row(d, parts))
-        for top, past in ((0, [60]), (10, list(range(60, 71))), (80, list(range(81, 141)))):
+        # each row d is compared with row d + 60: the check reads the rows past
+        # the table from class columns extended by 60, so a one-row table still
+        # compares one pair
+        tops = []
+        column = reduction.class_column
+        monkeypatch.setattr(reduction, "class_column",
+                            lambda k, top: tops.append(top) or column(k, top))
+        for top in (0, 10, 80):
             table = o4_multiplicity_table(top)
-            computed.clear()
+            assert set(tops) == {top}
+            tops.clear()
             increment = next(c for c in table_checks(table) if c["name"] == "degree_60_increment")
-            assert computed == past and increment["passed"] and increment["residual"] == 0
+            assert tops == [top + 60] * 7 and increment["passed"] and increment["residual"] == 0
+            tops.clear()
 
     def test_character_periodicity(self):
         # the classes with at most three cycles repeat with period 60 and
@@ -268,9 +269,9 @@ class TestRecursionReport:
 
 
 class TestOneCharacterRowPerDegree:
-    """Each table evaluates every class character once per degree and reads
-    the multiplicities, the C_n average and the O(2) transposition trace from
-    that one row."""
+    """Each table evaluates every class character once per degree, as one
+    class column per class, and reads the multiplicities, the C_n average and
+    the O(2) transposition trace from those columns."""
 
     @pytest.mark.parametrize("build, top, n", [
         (o2_multiplicity_table, 40, 3), (o3_multiplicity_table, 30, 4),
@@ -278,11 +279,59 @@ class TestOneCharacterRowPerDegree:
     ], ids=["o2s3c3", "o3s4c4", "o4s5c5"])
     def test_each_class_character_once(self, monkeypatch, build, top, n):
         calls = []
-        exact = reduction.class_character
-        monkeypatch.setattr(reduction, "class_character",
-                            lambda k, d: calls.append((k, d)) or exact(k, d))
+        column = reduction.class_column
+        monkeypatch.setattr(reduction, "class_column",
+                            lambda k, d: calls.append((k, d)) or column(k, d))
+        monkeypatch.setattr(reduction, "class_character", None)  # no per-degree call
         build(top)
-        assert len(calls) == len(set(calls)) == len(partitions_of(n)) * (top + 1)
+        assert len(calls) == len(set(calls)) == len(partitions_of(n))
+        assert {d for _, d in calls} == {top}
+
+
+def cyclic_average(n: int, d: int) -> int:
+    """(1/n) sum of chi_d over the powers of the full cycle of S(n), one degree."""
+    periodic, rest = divmod(sum(class_character(h.cycle_type(), d) for h in cyclic_elements(n)), n)
+    assert rest == 0
+    return periodic
+
+
+def per_degree_table(chain: str, top: int) -> tuple[list, list]:
+    """The rows and the periodic column of a chain's table, one degree at a
+    time from `_row` and `class_character`."""
+    if chain != "o2s3c3":
+        parts = S4_PARTITIONS if chain == "o3s4c4" else S5_PARTITION_ORDER
+        n = parts[0].n
+        return ([reduction._row(d, parts) for d in range(top + 1)],
+                [cyclic_average(n, d) for d in range(top + 1)])
+    parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
+    entries, periodic = [], []
+    for m in range(top + 1):
+        for eps in (1, -1) if m else (1,):
+            entries.append(tuple(int(x > 0 and f.dimension + eps * character(f, swap) > 0)
+                                 for x, f in zip(reduction._row(m, parts), parts)))
+            fixed, rest = divmod(cyclic_average(3, m) + eps * class_character(swap, m), 2)
+            periodic.append(fixed)
+            assert rest == 0
+    return entries, periodic
+
+
+class TestColumnRoute:
+    """Every table, built from class columns, equals the per-degree route on
+    both sides of the periods 12 and 60."""
+
+    @pytest.mark.parametrize("top", [0, 1, 11, 12, 13, 59, 60, 61, 1000])
+    @pytest.mark.parametrize("build", [o2_multiplicity_table, o3_multiplicity_table,
+                                       o4_multiplicity_table],
+                             ids=["o2s3c3", "o3s4c4", "o4s5c5"])
+    def test_table_equals_per_degree_rows(self, build, top):
+        table = build(top)
+        entries, periodic = per_degree_table(table.chain, top)
+        assert list(table.entries) == entries
+        assert list(table.periodic) == periodic
+        if table.totals is not None:
+            weights = [trivial_multiplicity(f) for f in table.partitions]
+            assert list(table.totals) == [sum(col) * w for col, w in zip(zip(*entries), weights)]
+            assert table.grand_total == sum(periodic)
 
 
 class TestEverySimplexDimension:
@@ -401,7 +450,9 @@ class TestExactProperties:
     def test_lattice_count_equals_character_count(self, two_j):
         row = o4_row(two_j)
         weighted = sum(m * trivial_multiplicity(f) for m, f in zip(row, S5_PARTITION_ORDER))
-        periodic = reduction._cyclic_average(5, two_j, reduction._class_row(5, two_j))
+        periodic, rest = divmod(sum(class_character(h.cycle_type(), two_j)
+                                    for h in cyclic_elements(5)), 5)
+        assert rest == 0
         assert lattice_count_o4(two_j) == weighted == periodic
 
 
@@ -428,22 +479,36 @@ class TestExactDivision:
             reduction._row(3, (Partition.of(5),))
 
     def test_o3_remainder_raises(self, monkeypatch):
-        exact = reduction.class_character
+        exact = reduction.class_column
         monkeypatch.setattr(
-            reduction, "class_character",
-            lambda k, l: exact(k, l) + (1 if k == CycleType((3, 1)) else 0),
+            reduction, "class_column",
+            lambda k, top: [c + (k == CycleType((3, 1))) for c in exact(k, top)],
         )
         with pytest.raises(ConsistencyError, match=r"^m\(\[4\]\) at degree 0: "):
             o3_multiplicity_table(0)
+
+    def test_remainder_past_the_table_names_its_degree(self, monkeypatch):
+        # the increment check reads rows 60 and 61 of a two-row table from
+        # class columns cut at degree 60
+        exact = reduction.class_column
+        monkeypatch.setattr(
+            reduction, "class_column",
+            lambda k, top: [c + ((k, t) == (CycleType((5,)), 61))
+                            for t, c in enumerate(exact(k, top))],
+        )
+        table = o4_multiplicity_table(1)
+        with pytest.raises(ConsistencyError, match=r"^m\(\[5\]\) at degree 61: "):
+            table_checks(table)
 
     def test_deviation_is_the_tabulation_margin(self, monkeypatch):
         # a character that breaks period 60 shows in the degree-60 increment
         # as its exact deviation; 24 times 5 keeps every character sum
         # divisible by 120
-        exact = reduction.class_character
+        exact = reduction.class_column
         monkeypatch.setattr(
-            reduction, "class_character",
-            lambda k, t: exact(k, t) + (5 if (k, t) == (CycleType((5,)), 61) else 0),
+            reduction, "class_column",
+            lambda k, top: [c + 5 * ((k, t) == (CycleType((5,)), 61))
+                            for t, c in enumerate(exact(k, top))],
         )
         checks = {c["name"]: c for c in table_checks(o4_multiplicity_table(61))}
         # m_f(61) moves by chi_f((5)), at most 1, and the rule is unchanged

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from oracles import act_on_point, isclose, operator_matrix, parity, point, wigner_d
-from simplexmodes.permgroup import CycleType, Permutation, coxeter_element
+from simplexmodes.permgroup import CycleType, Permutation, class_character, coxeter_element
 from simplexmodes.su2wigner import Point4, SU2Element, su2_from_point
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
     GroupOperator,
     act_on_coefficients,
     act_on_points,
-    class_character,
     class_character_table,
     class_operators,
     class_representatives,
