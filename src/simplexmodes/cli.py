@@ -10,6 +10,8 @@ load none of them.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import json
 import math
@@ -37,6 +39,13 @@ LIMITS = {
 #: the table builder in `reduction` of each chain that `reduce --chain` takes
 CHAINS = {"o2s3c3": "o2_multiplicity_table", "o3s4c4": "o3_multiplicity_table",
           "o4s5c5": "o4_multiplicity_table"}
+
+
+# The interpreter's final collection walks every tracked object, numpy's too,
+# although the process frees its memory at once: freezing them at exit skips
+# that walk however the process ends.  An in-process caller of `main` keeps
+# its collector, since nothing is frozen before the interpreter exits.
+atexit.register(gc.freeze)
 
 
 class UsageError(Exception):

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, floordiv, mod, mul
+from itertools import compress, count, repeat
+from operator import add, floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .permgroup import (
@@ -59,14 +59,20 @@ def _cyclic_weights(n: int) -> tuple[int, ...]:
     return tuple(counts[k] for k in _classes(n))
 
 
+def _weighted(weights, cols) -> list[int]:
+    """sum_k weights[k] cols[k], entry by entry."""
+    total = repeat(0, len(cols[0]))
+    for w, col in zip(weights, cols):
+        if w:
+            total = map(add, total, map(w.__mul__, col))
+    return list(total)
+
+
 def _combine(weights, cols, order: int, what: str, *args, start: int = 0) -> list[int]:
     """(1/order) sum_k weights[k] cols[k] at every degree d = start, start + 1, ...
     in integers: one exact division pass, which raises ConsistencyError at the
     first degree that `order` does not divide, naming `what % (*args, d)`."""
-    total = [0] * len(cols[0])
-    for w, col in zip(weights, cols):
-        if w:
-            total = list(map(add, total, map(w.__mul__, col)))
+    total = _weighted(weights, cols)
     for i in compress(range(len(total)), map(mod, total, repeat(order))):
         exact_quotient(total[i], order, what, *args, start + i)
     return list(map(floordiv, total, repeat(order)))
@@ -97,11 +103,17 @@ def _row(degree: int, parts) -> tuple[int, ...]:
                                 "m(%s) at degree %d", f, degree) for f in parts)
 
 
-def _audit(entries, parts) -> int:
-    """Largest |sum_f m_f dim(f) - dim H_d(R^(n-1))| over the rows d = 0, 1, ..."""
-    n, dims = parts[0].n, [f.dimension for f in parts]
-    return max((abs(sum(m * w for m, w in zip(row, dims)) - harmonic_dimension(n, d))
-                for d, row in enumerate(entries)), default=0)
+def _deviation(column, expected) -> int:
+    """Largest |column[d] - expected[d]| over the rows d of `column`."""
+    return max(map(abs, map(sub, column, expected)))
+
+
+def _audit(cols, parts) -> int:
+    """Largest |sum_f m_f dim(f) - dim H_d(R^(n-1))| over the rows d = 0, 1, ...
+    of the multiplicity columns `cols`."""
+    n = parts[0].n
+    return _deviation(_weighted([f.dimension for f in parts], cols),
+                      map(harmonic_dimension, repeat(n), range(len(cols[0]))))
 
 
 def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
@@ -122,16 +134,15 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
     return period, [(at1 - at0, at0) for at0, at1 in zip(*at)]
 
 
-def _increment(entries, parts) -> tuple[int, int]:
+def _increment(cols, parts) -> tuple[int, int]:
     """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over the
-    rows d = 0, 1, ...; the min(P, rows) rows past the table are read from
-    class columns extended to rows + P."""
+    rows d = 0, 1, ... of the multiplicity columns `cols`; the min(P, rows)
+    rows past the table are read from class columns extended to rows + P."""
     period, rule = _increment_rule(parts)
-    rows = len(entries)
-    ahead = [*entries[period:], *zip(*_columns(parts, rows + period - 1, max(period, rows))[1])]
-    return period, max(abs(b - a - slope * d - icpt)
-                       for d, (row, later) in enumerate(zip(entries, ahead))
-                       for a, b, (slope, icpt) in zip(row, later, rule))
+    rows = len(cols[0])
+    past = _columns(parts, rows + period - 1, max(period, rows))[1]
+    return period, max(_deviation(map(sub, [*col[period:], *extra], col), count(icpt, slope))
+                       for col, extra, (slope, icpt) in zip(cols, past, rule))
 
 
 # ---------------------------------------------------------------- O(4) chain
@@ -157,15 +168,16 @@ def lattice_count_o4(two_j: int) -> int:
 
     a and b share the parity of 2j, so 3a + b is even and the condition is
     b = 2a (mod 5).  The residues mod 5 of -2j + 2k repeat with period 5 in
-    k, so each residue r is taken q or q + 1 times, (q, s) = divmod(2j+1, 5).
+    k, so each residue r is taken q + e_r times, (q, s) = divmod(2j+1, 5), with
+    e_r = 1 for the s residues of -2j + 2k, k < s, and 0 for the others.  As
+    r -> 2r permutes the residues, the count sum_r (q + e_r)(q + e_2r) is
+    5q^2 + 2sq + #{r : e_r = e_2r = 1}, and that last term is 1, 0, 1, 4, 0
+    for 2j = 0, 1, 2, 3, 4 (mod 5).
     """
     if two_j < 0:
         raise ValueError("two_j must be non-negative")
     q, s = divmod(two_j + 1, 5)
-    taken = [q] * 5
-    for k in range(s):
-        taken[(2 * k - two_j) % 5] += 1
-    return sum(taken[r] * taken[2 * r % 5] for r in range(5))
+    return 5 * q * q + 2 * s * q + (1, 0, 1, 4, 0)[two_j % 5]
 
 
 # ------------------------------------------------------------------- tables
@@ -250,19 +262,18 @@ def table_checks(table: MultiplicityTable) -> list[dict]:
     """The exact checks of one `reduce` table, each passing at residual 0:
     the dimension audit and the degree increment of the degree chains,
     periodic = sum_f m_f w_f on every chain, and the lattice count on O(4)."""
-    checks = []
+    checks, cols = [], list(zip(*table.entries))
     if table.chain in _RULES:
         audit_rule, increment_rule = _RULES[table.chain]
-        checks.append(check("dimension_audit", _audit(table.entries, table.partitions), 0,
+        checks.append(check("dimension_audit", _audit(cols, table.partitions), 0,
                             detail=audit_rule))
-        period, residual = _increment(table.entries, table.partitions)
+        period, residual = _increment(cols, table.partitions)
         checks.append(check(f"degree_{period}_increment", residual, 0, detail=increment_rule))
     weights = [trivial_multiplicity(f) for f in table.partitions]
-    weighted = max(abs(n - sum(w * m for w, m in zip(weights, row)))
-                   for n, row in zip(table.periodic, table.entries))
-    checks.append(check("periodic_equals_weighted_sum", weighted, 0))
+    checks.append(check("periodic_equals_weighted_sum",
+                        _deviation(table.periodic, _weighted(weights, cols)), 0))
     if table.chain == "o4s5c5":
-        lattice = max(abs(n - lattice_count_o4(t)) for t, n in enumerate(table.periodic))
+        lattice = _deviation(table.periodic, map(lattice_count_o4, range(len(table.periodic))))
         checks.append(check("periodic_equals_lattice_count", lattice, 0,
                             detail="#{(a, b) in {-2j, -2j+2, .., 2j}^2 : 3a + b = 0 mod 10}"))
     return checks

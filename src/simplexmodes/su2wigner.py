@@ -126,7 +126,8 @@ def wigner_rows(two_j: int, z1, z2) -> np.ndarray:
     Exact diagonalization (Feng, Wang, Yang & Jin, Phys. Rev. E 92 (2015)
     043307): with beta = 2 atan2(|z2|, |z1|) and phi+- = arg z1 +- arg z2,
     D = diag(e^{i m phi+}) W e^{i beta m} W^dagger diag(e^{i m phi-}), one
-    batched matrix product for all points.
+    matrix product for all points: the N scaled copies of W stacked as one
+    (N (2j+1), 2j+1) matrix.
     """
     import numpy as np
 
@@ -141,9 +142,11 @@ def wigner_rows(two_j: int, z1, z2) -> np.ndarray:
         raise ValueError(f"|z1|^2+|z2|^2 = {norm[bad[0]]} at point {bad[0]}, not a unit pair")
     w, w_dagger, m = _wigner_terms(int(two_j))
     beta, a, b = 2.0 * np.arctan2(r2, r1)[:, None], np.angle(z1)[:, None], np.angle(z2)[:, None]
-    d = (w * np.exp(1j * m * beta)[:, None, :]) @ w_dagger
+    n, size = len(z1), len(m)
+    scaled = (w * np.exp(1j * m * beta)[:, None, :]).reshape(n * size, size)
+    d = (scaled @ w_dagger).reshape(n, size, size)
     d *= np.exp(1j * m * (a + b))[:, :, None] * np.exp(1j * m * (a - b))[:, None, :]
-    return d.reshape(len(z1), -1)
+    return d.reshape(n, -1)
 
 
 def chebyshev_u(n: int, x: float) -> float:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -225,6 +226,16 @@ class TestReduce:
         assert rc == 0
         lattice = next(c for c in doc["checks"] if c["name"] == "periodic_equals_lattice_count")
         assert lattice["passed"] and lattice["residual"] == 0 and lattice["tolerance"] == 0
+
+    def test_wrong_lattice_count_fails_it_alone(self, capsys, monkeypatch):
+        # the lattice count is the one route of its check that no other check reads
+        real = reduction.lattice_count_o4
+        monkeypatch.setattr(reduction, "lattice_count_o4", lambda t: real(t) + (t == 7))
+        rc = main(["reduce", "--chain", "o4s5c5", "--max", "10"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and err == "verification failed: periodic_equals_lattice_count\n"
+        failed = [(c["name"], c["residual"]) for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == [("periodic_equals_lattice_count", 1)]
 
     def test_builds_no_operator(self):
         # the multiplicities come from integer characters alone: no SU(2)
@@ -572,6 +583,64 @@ class TestVerify:
         failed = next(c for c in doc["checks"] if not c["passed"])
         assert failed["detail"] == "index (10, 5): computed 5, golden 4"
         assert failed["residual"] == 1 and failed["tolerance"] == 0
+
+
+CLI = ("-m", "simplexmodes.cli")
+
+
+def run_cold(*args, **kwargs):
+    """A fresh interpreter on the test session's import path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, **kwargs)
+
+
+class TestExitPath:
+    """A process that ends skips the final collection (`cli` freezes the
+    collector at exit); what it wrote and its exit code stay the same."""
+
+    def test_csv_output_file_matches_the_pinned_rows(self, tmp_path):
+        target = tmp_path / "o3s4c4.csv"
+        proc = run_cold(*CLI, "reduce", "--chain", "o3s4c4", "--max", "12", "--format", "csv",
+                        "--output", str(target))
+        assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
+        assert target.read_text().splitlines() == [
+            "label,[4],[31],[22],[211],[1111],periodic",
+            '"(l=0,kappa=+)",1,0,0,0,0,1', '"(l=1,kappa=-)",0,1,0,0,0,0',
+            '"(l=2,kappa=+)",0,1,1,0,0,1', '"(l=3,kappa=-)",1,1,0,1,0,2',
+            '"(l=4,kappa=+)",1,1,1,1,0,3', '"(l=5,kappa=-)",0,2,1,1,0,2',
+            '"(l=6,kappa=+)",1,2,1,1,1,3', '"(l=7,kappa=-)",1,2,1,2,0,4',
+            '"(l=8,kappa=+)",1,2,2,2,0,5', '"(l=9,kappa=-)",1,3,1,2,1,4',
+            '"(l=10,kappa=+)",1,3,2,2,1,5', '"(l=11,kappa=-)",1,3,2,3,0,6',
+            '"(l=12,kappa=+)",2,3,2,3,1,7',
+        ]
+
+    def test_largest_report_same_on_a_pipe_and_in_a_file(self, tmp_path):
+        argv = ["modes", "--two-j", str(MAX_TWO_J_MODES), "--verify-points", "5"]
+        target = tmp_path / "modes.json"
+        piped = run_cold(*CLI, *argv, check=True)
+        run_cold(*CLI, *argv, "--output", str(target), check=True)
+        assert len(piped.stdout) > 4_000_000 and target.read_bytes() == piped.stdout
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--all", "--inject-fault", "o4:10:5"], 3),
+        (["reduce", "--chain", "o4s5c5", "--max", str(MAX_ROWS + 1)], 2),
+    ])
+    def test_exit_codes(self, argv, code):
+        assert run_cold(*CLI, *argv).returncode == code
+
+    def test_collector_frozen_only_at_exit(self, capsys):
+        # exit handlers run last in, first out: one registered before `cli` is
+        # imported sees the freeze, while `main` itself freezes nothing
+        code = ("import atexit, gc; "
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+                "import simplexmodes.cli as c; c.main(['chartable', '--n', '3']); "
+                "print(gc.get_freeze_count())")
+        out = run_cold("-c", code, text=True, check=True).stdout.splitlines()
+        assert out[-2:] == ["0", "True"]
+        before = gc.get_freeze_count()
+        assert main(["reduce", "--chain", "o4s5c5", "--max", "3"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
 
 
 class TestInterface:
