@@ -1,10 +1,10 @@
 """Explicit cyclic-periodic eigenmode bases on S^3.
 
-The construction spans the periodic modes by the lattice of harmonics that
-the deck generator fixes in its diagonal frame, and tags them by the integer
-spectrum of the central transposition sum, read by
-integer_eigenspaces.  Each tag's rank comes from the one character
-row reduction._row.
+The periodic modes are spanned by the lattice of harmonics that the deck
+generator fixes in its diagonal frame, and tagged by the integer spectrum of
+the central transposition sum (`integer_eigenspaces`).  Tag f has rank m_f w_f:
+its multiplicity from the hook lengths (`reduction.multiplicity_column`) times
+w_f, the dimension of the C_5-fixed vectors of f.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .permgroup import Partition, Permutation, coxeter_element, trivial_multiplicity
-from .reduction import S5_PARTITION_ORDER, _row, lattice_count_o4
+from .reduction import S5_PARTITION_ORDER, lattice_count_o4, multiplicity_column
 from .report import SPECTRUM_TOL, ConsistencyError
 from .su2wigner import wigner_rows
 from .weylaction import (
@@ -121,12 +121,12 @@ def periodic_basis(two_j: int) -> ModeBasis:
     phase_error = max(np.abs(rot - np.diag(np.exp(1j * np.pi * k * twice_m / 5))).max()
                       for rot, k in ((rot_l, 3), (rot_r, 1)))
     i1, i2 = np.nonzero((3 * twice_m[:, None] + twice_m) % 10 == 0)
-    ranks = {f: m * w for f, m in zip(S5_PARTITION_ORDER, _row(two_j, S5_PARTITION_ORDER))
+    ranks = {f: multiplicity_column(f, two_j)[two_j] * w for f in S5_PARTITION_ORDER
              if (w := trivial_multiplicity(f))}
     if phase_error > SPECTRUM_TOL or not len(i1) == lattice_count_o4(two_j) == sum(ranks.values()):
         raise ConsistencyError(
             f"2j={two_j}: generator phases off by {phase_error:.3g}, {len(i1)} lattice "
-            f"points, count {lattice_count_o4(two_j)}, character theory {sum(ranks.values())}"
+            f"points, count {lattice_count_o4(two_j)}, hook lengths {sum(ranks.values())}"
         )
     # a transposition, (-1)^{2j} L^T C^T R^T, sends x_a y_b^T to (L^T y_b)(R x_a)^T
     m = (-1.0) ** two_j * sum(

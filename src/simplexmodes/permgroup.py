@@ -5,7 +5,8 @@ arithmetic, so every table entry and branching multiplicity is exact.  The
 character of a class of S(n) on the degree-2j harmonics of R^(n-1) is read
 off its cycle type alone, in integers, from the Molien series of S(n)
 (Stanley, Bull. AMS 1 (1979) 475): one degree by `class_character`, or all
-degrees up to a top by `class_column`, as strided prefix sums.
+degrees up to a top by `class_column`, with `series_column`, the expander of
+any poly(t) / prod_h (1-t^h) by strided prefix sums.
 """
 
 from __future__ import annotations
@@ -50,14 +51,15 @@ class Partition(namedtuple("Partition", "parts")):
         return Partition(tuple(cols))
 
     @property
+    def hooks(self) -> tuple[int, ...]:
+        """The hook length of every box, row by row: the arm, the leg and the box."""
+        conj = self.conjugate().parts
+        return tuple(r - j + conj[j] - i - 1 for i, r in enumerate(self.parts) for j in range(r))
+
+    @property
     def dimension(self) -> int:
         """Number of standard tableaux, by the hook length formula."""
-        conj = self.conjugate().parts
-        hooks = 1
-        for i, row in enumerate(self.parts):
-            for j in range(row):
-                hooks *= (row - j) + (conj[j] - i) - 1
-        return math.factorial(self.n) // hooks
+        return math.factorial(self.n) // math.prod(self.hooks)
 
     @property
     def content_sum(self) -> int:
@@ -333,15 +335,19 @@ def class_character(k: CycleType, two_j: int) -> int:
     return sum(poly[i] * math.comb((two_j - i) // period + r - 1, r - 1) for i in below)
 
 
-def class_column(k: CycleType, top: int) -> list[int]:
-    """class_character(k, d) for d = 0..top: the coefficients of M(t) / (1-t^P)^r,
-    M divided by 1 - t^P r times, each a prefix sum along every residue class
-    mod P (Stanley, Enumerative Combinatorics 1, sec. 4.4)."""
+def series_column(poly, lengths, top: int) -> list[int]:
+    """The coefficients of t^0..t^top in poly(t) / prod_h (1-t^h), h over
+    `lengths`: poly divided by each 1 - t^h as a prefix sum along every residue
+    class mod h (Stanley, Enumerative Combinatorics 1, sec. 4.4)."""
     if top < 0:
         raise ValueError("top must be non-negative")
-    period, r, poly = _molien_terms(k)
     col = [*poly[:top + 1], *[0] * (top + 1 - len(poly))]
-    for _ in range(r):
-        for s in range(min(period, top + 1)):
-            col[s::period] = accumulate(col[s::period])
+    for h in lengths:
+        for s in range(min(h, top + 1)):
+            col[s::h] = accumulate(col[s::h])
     return col
+
+
+def class_column(k: CycleType, top: int) -> list[int]:
+    """class_character(k, d) for d = 0..top, from the Molien series itself."""
+    return series_column((1, -1, -1, 1), k.parts, top)

@@ -2,20 +2,19 @@
 
     O(2) > S(3) > C_3,   O(3) > S(4) > C_4,   O(4) > S(5) > C_5.
 
-Each multiplicity is a character inner product in integers.  S(n) acts on
-the degree-d harmonics of R^(n-1), and every class character is the integer
-Molien coefficient `permgroup.class_character`, read off the cycle type.
-Each table reads one `permgroup.class_column` per class, all its degrees at
-once, and builds each printed column, the multiplicities, the periodic count
-and, on O(2), the trace of a transposition, by which O(2) splits each degree,
-as an integer combination of class columns with one exact division pass.
-The periodic column is an independent route: the C_n average of the class
-characters over the powers of the full cycle.  A character sum that the
-group order does not divide raises ConsistencyError.  `_row` is the
-per-degree route, from `class_character`, of `modes` and the increment rule.
-`table_checks` audits every row against the one dimension formula
-dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2), the second term 0 for
-d+n-4 < 0, and the increment of every row over the period lcm(1..n).
+S(n) acts on the degree-d harmonics of R^(n-1).  The multiplicity m_f(d) of
+the irrep f is the coefficient of t^d in (1-t)(1-t^2) t^b(f) / prod_h (1-t^h),
+h over the hook lengths of f and b(f) = sum_i (i-1) f_i, which
+`multiplicity_column` expands for every degree up to a top by strided prefix
+sums: no character and no division.  Character theory is the independent
+side of the checks.  The periodic column is the C_n average of the class
+characters (`permgroup.class_column`) over the powers of the full cycle, on
+O(2) split by the trace of a transposition, and a class sum that the group
+order does not divide raises ConsistencyError; the increment rule of m_f over
+the period lcm(1..n) comes from `class_character`.  `table_checks` audits
+every row against the one dimension formula dim H_d(R^(n-1)) = C(d+n-2, n-2)
+- C(d+n-4, n-2), the second term 0 for d+n-4 < 0, and the increment of every
+row over the period, and compares the periodic column with sum_f m_f w_f.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import compress, count, repeat
-from operator import add, floordiv, mod, mul, sub
+from operator import add, floordiv, mod, sub
 from typing import NamedTuple
 
 from .permgroup import (
@@ -36,6 +35,7 @@ from .permgroup import (
     cyclic_elements,
     exact_quotient,
     partitions_of,
+    series_column,
     trivial_multiplicity,
 )
 from .report import check
@@ -46,17 +46,9 @@ def _classes(n: int) -> tuple[CycleType, ...]:
     return tuple(CycleType(p.parts) for p in partitions_of(n))
 
 
-@lru_cache(maxsize=None)
-def _class_weights(f: Partition) -> tuple[int, ...]:
-    """|k| chi_f(k) for each class k of S(n) in `_classes` order."""
-    return tuple(k.class_size * character(f, k) for k in _classes(f.n))
-
-
-@lru_cache(maxsize=None)
-def _cyclic_weights(n: int) -> tuple[int, ...]:
-    """How many powers of the full cycle of S(n) lie in each class of `_classes`."""
-    counts = Counter(p.cycle_type() for p in cyclic_elements(n))
-    return tuple(counts[k] for k in _classes(n))
+def _cyclic_weights(n: int) -> Counter:
+    """How many powers of the full cycle of S(n) lie in each class that holds any."""
+    return Counter(p.cycle_type() for p in cyclic_elements(n))
 
 
 def _weighted(weights, cols) -> list[int]:
@@ -68,23 +60,24 @@ def _weighted(weights, cols) -> list[int]:
     return list(total)
 
 
-def _combine(weights, cols, order: int, what: str, *args, start: int = 0) -> list[int]:
-    """(1/order) sum_k weights[k] cols[k] at every degree d = start, start + 1, ...
-    in integers: one exact division pass, which raises ConsistencyError at the
-    first degree that `order` does not divide, naming `what % (*args, d)`."""
-    total = _weighted(weights, cols)
-    for i in compress(range(len(total)), map(mod, total, repeat(order))):
-        exact_quotient(total[i], order, what, *args, start + i)
+def _combine(weights: dict, cols: dict, order: int, what: str, *args) -> list[int]:
+    """(1/order) sum_k weights[k] cols[k] over the classes k of `weights` at
+    every degree d = 0, 1, ... in integers: one exact division pass, which
+    raises ConsistencyError at the first degree that `order` does not divide,
+    naming `what % (*args, d)`."""
+    total = _weighted([*weights.values()], [cols[k] for k in weights])
+    for d in compress(range(len(total)), map(mod, total, repeat(order))):
+        exact_quotient(total[d], order, what, *args, d)
     return list(map(floordiv, total, repeat(order)))
 
 
-def _columns(parts, top: int, start: int = 0) -> tuple[list[list[int]], list[list[int]]]:
-    """The class columns of S(n) for d = start..top and, from them, the
-    multiplicity column of each partition in `parts`."""
-    n = parts[0].n
-    cols = [class_column(k, top)[start:] for k in _classes(n)]
-    return cols, [_combine(_class_weights(f), cols, math.factorial(n), "m(%s) at degree %d", f,
-                           start=start) for f in parts]
+def multiplicity_column(f: Partition, top: int) -> list[int]:
+    """m_f(d) for d = 0..top: the principal specialization t^b(f) / prod_h (1-t^h)
+    of the Schur function s_f (Stanley, Enumerative Combinatorics 2, Cor.
+    7.21.3), the graded multiplicity of f in the polynomials, times the
+    (1-t)(1-t^2) that divides out x_1 + ... + x_n and the multiples of |x|^2."""
+    b = sum(i * row for i, row in enumerate(f.parts))
+    return series_column((0,) * b + (1, -1, -1, 1), f.hooks, top)
 
 
 def harmonic_dimension(n: int, degree: int) -> int:
@@ -92,15 +85,6 @@ def harmonic_dimension(n: int, degree: int) -> int:
     for d+n-4 < 0: 2l+1 for S(4) and (2j+1)^2 for S(5)."""
     drop = math.comb(degree + n - 4, n - 2) if degree + n >= 4 else 0
     return math.comb(degree + n - 2, n - 2) - drop
-
-
-def _row(degree: int, parts) -> tuple[int, ...]:
-    """The multiplicities of `parts` at one degree, from its class characters:
-    (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k of S(n)."""
-    n = parts[0].n
-    chars = [class_character(k, degree) for k in _classes(n)]
-    return tuple(exact_quotient(sum(map(mul, _class_weights(f), chars)), math.factorial(n),
-                                "m(%s) at degree %d", f, degree) for f in parts)
 
 
 def _deviation(column, expected) -> int:
@@ -126,9 +110,9 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
     c - 4 <= 1 in d: read off at d = 0 and 1."""
     n = parts[0].n
     period = math.lcm(*range(1, n + 1))
-    at = [[exact_quotient(sum(w * (class_character(k, d + period) - class_character(k, d))
-                              for w, k in zip(_class_weights(f), _classes(n))
-                              if len(k.parts) >= 4),
+    at = [[exact_quotient(sum(k.class_size * character(f, k)
+                              * (class_character(k, d + period) - class_character(k, d))
+                              for k in _classes(n) if len(k.parts) >= 4),
                           math.factorial(n), "increment of m(%s) at degree %d", f, d)
            for f in parts] for d in (0, 1)]
     return period, [(at1 - at0, at0) for at0, at1 in zip(*at)]
@@ -136,13 +120,13 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
 
 def _increment(cols, parts) -> tuple[int, int]:
     """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over the
-    rows d = 0, 1, ... of the multiplicity columns `cols`; the min(P, rows)
-    rows past the table are read from class columns extended to rows + P."""
+    rows d = 0, 1, ... of the multiplicity columns `cols`, with m_f(d+P) read
+    from `multiplicity_column` extended to rows + P."""
     period, rule = _increment_rule(parts)
-    rows = len(cols[0])
-    past = _columns(parts, rows + period - 1, max(period, rows))[1]
-    return period, max(_deviation(map(sub, [*col[period:], *extra], col), count(icpt, slope))
-                       for col, extra, (slope, icpt) in zip(cols, past, rule))
+    top = len(cols[0]) + period - 1
+    return period, max(_deviation(map(sub, multiplicity_column(f, top)[period:], col),
+                                  count(icpt, slope))
+                       for f, col, (slope, icpt) in zip(parts, cols, rule))
 
 
 # ---------------------------------------------------------------- O(4) chain
@@ -204,14 +188,15 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
     in f, of dimension (dim f + eps chi_f((2)(1))) / 2, is not empty.  Its
     periodic count is the dimension of the C_3-fixed part of the eps-eigenspace
     on H_m, (C_3 average + eps chi_m((2)(1))) / 2."""
-    parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
-    (cols, mults), at_swap = _columns(parts, m_max), _classes(3).index(swap)
+    parts, swap, cyclic = tuple(partitions_of(3)), CycleType((2, 1)), _cyclic_weights(3)
+    mults = [multiplicity_column(f, m_max) for f in parts]
+    cols = {k: class_column(k, m_max) for k in (*cyclic, swap)}
     rows, fixed = {}, {}
     for eps in (1, -1):
         signed = [f.dimension + eps * character(f, swap) > 0 for f in parts]
         rows[eps] = list(zip(*([int(v > 0 and s) for v in col] for col, s in zip(mults, signed))))
         # (C_3 average + eps chi_swap) / 2 = (sum_k c_k chi_k + 3 eps chi_swap) / 6
-        weights = [c + 3 * eps * (i == at_swap) for i, c in enumerate(_cyclic_weights(3))]
+        weights = {**cyclic, swap: cyclic[swap] + 3 * eps}
         fixed[eps] = _combine(weights, cols, 6, "C_3-fixed part of eps=%+d at m=%d", eps)
     picks = [(1, 0)] + [(eps, m) for m in range(1, m_max + 1) for eps in (1, -1)]
     labels = tuple(f"m={m},eps={'+' if eps == 1 else '-'}" if m else "m=0" for eps, m in picks)
@@ -226,8 +211,10 @@ def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
     with `totals`, also each partition's periodic modes m_f w_f over all rows
     and the grand total of the periodic column."""
     n = parts[0].n
-    cols, mults = _columns(parts, top)
-    periodic = tuple(_combine(_cyclic_weights(n), cols, n, "C_%d average at degree %d", n))
+    cyclic = _cyclic_weights(n)
+    mults = [multiplicity_column(f, top) for f in parts]
+    cols = {k: class_column(k, top) for k in cyclic}
+    periodic = tuple(_combine(cyclic, cols, n, "C_%d average at degree %d", n))
     extra = ()
     if totals:
         extra = (tuple(sum(col) * trivial_multiplicity(f) for f, col in zip(parts, mults)),

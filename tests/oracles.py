@@ -13,7 +13,9 @@ map, the SU(2) transpose and closeness, and the inverse and parity of a
 permutation are plain functions here: tests use them as references, and no
 command needs them.  `round_floats` is the reference for the CLI's JSON
 writer: json.dumps(round_floats(doc), sort_keys=True, indent=1) is the text
-that `cli._json_text` writes by hand.
+that `cli._json_text` writes by hand.  `_row` is the character route to the
+multiplicities, one degree at a time, that the library's hook-length columns
+are checked against.
 """
 
 from __future__ import annotations
@@ -22,11 +24,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from simplexmodes.modes import ModeBasis, _sample_pairs, cyclic_operators, integer_eigenspaces
-from simplexmodes.permgroup import Partition, Permutation
+from simplexmodes.permgroup import (
+    CycleType,
+    Partition,
+    Permutation,
+    character,
+    class_character,
+    exact_quotient,
+    partitions_of,
+)
 from simplexmodes.reduction import S5_PARTITION_ORDER
 from simplexmodes.report import SPECTRUM_TOL, ConsistencyError
 from simplexmodes.su2wigner import Point4, SU2Element, wigner_rows
@@ -194,3 +205,18 @@ def young_ranks(two_j: int) -> dict[Partition, int]:
             raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
         out[f] = ranks.pop()
     return out
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[CycleType, ...]:
+    return tuple(CycleType(p.parts) for p in partitions_of(n))
+
+
+def _row(degree: int, parts) -> tuple[int, ...]:
+    """The multiplicities of `parts` at one degree, from its class characters:
+    (1/n!) sum_k |k| chi_f(k) chi_d(k) over the classes k of S(n), in integers;
+    a sum that n! does not divide raises ConsistencyError."""
+    n = parts[0].n
+    chars = [(k, k.class_size * class_character(k, degree)) for k in _classes(n)]
+    return tuple(exact_quotient(sum(character(f, k) * c for k, c in chars), math.factorial(n),
+                                "m(%s) at degree %d", f, degree) for f in parts)

@@ -10,7 +10,7 @@ import pytest
 from oracles import round_floats
 from simplexmodes import cli, modes, permgroup, reduction, report, weylaction
 from simplexmodes.cli import MAX_ROWS, MAX_TWO_J_MODES, main
-from simplexmodes.permgroup import CycleType, Partition, Permutation
+from simplexmodes.permgroup import CycleType, Partition, Permutation, character
 
 
 def run(capsys, *argv):
@@ -36,6 +36,13 @@ def break_columns(monkeypatch, module, faults):
         return col
 
     monkeypatch.setattr(module, "class_column", broken)
+
+
+def break_multiplicities(monkeypatch, delta):
+    """Add delta(f, d) to m_f(d) in every multiplicity column that `reduction` reads."""
+    exact = reduction.multiplicity_column
+    monkeypatch.setattr(reduction, "multiplicity_column",
+                        lambda f, top: [m + delta(f, d) for d, m in enumerate(exact(f, top))])
 
 
 class TestCharTable:
@@ -169,20 +176,20 @@ class TestReduce:
         assert lines[-1].startswith("totals,")
 
     def test_broken_row_fails_the_dimension_audit(self, capsys, monkeypatch):
-        # the identity character at 2j = 3 off by 120 adds dim(f) to every
-        # m_f: sum_f dim(f)^2 = 120 to the row's dimension and
-        # sum_f dim(f) w_f = 120 / 5 to its periodic count
-        break_columns(monkeypatch, reduction, {(CycleType((1,) * 5), 3): 120})
+        # dim(f) added to every m_f at 2j = 3 adds sum_f dim(f)^2 = 120 to the
+        # row's dimension and sum_f dim(f) w_f = 24 to its weighted sum, while
+        # the periodic column, from the class characters, stays right
+        break_multiplicities(monkeypatch, lambda f, d: f.dimension * (d == 3))
         # and m_f(63) - m_f(3) falls dim(f) short of the rule, at most 6
         rc = main(["reduce", "--chain", "o4s5c5", "--max", "5"])
         out, err = capsys.readouterr()
         assert rc == 3
         assert err == ("verification failed: dimension_audit, degree_60_increment, "
-                       "periodic_equals_lattice_count\n")
+                       "periodic_equals_weighted_sum\n")
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert [(c["name"], c["residual"]) for c in failed] == [
             ("dimension_audit", 120), ("degree_60_increment", 6),
-            ("periodic_equals_lattice_count", 24)]
+            ("periodic_equals_weighted_sum", 24)]
 
     @pytest.mark.parametrize("chain, name, detail", [
         ("o3s4c4", "degree_12_increment", "m_f(l+12) - m_f(l) = dim f"),
@@ -199,27 +206,47 @@ class TestReduce:
                              "detail": detail}
 
     def test_broken_period_fails_the_increment(self, capsys, monkeypatch):
-        # the (5) character at 2j = 61 off by 5 moves m_f(61) by chi_f((5)):
-        # the increment from 2j = 1 misses its rule by 1, in either format,
-        # and the periodic count by sum_f w_f chi_f((5)) = 4; the (4)
-        # character at l = 13 off by 4 moves m_f(13) by chi_f((4)), so the
-        # increment from l = 1 misses by 1, while the periodic count moves by
-        # sum_f w_f chi_f((4)) = 2 on both routes and the dimensions not at all
-        break_columns(monkeypatch, reduction, {(CycleType((5,)), 61): 5, (CycleType((4,)), 13): 4})
+        # chi_f((5)) added to every m_f at 2j = 61: the increment from 2j = 1
+        # misses its rule by 1, in either format, and the weighted sum the
+        # periodic column by sum_f w_f chi_f((5)) = 4; chi_f((4)) added at
+        # l = 13: the increment from l = 1 misses by 1 and the weighted sum by
+        # sum_f w_f chi_f((4)) = 2; the dimensions do not move
+        at = {5: 61, 4: 13}
+        break_multiplicities(monkeypatch,
+                             lambda f, d: character(f, CycleType((f.n,))) * (d == at[f.n]))
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "61")
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
-        assert failed == [("degree_60_increment", 1), ("periodic_equals_lattice_count", 4)]
+        assert failed == [("degree_60_increment", 1), ("periodic_equals_weighted_sum", 4)]
         rc = main(["reduce", "--chain", "o4s5c5", "--max", "61", "--format", "csv"])
         out, err = capsys.readouterr()
         assert rc == 3
         assert err == ("verification failed: degree_60_increment, "
-                       "periodic_equals_lattice_count\n")
+                       "periodic_equals_weighted_sum\n")
         assert out.startswith("label,[5],")
         rc, doc = run_json(capsys, "reduce", "--chain", "o3s4c4", "--max", "13")
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
-        assert failed == [("degree_12_increment", 1)]
+        assert failed == [("degree_12_increment", 1), ("periodic_equals_weighted_sum", 2)]
+
+    def test_broken_class_column_fails_the_periodic_routes(self, capsys, monkeypatch):
+        # the (5) character at 2j = 61 off by 5 moves the C_5 average by
+        # 4 * 5 / 5 = 4, away from the weighted sum and the lattice count; the
+        # multiplicities, the audit and the increment do not read it
+        break_columns(monkeypatch, reduction, {(CycleType((5,)), 61): 5})
+        rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "61")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("periodic_equals_weighted_sum", 4),
+                          ("periodic_equals_lattice_count", 4)]
+        # the (4) character off by 1 at l = 0: the C_4 average 6/4 is no integer
+        monkeypatch.undo()
+        break_columns(monkeypatch, reduction, {(CycleType((4,)), 0): 1})
+        rc = main(["reduce", "--chain", "o3s4c4", "--max", "13"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == ("internal consistency error: C_4 average at degree 0: "
+                       "6/4 is not an integer\n")
 
     def test_o4_lattice_count_check(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "300")
@@ -388,16 +415,12 @@ class TestModes:
         assert [(c["name"], c["residual"]) for c in failed] == [("content_sum_tags", 1.0)]
 
     def test_wrong_tag_counts_exit_3(self, capsys, monkeypatch):
-        # character theory with the ranks of [32] and [221] swapped
-        i, k = (reduction.S5_PARTITION_ORDER.index(Partition.of(*p)) for p in ((3, 2), (2, 2, 1)))
-        real = modes._row
-
-        def swapped(two_j, parts):
-            row = list(real(two_j, parts))
-            row[i], row[k] = row[k], row[i]
-            return tuple(row)
-
-        monkeypatch.setattr(modes, "_row", swapped)
+        # the multiplicities of [32] and [221] swapped
+        a, b = Partition.of(3, 2), Partition.of(2, 2, 1)
+        swap = {a: b, b: a}
+        real = modes.multiplicity_column
+        monkeypatch.setattr(modes, "multiplicity_column",
+                            lambda f, top: real(swap.get(f, f), top))
         assert modes.periodic_basis(2).trace_margin >= 1
         rc = main(["modes", "--two-j", "2"])
         out, err = capsys.readouterr()

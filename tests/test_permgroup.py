@@ -17,6 +17,7 @@ from simplexmodes.permgroup import (
     coxeter_element,
     cyclic_elements,
     partitions_of,
+    series_column,
     trivial_multiplicity,
 )
 
@@ -68,6 +69,15 @@ class TestPartition:
         assert dims == [1, 4, 5, 6, 5, 4, 1]
         for n in (3, 4, 5, 6):
             assert sum(f.dimension**2 for f in partitions_of(n)) == math.factorial(n)
+
+    def test_hooks(self):
+        assert Partition.of(3, 2).hooks == (4, 3, 1, 2, 1)
+        assert Partition.of(2, 1, 1).hooks == (4, 1, 2, 1)
+        # the hook length formula against the Murnaghan-Nakayama degree
+        for n in range(1, 9):
+            for f in partitions_of(n):
+                degree = character(f, CycleType((1,) * n))
+                assert math.prod(f.hooks) * degree == math.factorial(n), f
 
     def test_reverse_lex_order(self):
         assert [f.parts for f in partitions_of(4)] == [
@@ -250,3 +260,9 @@ class TestClassColumn:
     def test_negative_top_raises(self):
         with pytest.raises(ValueError):
             class_column(CycleType((5,)), -1)
+
+    def test_series_column(self):
+        # 1 / (1-t)(1-t^2): floor(d/2) + 1; (1-t^2) / (1-t) = 1 + t
+        assert series_column((1,), (1, 2), 7) == [1, 1, 2, 2, 3, 3, 4, 4]
+        assert series_column((1, 0, -1), (1,), 4) == [1, 1, 0, 0, 0]
+        assert series_column((0, 0, 1), (3,), 1) == [0, 0]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import parity
+import oracles
+from oracles import _row, parity
 from simplexmodes import reduction
 from simplexmodes.permgroup import (
     CLASS_ORDER_S5,
@@ -38,12 +39,12 @@ S4_PARTITIONS = tuple(partitions_of(4))
 
 def o3_row(l: int) -> tuple[int, ...]:
     """Multiplicities of the partitions of 4 in the degree-l harmonics of R^3."""
-    return reduction._row(l, S4_PARTITIONS)
+    return _row(l, S4_PARTITIONS)
 
 
 def o4_row(two_j: int) -> tuple[int, ...]:
     """Multiplicities in S5_PARTITION_ORDER in the degree-2j harmonics of R^4."""
-    return reduction._row(two_j, S5_PARTITION_ORDER)
+    return _row(two_j, S5_PARTITION_ORDER)
 
 #: entries for 2j = 0..10 in S5_PARTITION_ORDER; row 10 carries the value
 #: forced by the dimension sum rule (sum over f of dim(f) * m = (2j+1)^2)
@@ -208,15 +209,15 @@ class TestRecursionReport:
 
     def test_needs_sixty(self, monkeypatch):
         # each row d is compared with row d + 60: the check reads the rows past
-        # the table from class columns extended by 60, so a one-row table still
-        # compares one pair
+        # the table from multiplicity columns extended by 60, so a one-row
+        # table still compares one pair
         tops = []
-        column = reduction.class_column
-        monkeypatch.setattr(reduction, "class_column",
-                            lambda k, top: tops.append(top) or column(k, top))
+        column = reduction.multiplicity_column
+        monkeypatch.setattr(reduction, "multiplicity_column",
+                            lambda f, top: tops.append(top) or column(f, top))
         for top in (0, 10, 80):
             table = o4_multiplicity_table(top)
-            assert set(tops) == {top}
+            assert tops == [top] * 7
             tops.clear()
             increment = next(c for c in table_checks(table) if c["name"] == "degree_60_increment")
             assert tops == [top + 60] * 7 and increment["passed"] and increment["residual"] == 0
@@ -269,23 +270,28 @@ class TestRecursionReport:
 
 
 class TestOneCharacterRowPerDegree:
-    """Each table evaluates every class character once per degree, as one
-    class column per class, and reads the multiplicities, the C_n average and
-    the O(2) transposition trace from those columns."""
+    """Each table expands one hook-length series per partition for the
+    multiplicities, and one class column for each class that the C_n average
+    and the O(2) transposition trace read, all its degrees at once."""
 
     @pytest.mark.parametrize("build, top, n", [
         (o2_multiplicity_table, 40, 3), (o3_multiplicity_table, 30, 4),
         (o4_multiplicity_table, 20, 5),
     ], ids=["o2s3c3", "o3s4c4", "o4s5c5"])
     def test_each_class_character_once(self, monkeypatch, build, top, n):
-        calls = []
-        column = reduction.class_column
+        calls, series = [], []
+        column, multiplicities = reduction.class_column, reduction.multiplicity_column
         monkeypatch.setattr(reduction, "class_column",
                             lambda k, d: calls.append((k, d)) or column(k, d))
+        monkeypatch.setattr(reduction, "multiplicity_column",
+                            lambda f, d: series.append((f, d)) or multiplicities(f, d))
         monkeypatch.setattr(reduction, "class_character", None)  # no per-degree call
-        build(top)
-        assert len(calls) == len(set(calls)) == len(partitions_of(n))
-        assert {d for _, d in calls} == {top}
+        table = build(top)
+        assert series == [(f, top) for f in table.partitions]
+        # the classes of C_n and, on O(2), the transposition
+        read = {p.cycle_type() for p in cyclic_elements(n)}
+        read |= {CycleType((2, 1))} if n == 3 else set()
+        assert sorted(calls) == sorted((k, top) for k in read)
 
 
 def cyclic_average(n: int, d: int) -> int:
@@ -301,14 +307,14 @@ def per_degree_table(chain: str, top: int) -> tuple[list, list]:
     if chain != "o2s3c3":
         parts = S4_PARTITIONS if chain == "o3s4c4" else S5_PARTITION_ORDER
         n = parts[0].n
-        return ([reduction._row(d, parts) for d in range(top + 1)],
+        return ([_row(d, parts) for d in range(top + 1)],
                 [cyclic_average(n, d) for d in range(top + 1)])
     parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
     entries, periodic = [], []
     for m in range(top + 1):
         for eps in (1, -1) if m else (1,):
             entries.append(tuple(int(x > 0 and f.dimension + eps * character(f, swap) > 0)
-                                 for x, f in zip(reduction._row(m, parts), parts)))
+                                 for x, f in zip(_row(m, parts), parts)))
             fixed, rest = divmod(cyclic_average(3, m) + eps * class_character(swap, m), 2)
             periodic.append(fixed)
             assert rest == 0
@@ -316,8 +322,8 @@ def per_degree_table(chain: str, top: int) -> tuple[list, list]:
 
 
 class TestColumnRoute:
-    """Every table, built from class columns, equals the per-degree route on
-    both sides of the periods 12 and 60."""
+    """Every table, built from hook-length and class columns, equals the
+    per-degree character route on both sides of the periods 12 and 60."""
 
     @pytest.mark.parametrize("top", [0, 1, 11, 12, 13, 59, 60, 61, 1000])
     @pytest.mark.parametrize("build", [o2_multiplicity_table, o3_multiplicity_table,
@@ -335,13 +341,25 @@ class TestColumnRoute:
 
 
 class TestEverySimplexDimension:
-    """The one row function of every chain, for S(n) on R^(n-1), n = 3..8."""
+    """The multiplicities of S(n) on the harmonics of R^(n-1), n = 3..8: the
+    hook-length columns of the library against the character rows."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_hook_columns_equal_character_rows(self, n):
+        parts = tuple(partitions_of(n))
+        cols = [reduction.multiplicity_column(f, 300) for f in parts]
+        assert list(zip(*cols)) == [_row(d, parts) for d in range(301)]
+
+    def test_hook_columns_equal_character_rows_to_ten_thousand(self):
+        cols = [reduction.multiplicity_column(f, 10**4) for f in S5_PARTITION_ORDER]
+        for d in [*range(301, 10**4, 97), 9999, 10**4]:
+            assert tuple(col[d] for col in cols) == o4_row(d), d
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_row_audit_and_non_negative(self, n):
         parts = tuple(partitions_of(n))
         for d in range(31):
-            row = reduction._row(d, parts)
+            row = _row(d, parts)
             assert min(row) >= 0, (n, d)
             dim_sum = sum(m * f.dimension for m, f in zip(row, parts))
             assert dim_sum == harmonic_dimension(n, d), (n, d)
@@ -470,48 +488,38 @@ class TestLatticeCount:
 
 class TestExactDivision:
     def test_o4_remainder_raises(self, monkeypatch):
-        exact = reduction.class_character
+        # the character route of the tests divides exactly too
+        exact = oracles.class_character
         monkeypatch.setattr(
-            reduction, "class_character",
+            oracles, "class_character",
             lambda k, t: exact(k, t) + (1 if k == CycleType((5,)) else 0),
         )
         with pytest.raises(ConsistencyError, match=r"^m\(\[5\]\) at degree 3: "):
-            reduction._row(3, (Partition.of(5),))
+            _row(3, (Partition.of(5),))
 
     def test_o3_remainder_raises(self, monkeypatch):
+        # the powers of a 4-cycle hold (4) twice: 1 + 1 + 2 (1 + 1) at l = 0
         exact = reduction.class_column
         monkeypatch.setattr(
             reduction, "class_column",
-            lambda k, top: [c + (k == CycleType((3, 1))) for c in exact(k, top)],
+            lambda k, top: [c + (k == CycleType((4,))) * (t == 0)
+                            for t, c in enumerate(exact(k, top))],
         )
-        with pytest.raises(ConsistencyError, match=r"^m\(\[4\]\) at degree 0: "):
+        with pytest.raises(ConsistencyError,
+                           match=r"^C_4 average at degree 0: 6/4 is not an integer$"):
             o3_multiplicity_table(0)
 
-    def test_remainder_past_the_table_names_its_degree(self, monkeypatch):
-        # the increment check reads rows 60 and 61 of a two-row table from
-        # class columns cut at degree 60
-        exact = reduction.class_column
-        monkeypatch.setattr(
-            reduction, "class_column",
-            lambda k, top: [c + ((k, t) == (CycleType((5,)), 61))
-                            for t, c in enumerate(exact(k, top))],
-        )
-        table = o4_multiplicity_table(1)
-        with pytest.raises(ConsistencyError, match=r"^m\(\[5\]\) at degree 61: "):
-            table_checks(table)
-
     def test_deviation_is_the_tabulation_margin(self, monkeypatch):
-        # a character that breaks period 60 shows in the degree-60 increment
-        # as its exact deviation; 24 times 5 keeps every character sum
-        # divisible by 120
-        exact = reduction.class_column
+        # a multiplicity that breaks period 60 shows in the degree-60
+        # increment as its exact deviation
+        exact = reduction.multiplicity_column
         monkeypatch.setattr(
-            reduction, "class_column",
-            lambda k, top: [c + 5 * ((k, t) == (CycleType((5,)), 61))
-                            for t, c in enumerate(exact(k, top))],
+            reduction, "multiplicity_column",
+            lambda f, top: [m + character(f, CycleType((5,))) * (t == 61)
+                            for t, m in enumerate(exact(f, top))],
         )
         checks = {c["name"]: c for c in table_checks(o4_multiplicity_table(61))}
-        # m_f(61) moves by chi_f((5)), at most 1, and the rule is unchanged
+        # m_f(61) moves by chi_f((5)), at most 1, against sum_f dim(f) chi_f((5)) = 0
         assert checks["degree_60_increment"]["residual"] == 1
         assert not checks["degree_60_increment"]["passed"]
         assert checks["dimension_audit"]["residual"] == 0
