@@ -21,7 +21,7 @@ _HOMES = {
     for module, names in {
         "report": "ConsistencyError",
         "permgroup": "CharacterTable CycleType Partition Permutation "
-        "character character_table class_character class_column coxeter_element "
+        "character character_table class_column coxeter_element "
         "cyclic_elements partitions_of trivial_multiplicity",
         "youngrep": "fixed_subspace generator_matrix primed_rep_matrix "
         "rep_matrix tetrahedral_primed_generators trivial_projector",

@@ -4,9 +4,9 @@ Characters are computed with the Murnaghan-Nakayama recursion in integer
 arithmetic, so every table entry and branching multiplicity is exact.  The
 character of a class of S(n) on the degree-2j harmonics of R^(n-1) is read
 off its cycle type alone, in integers, from the Molien series of S(n)
-(Stanley, Bull. AMS 1 (1979) 475): one degree by `class_character`, or all
-degrees up to a top by `class_column`, with `series_column`, the expander of
-any poly(t) / prod_h (1-t^h) by strided prefix sums.
+(Stanley, Bull. AMS 1 (1979) 475): all degrees up to a top by `class_column`,
+with `series_column`, the expander of any poly(t) / prod_h (1-t^h) by strided
+prefix sums.
 """
 
 from __future__ import annotations
@@ -307,34 +307,6 @@ CLASS_ORDER_S5: tuple[CycleType, ...] = tuple(
 )
 
 
-@lru_cache(maxsize=None)
-def _molien_terms(k: CycleType) -> tuple[int, int, tuple[int, ...]]:
-    """The Molien series (1-t)(1-t^2) / prod_c (1-t^c) of the class k, c over
-    its cycle lengths, written as M(t) / (1-t^P)^r with P the lcm of the c
-    and r their number: returns P, r and the coefficients M_i of the integer
-    polynomial M."""
-    period, r = math.lcm(*k.parts), len(k.parts)
-    poly = [1, -1, -1, 1]  # (1-t)(1-t^2)
-    for c in k.parts:  # times (1-t^P)/(1-t^c) = 1 + t^c + ... + t^(P-c)
-        out = [0] * (len(poly) + period - c)
-        for i, a in enumerate(poly):
-            for shift in range(0, period, c):
-                out[i + shift] += a
-        poly = out
-    return period, r, tuple(poly)
-
-
-def class_character(k: CycleType, two_j: int) -> int:
-    """Exact character of the class k of S(n) on the degree-2j harmonics of
-    R^(n-1): the coefficient of t^(2j) in its Molien series,
-    sum over i = 2j (mod P), i <= 2j of M_i C((2j-i)/P + r-1, r-1)."""
-    if two_j < 0:
-        raise ValueError("two_j must be non-negative")
-    period, r, poly = _molien_terms(k)
-    below = range(two_j % period, min(two_j + 1, len(poly)), period)
-    return sum(poly[i] * math.comb((two_j - i) // period + r - 1, r - 1) for i in below)
-
-
 def series_column(poly, lengths, top: int) -> list[int]:
     """The coefficients of t^0..t^top in poly(t) / prod_h (1-t^h), h over
     `lengths`: poly divided by each 1 - t^h as a prefix sum along every residue
@@ -349,5 +321,7 @@ def series_column(poly, lengths, top: int) -> list[int]:
 
 
 def class_column(k: CycleType, top: int) -> list[int]:
-    """class_character(k, d) for d = 0..top, from the Molien series itself."""
+    """Exact character of the class k of S(n) on the degree-d harmonics of
+    R^(n-1) for d = 0..top: the coefficients of its Molien series
+    (1-t)(1-t^2) / prod_c (1-t^c), c over the cycle lengths of k."""
     return series_column((1, -1, -1, 1), k.parts, top)

@@ -11,10 +11,10 @@ side of the checks.  The periodic column is the C_n average of the class
 characters (`permgroup.class_column`) over the powers of the full cycle, on
 O(2) split by the trace of a transposition, and a class sum that the group
 order does not divide raises ConsistencyError; the increment rule of m_f over
-the period lcm(1..n) comes from `class_character`.  `table_checks` audits
-every row against the one dimension formula dim H_d(R^(n-1)) = C(d+n-2, n-2)
-- C(d+n-4, n-2), the second term 0 for d+n-4 < 0, and the increment of every
-row over the period, and compares the periodic column with sum_f m_f w_f.
+the period P = lcm(1..n) comes from their columns to P + 1.  `table_checks`
+audits every row against dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2),
+the second term 0 for d+n-4 < 0, and its increment over P, read from the
+table's P rows `ahead`, and compares the periodic column with sum_f m_f w_f.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, floordiv, mod, sub
 from typing import NamedTuple
 
@@ -30,7 +30,6 @@ from .permgroup import (
     CycleType,
     Partition,
     character,
-    class_character,
     class_column,
     cyclic_elements,
     exact_quotient,
@@ -107,26 +106,25 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
     order c - 2 at t = 1 and, for n <= 5, at most simple poles elsewhere, at
     roots of unity whose orders divide P.  So only the classes with at least
     four cycles add to the increment, each chi(d+P) - chi(d), of degree
-    c - 4 <= 1 in d: read off at d = 0 and 1."""
+    c - 4 <= 1 in d: read off their class columns at d = 0 and 1."""
     n = parts[0].n
     period = math.lcm(*range(1, n + 1))
-    at = [[exact_quotient(sum(k.class_size * character(f, k)
-                              * (class_character(k, d + period) - class_character(k, d))
-                              for k in _classes(n) if len(k.parts) >= 4),
+    cols = {k: class_column(k, period + 1) for k in _classes(n) if len(k.parts) >= 4}
+    at = [[exact_quotient(sum(k.class_size * character(f, k) * (col[d + period] - col[d])
+                              for k, col in cols.items()),
                           math.factorial(n), "increment of m(%s) at degree %d", f, d)
            for f in parts] for d in (0, 1)]
     return period, [(at1 - at0, at0) for at0, at1 in zip(*at)]
 
 
-def _increment(cols, parts) -> tuple[int, int]:
+def _increment(cols, ahead, parts) -> tuple[int, int]:
     """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over the
     rows d = 0, 1, ... of the multiplicity columns `cols`, with m_f(d+P) read
-    from `multiplicity_column` extended to rows + P."""
+    from `cols` followed by the P rows `ahead` of them."""
     period, rule = _increment_rule(parts)
-    top = len(cols[0]) + period - 1
-    return period, max(_deviation(map(sub, multiplicity_column(f, top)[period:], col),
+    return period, max(_deviation(map(sub, (col + more)[period:], col),
                                   count(icpt, slope))
-                       for f, col, (slope, icpt) in zip(parts, cols, rule))
+                       for col, more, (slope, icpt) in zip(cols, ahead, rule))
 
 
 # ---------------------------------------------------------------- O(4) chain
@@ -169,7 +167,8 @@ def lattice_count_o4(two_j: int) -> int:
 class MultiplicityTable(NamedTuple):
     """Reduction table for one chain: entries[i][j] is the multiplicity of
     partitions[j] in the representation labelled row_labels[i]; `periodic`
-    counts the cyclic-invariant modes per row, `totals` per partition."""
+    counts the cyclic-invariant modes per row, `totals` per partition; on a
+    degree chain, `ahead` holds the P rows past the last, which no report prints."""
 
     chain: str
     row_labels: tuple[str, ...]
@@ -178,6 +177,7 @@ class MultiplicityTable(NamedTuple):
     periodic: tuple[int, ...]
     totals: tuple[int, ...] | None = None
     grand_total: int | None = None
+    ahead: tuple[tuple[int, ...], ...] = ()
 
 
 def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
@@ -209,18 +209,19 @@ def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
     """Rows d = 0..top of the degree-d harmonics, labelled label(d), with the
     periodic count of each row as the C_n average of its class characters;
     with `totals`, also each partition's periodic modes m_f w_f over all rows
-    and the grand total of the periodic column."""
+    and the grand total of the periodic column.  The P rows past top go `ahead`."""
     n = parts[0].n
     cyclic = _cyclic_weights(n)
-    mults = [multiplicity_column(f, top) for f in parts]
+    mults = [multiplicity_column(f, top + math.lcm(*range(1, n + 1))) for f in parts]
     cols = {k: class_column(k, top) for k in cyclic}
     periodic = tuple(_combine(cyclic, cols, n, "C_%d average at degree %d", n))
     extra = ()
     if totals:
-        extra = (tuple(sum(col) * trivial_multiplicity(f) for f, col in zip(parts, mults)),
-                 sum(periodic))
+        extra = (tuple(sum(islice(col, top + 1)) * trivial_multiplicity(f)
+                       for f, col in zip(parts, mults)), sum(periodic))
+    rows = zip(*mults)
     return MultiplicityTable(chain, tuple(map(label, range(top + 1))), parts,
-                             tuple(zip(*mults)), periodic, *extra)
+                             tuple(islice(rows, top + 1)), periodic, *extra, ahead=tuple(rows))
 
 
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
@@ -254,7 +255,7 @@ def table_checks(table: MultiplicityTable) -> list[dict]:
         audit_rule, increment_rule = _RULES[table.chain]
         checks.append(check("dimension_audit", _audit(cols, table.partitions), 0,
                             detail=audit_rule))
-        period, residual = _increment(cols, table.partitions)
+        period, residual = _increment(cols, zip(*table.ahead), table.partitions)
         checks.append(check(f"degree_{period}_increment", residual, 0, detail=increment_rule))
     weights = [trivial_multiplicity(f) for f in table.partitions]
     checks.append(check("periodic_equals_weighted_sum",

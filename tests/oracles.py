@@ -15,7 +15,8 @@ command needs them.  `round_floats` is the reference for the CLI's JSON
 writer: json.dumps(round_floats(doc), sort_keys=True, indent=1) is the text
 that `cli._json_text` writes by hand.  `_row` is the character route to the
 multiplicities, one degree at a time, that the library's hook-length columns
-are checked against.
+are checked against; `class_character` reads the class characters it sums
+one degree at a time in O(1), the reference for the library's class columns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from simplexmodes.permgroup import (
     Partition,
     Permutation,
     character,
-    class_character,
     exact_quotient,
     partitions_of,
 )
@@ -205,6 +205,34 @@ def young_ranks(two_j: int) -> dict[Partition, int]:
             raise ConsistencyError(f"tableaux of {f} disagree on rank: {ranks}")
         out[f] = ranks.pop()
     return out
+
+
+@lru_cache(maxsize=None)
+def _molien_terms(k: CycleType) -> tuple[int, int, tuple[int, ...]]:
+    """The Molien series (1-t)(1-t^2) / prod_c (1-t^c) of the class k, c over
+    its cycle lengths, written as M(t) / (1-t^P)^r with P the lcm of the c
+    and r their number: returns P, r and the coefficients M_i of the integer
+    polynomial M."""
+    period, r = math.lcm(*k.parts), len(k.parts)
+    poly = [1, -1, -1, 1]  # (1-t)(1-t^2)
+    for c in k.parts:  # times (1-t^P)/(1-t^c) = 1 + t^c + ... + t^(P-c)
+        out = [0] * (len(poly) + period - c)
+        for i, a in enumerate(poly):
+            for shift in range(0, period, c):
+                out[i + shift] += a
+        poly = out
+    return period, r, tuple(poly)
+
+
+def class_character(k: CycleType, two_j: int) -> int:
+    """Exact character of the class k of S(n) on the degree-2j harmonics of
+    R^(n-1): the coefficient of t^(2j) in its Molien series,
+    sum over i = 2j (mod P), i <= 2j of M_i C((2j-i)/P + r-1, r-1)."""
+    if two_j < 0:
+        raise ValueError("two_j must be non-negative")
+    period, r, poly = _molien_terms(k)
+    below = range(two_j % period, min(two_j + 1, len(poly)), period)
+    return sum(poly[i] * math.comb((two_j - i) // period + r - 1, r - 1) for i in below)
 
 
 @lru_cache(maxsize=None)

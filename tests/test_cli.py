@@ -248,6 +248,33 @@ class TestReduce:
         assert err == ("internal consistency error: C_4 average at degree 0: "
                        "6/4 is not an integer\n")
 
+    def test_broken_class_column_fails_the_increment_alone(self, capsys, monkeypatch):
+        # the increment rule reads the classes of four or more cycles from
+        # their columns to P + 1, which no other check reads: the (2)(1)^3
+        # character at 2j = 60 off by 12 moves each rule_f(2j) by
+        # chi_f((2)(1)^3) (1 - 2j), at most 2 * 4 = 8 at 2j = 5; the (1)^4
+        # character at l = 12 off by 24 moves it by dim f (1 - l), at most
+        # 3 * 4 = 12 at l = 5
+        break_columns(monkeypatch, reduction, {(CycleType((2, 1, 1, 1)), 60): 12})
+        rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "5")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("degree_60_increment", 8)]
+        monkeypatch.undo()
+        break_columns(monkeypatch, reduction, {(CycleType((1, 1, 1, 1)), 12): 24})
+        rc, doc = run_json(capsys, "reduce", "--chain", "o3s4c4", "--max", "5")
+        assert rc == 3
+        failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
+        assert failed == [("degree_12_increment", 12)]
+        # off by 1, the class sum 10 chi_f((2)(1)^3) at 2j = 0 is no multiple of 5!
+        monkeypatch.undo()
+        break_columns(monkeypatch, reduction, {(CycleType((2, 1, 1, 1)), 60): 1})
+        rc = main(["reduce", "--chain", "o4s5c5", "--max", "60"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == ("internal consistency error: increment of m([5]) at degree 0: "
+                       "4330/120 is not an integer\n")
+
     def test_o4_lattice_count_check(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "300")
         assert rc == 0
@@ -590,7 +617,7 @@ class TestVerify:
         rc, _ = run(capsys, "verify", "--all", "--inject-fault", "nonsense")
         assert rc == 2
 
-    @pytest.mark.parametrize("fault", ["chartable:x:0:0", "o4:999:0", "o4:10:5:1"])
+    @pytest.mark.parametrize("fault", ["chartable:x:0:0", "o4:999:0", "o4:10:5:1", ""])
     def test_fault_that_perturbs_nothing_exits_2(self, capsys, fault):
         rc, _ = run(capsys, "verify", "--all", "--inject-fault", fault)
         assert rc == 2

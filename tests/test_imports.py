@@ -56,7 +56,8 @@ INTROSPECTION = {"inspect", "ast", "dis", "tokenize"}
 #: wrappers of a value the caller already holds, routes no command reached and
 #: duplicated constants
 REMOVED = {
-    "permgroup": ("cyclic_character", "cycle_type", "full_cycle"),
+    "permgroup": ("_molien_terms", "class_character", "cyclic_character", "cycle_type",
+                  "full_cycle"),
     "youngrep": ("FixedSubspace", "ReprMatrix", "StandardTableau", "standard_tableaux"),
     "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
     "weylaction": ("WeylVector", "act_on_point", "operator_matrix"),

@@ -5,14 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import inverse
+from oracles import class_character, inverse
 from simplexmodes.permgroup import (
     CycleType,
     Partition,
     Permutation,
     character,
     character_table,
-    class_character,
     class_column,
     coxeter_element,
     cyclic_elements,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import _row, parity
+from oracles import _row, class_character, parity
 from simplexmodes import reduction
 from simplexmodes.permgroup import (
     CLASS_ORDER_S5,
@@ -15,7 +15,6 @@ from simplexmodes.permgroup import (
     Partition,
     Permutation,
     character,
-    class_character,
     cyclic_elements,
     partitions_of,
     trivial_multiplicity,
@@ -208,20 +207,20 @@ class TestRecursionReport:
     `reduce --chain o4s5c5` reports as the check degree_60_increment."""
 
     def test_needs_sixty(self, monkeypatch):
-        # each row d is compared with row d + 60: the check reads the rows past
-        # the table from multiplicity columns extended by 60, so a one-row
-        # table still compares one pair
-        tops = []
+        # each row d is compared with row d + 60: the table expands each
+        # multiplicity series once, 60 rows past its last, and the check reads
+        # those rows, so a one-row table still compares one pair
+        calls = []
         column = reduction.multiplicity_column
         monkeypatch.setattr(reduction, "multiplicity_column",
-                            lambda f, top: tops.append(top) or column(f, top))
+                            lambda f, top: calls.append((f, top)) or column(f, top))
         for top in (0, 10, 80):
             table = o4_multiplicity_table(top)
-            assert tops == [top] * 7
-            tops.clear()
             increment = next(c for c in table_checks(table) if c["name"] == "degree_60_increment")
-            assert tops == [top + 60] * 7 and increment["passed"] and increment["residual"] == 0
-            tops.clear()
+            assert calls == [(f, top + 60) for f in S5_PARTITION_ORDER]
+            assert len(table.entries) == top + 1 and len(table.ahead) == 60
+            assert increment["passed"] and increment["residual"] == 0
+            calls.clear()
 
     def test_character_periodicity(self):
         # the classes with at most three cycles repeat with period 60 and
@@ -270,28 +269,33 @@ class TestRecursionReport:
 
 
 class TestOneCharacterRowPerDegree:
-    """Each table expands one hook-length series per partition for the
-    multiplicities, and one class column for each class that the C_n average
-    and the O(2) transposition trace read, all its degrees at once."""
+    """Each table and its checks expand one hook-length series per partition
+    for the multiplicities, P rows past the table on the degree chains, one
+    class column to the table's top for each class that the C_n average and
+    the O(2) transposition trace read, and one to P + 1 for each class that
+    the increment rule reads, all its degrees at once."""
 
-    @pytest.mark.parametrize("build, top, n", [
-        (o2_multiplicity_table, 40, 3), (o3_multiplicity_table, 30, 4),
-        (o4_multiplicity_table, 20, 5),
+    @pytest.mark.parametrize("build, top, n, period", [
+        (o2_multiplicity_table, 40, 3, 0), (o3_multiplicity_table, 30, 4, 12),
+        (o4_multiplicity_table, 20, 5, 60),
     ], ids=["o2s3c3", "o3s4c4", "o4s5c5"])
-    def test_each_class_character_once(self, monkeypatch, build, top, n):
+    def test_each_class_character_once(self, monkeypatch, build, top, n, period):
         calls, series = [], []
         column, multiplicities = reduction.class_column, reduction.multiplicity_column
         monkeypatch.setattr(reduction, "class_column",
                             lambda k, d: calls.append((k, d)) or column(k, d))
         monkeypatch.setattr(reduction, "multiplicity_column",
                             lambda f, d: series.append((f, d)) or multiplicities(f, d))
-        monkeypatch.setattr(reduction, "class_character", None)  # no per-degree call
         table = build(top)
-        assert series == [(f, top) for f in table.partitions]
-        # the classes of C_n and, on O(2), the transposition
+        table_checks(table)
+        assert series == [(f, top + period) for f in table.partitions]
+        # the classes of C_n and, on O(2), the transposition, to the top; the
+        # classes of four or more cycles of the degree chains to P + 1
         read = {p.cycle_type() for p in cyclic_elements(n)}
         read |= {CycleType((2, 1))} if n == 3 else set()
-        assert sorted(calls) == sorted((k, top) for k in read)
+        rule = {CycleType(p.parts) for p in partitions_of(n) if len(p.parts) >= 4} if period else ()
+        assert sorted(calls) == sorted([(k, top) for k in read]
+                                       + [(k, period + 1) for k in rule])
 
 
 def cyclic_average(n: int, d: int) -> int:

@@ -8,8 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import act_on_point, isclose, operator_matrix, parity, point, wigner_d
-from simplexmodes.permgroup import CycleType, Permutation, class_character, coxeter_element
+from oracles import (
+    act_on_point,
+    class_character,
+    isclose,
+    operator_matrix,
+    parity,
+    point,
+    wigner_d,
+)
+from simplexmodes.permgroup import CycleType, Permutation, coxeter_element
 from simplexmodes.su2wigner import Point4, SU2Element, su2_from_point
 from simplexmodes.weylaction import (
     CLASS_ORDER_S5,
@@ -498,12 +506,12 @@ class TestExactClassCharacters:
         assert [class_character(CycleType((2, 2)), l) for l in range(4)] == [1, -1, 1, -1]
 
     def test_tabulation_is_lazy(self):
-        # importing the package must not expand a Molien series: it would
-        # slow every start-up
+        # importing the package must not compute a character: it would slow
+        # every start-up
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         code = (
             "import simplexmodes.cli, simplexmodes.permgroup as p; "
-            "print(p._molien_terms.cache_info().currsize)"
+            "print(p._mn.cache_info().currsize)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
