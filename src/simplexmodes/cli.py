@@ -268,7 +268,7 @@ def cmd_verify(args) -> dict:
     data = load()
     checks, hit = golden.run(data, args.inject_fault)
     if args.inject_fault is not None and not hit:
-        raise UsageError(f"--inject-fault {args.inject_fault} matches no computed entry")
+        raise UsageError(f"--inject-fault {args.inject_fault!r} matches no computed entry")
     payload = {
         "golden_version": data["version"],
         "checks_total": len(checks),

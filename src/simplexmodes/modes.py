@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .permgroup import Partition, Permutation, coxeter_element, trivial_multiplicity
-from .reduction import S5_PARTITION_ORDER, lattice_count_o4, multiplicity_column
+from .reduction import CHAINS, lattice_count_o4, multiplicity_column
 from .report import SPECTRUM_TOL, ConsistencyError
 from .su2wigner import wigner_rows
 from .weylaction import (
@@ -121,7 +121,7 @@ def periodic_basis(two_j: int) -> ModeBasis:
     phase_error = max(np.abs(rot - np.diag(np.exp(1j * np.pi * k * twice_m / 5))).max()
                       for rot, k in ((rot_l, 3), (rot_r, 1)))
     i1, i2 = np.nonzero((3 * twice_m[:, None] + twice_m) % 10 == 0)
-    ranks = {f: multiplicity_column(f, two_j)[two_j] * w for f in S5_PARTITION_ORDER
+    ranks = {f: multiplicity_column(f, two_j)[two_j] * w for f in CHAINS["o4s5c5"].partitions
              if (w := trivial_multiplicity(f))}
     if phase_error > SPECTRUM_TOL or not len(i1) == lattice_count_o4(two_j) == sum(ranks.values()):
         raise ConsistencyError(

@@ -1,4 +1,4 @@
-"""Branching multiplicities along the three chains
+"""Branching multiplicities along the three chains, each a row of `CHAINS`:
 
     O(2) > S(3) > C_3,   O(3) > S(4) > C_4,   O(4) > S(5) > C_5.
 
@@ -12,15 +12,16 @@ characters (`permgroup.class_column`) over the powers of the full cycle, on
 O(2) split by the trace of a transposition, and a class sum that the group
 order does not divide raises ConsistencyError; the increment rule of m_f over
 the period P = lcm(1..n) comes from their columns to P + 1.  `table_checks`
-audits every row against dim H_d(R^(n-1)) = C(d+n-2, n-2) - C(d+n-4, n-2),
-the second term 0 for d+n-4 < 0, and its increment over P, read from the
-table's P rows `ahead`, and compares the periodic column with sum_f m_f w_f.
+audits the rows of a chain with rules against dim H_d(R^(n-1)) =
+C(d+n-2, n-2) - C(d+n-4, n-2) and their increment over P, read from the P
+rows `ahead`, and the periodic column against sum_f m_f w_f and any lattice count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import compress, count, islice, repeat
 from operator import add, floordiv, mod, sub
@@ -127,21 +128,7 @@ def _increment(cols, ahead, parts) -> tuple[int, int]:
                        for col, more, (slope, icpt) in zip(cols, ahead, rule))
 
 
-# ---------------------------------------------------------------- O(4) chain
-
-S5_PARTITION_ORDER = tuple(
-    Partition(p)
-    for p in [
-        (5,),
-        (1, 1, 1, 1, 1),
-        (4, 1),
-        (2, 1, 1, 1),
-        (3, 2),
-        (2, 2, 1),
-        (3, 1, 1),
-    ]
-)
-
+# ------------------------------------------------------------------- chains
 
 def lattice_count_o4(two_j: int) -> int:
     """#{(a, b) in {-2j, -2j+2, ..., 2j}^2 : 3a + b = 0 (mod 10)}: the harmonics
@@ -160,6 +147,30 @@ def lattice_count_o4(two_j: int) -> int:
         raise ValueError("two_j must be non-negative")
     q, s = divmod(two_j + 1, 5)
     return 5 * q * q + 2 * s * q + (1, 0, 1, 4, 0)[two_j % 5]
+
+
+class Chain(NamedTuple):
+    """One chain: name, partitions of n in table order, row label(d) of a degree
+    chain, texts of the dimension and increment rules (None on O(2), whose rows
+    are not degrees), whether totals print, and a character-free periodic count."""
+
+    name: str
+    partitions: tuple[Partition, ...]
+    label: Callable[[int], str] | None
+    rules: tuple[str, str] | None
+    totals: bool = False
+    lattice: Callable[[int], int] | None = None
+
+
+CHAINS = {chain.name: chain for chain in (
+    Chain("o2s3c3", tuple(partitions_of(3)), None, None),
+    Chain("o3s4c4", tuple(partitions_of(4)), lambda l: f"(l={l},kappa={'+-'[l % 2]})",
+          ("sum dim(f)*m = 2l+1", "m_f(l+12) - m_f(l) = dim f")),
+    Chain("o4s5c5", tuple(map(Partition, [(5,), (1, 1, 1, 1, 1), (4, 1), (2, 1, 1, 1), (3, 2),
+                                          (2, 2, 1), (3, 1, 1)])), str,
+          ("sum dim(f)*m = (2j+1)^2", "m_f(2j+60) - m_f(2j) = (2j+31) dim f + 5 chi_f((2)(1)^3)"),
+          totals=True, lattice=lattice_count_o4),
+)}
 
 
 # ------------------------------------------------------------------- tables
@@ -188,7 +199,7 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
     in f, of dimension (dim f + eps chi_f((2)(1))) / 2, is not empty.  Its
     periodic count is the dimension of the C_3-fixed part of the eps-eigenspace
     on H_m, (C_3 average + eps chi_m((2)(1))) / 2."""
-    parts, swap, cyclic = tuple(partitions_of(3)), CycleType((2, 1)), _cyclic_weights(3)
+    parts, swap, cyclic = CHAINS["o2s3c3"].partitions, CycleType((2, 1)), _cyclic_weights(3)
     mults = [multiplicity_column(f, m_max) for f in parts]
     cols = {k: class_column(k, m_max) for k in (*cyclic, swap)}
     rows, fixed = {}, {}
@@ -204,64 +215,53 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
                              tuple(fixed[eps][m] for eps, m in picks))
 
 
-def _degree_table(chain: str, top: int, parts: tuple[Partition, ...], label,
-                  totals: bool = False) -> MultiplicityTable:
-    """Rows d = 0..top of the degree-d harmonics, labelled label(d), with the
-    periodic count of each row as the C_n average of its class characters;
-    with `totals`, also each partition's periodic modes m_f w_f over all rows
+def _degree_table(chain: Chain, top: int) -> MultiplicityTable:
+    """Rows d = 0..top of the degree-d harmonics, labelled chain.label(d), with
+    the periodic count of each row as the C_n average of its class characters;
+    with chain.totals, also each partition's periodic modes m_f w_f over all rows
     and the grand total of the periodic column.  The P rows past top go `ahead`."""
-    n = parts[0].n
+    parts, n = chain.partitions, chain.partitions[0].n
     cyclic = _cyclic_weights(n)
     mults = [multiplicity_column(f, top + math.lcm(*range(1, n + 1))) for f in parts]
     cols = {k: class_column(k, top) for k in cyclic}
     periodic = tuple(_combine(cyclic, cols, n, "C_%d average at degree %d", n))
     extra = ()
-    if totals:
+    if chain.totals:
         extra = (tuple(sum(islice(col, top + 1)) * trivial_multiplicity(f)
                        for f, col in zip(parts, mults)), sum(periodic))
     rows = zip(*mults)
-    return MultiplicityTable(chain, tuple(map(label, range(top + 1))), parts,
+    return MultiplicityTable(chain.name, tuple(map(chain.label, range(top + 1))), parts,
                              tuple(islice(rows, top + 1)), periodic, *extra, ahead=tuple(rows))
 
 
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
     """Reduction rows for O(3) labels (l, (-1)^l) with l <= l_max; only
     these parities occur on single-valued spherical harmonics."""
-    return _degree_table("o3s4c4", l_max, tuple(partitions_of(4)),
-                         lambda l: f"(l={l},kappa={'+' if l % 2 == 0 else '-'})")
+    return _degree_table(CHAINS["o3s4c4"], l_max)
 
 
 def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     """Reduction table for degrees 2j = 0..two_j_max, with the per-partition
     totals row (periodic modes attributable to each partition) and the
     grand total of periodic modes."""
-    return _degree_table("o4s5c5", two_j_max, S5_PARTITION_ORDER, str, totals=True)
-
-
-#: the dimension rule and the degree-increment rule that each degree chain reports
-_RULES = {
-    "o3s4c4": ("sum dim(f)*m = 2l+1", "m_f(l+12) - m_f(l) = dim f"),
-    "o4s5c5": ("sum dim(f)*m = (2j+1)^2",
-               "m_f(2j+60) - m_f(2j) = (2j+31) dim f + 5 chi_f((2)(1)^3)"),
-}
+    return _degree_table(CHAINS["o4s5c5"], two_j_max)
 
 
 def table_checks(table: MultiplicityTable) -> list[dict]:
-    """The exact checks of one `reduce` table, each passing at residual 0:
-    the dimension audit and the degree increment of the degree chains,
-    periodic = sum_f m_f w_f on every chain, and the lattice count on O(4)."""
-    checks, cols = [], list(zip(*table.entries))
-    if table.chain in _RULES:
-        audit_rule, increment_rule = _RULES[table.chain]
+    """The exact checks of one `reduce` table, each passing at residual 0: the
+    dimension audit and the degree increment of a chain with rules, periodic =
+    sum_f m_f w_f on every chain, and the lattice count of a chain that has one."""
+    chain, checks, cols = CHAINS[table.chain], [], list(zip(*table.entries))
+    if chain.rules:
         checks.append(check("dimension_audit", _audit(cols, table.partitions), 0,
-                            detail=audit_rule))
+                            detail=chain.rules[0]))
         period, residual = _increment(cols, zip(*table.ahead), table.partitions)
-        checks.append(check(f"degree_{period}_increment", residual, 0, detail=increment_rule))
+        checks.append(check(f"degree_{period}_increment", residual, 0, detail=chain.rules[1]))
     weights = [trivial_multiplicity(f) for f in table.partitions]
     checks.append(check("periodic_equals_weighted_sum",
                         _deviation(table.periodic, _weighted(weights, cols)), 0))
-    if table.chain == "o4s5c5":
-        lattice = _deviation(table.periodic, map(lattice_count_o4, range(len(table.periodic))))
+    if chain.lattice:
+        lattice = _deviation(table.periodic, map(chain.lattice, range(len(table.periodic))))
         checks.append(check("periodic_equals_lattice_count", lattice, 0,
                             detail="#{(a, b) in {-2j, -2j+2, .., 2j}^2 : 3a + b = 0 mod 10}"))
     return checks

@@ -38,7 +38,7 @@ from simplexmodes.permgroup import (
     exact_quotient,
     partitions_of,
 )
-from simplexmodes.reduction import S5_PARTITION_ORDER
+from simplexmodes.reduction import CHAINS
 from simplexmodes.report import SPECTRUM_TOL, ConsistencyError
 from simplexmodes.su2wigner import Point4, SU2Element, wigner_rows
 from simplexmodes.weylaction import (
@@ -49,6 +49,9 @@ from simplexmodes.weylaction import (
     transposition_operators,
 )
 from simplexmodes.youngrep import _basis, _contents as contents, trivial_projector
+
+#: the partitions of 5 in the column order of the O(4) table
+S5_PARTITION_ORDER = CHAINS["o4s5c5"].partitions
 
 
 def round_floats(obj):

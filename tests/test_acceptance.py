@@ -24,9 +24,15 @@ import numpy as np
 import pytest
 
 import simplexmodes as sm
-from oracles import cyclic_projector, operator_matrix, transpose, wigner_d, young_ranks
+from oracles import (
+    S5_PARTITION_ORDER,
+    cyclic_projector,
+    operator_matrix,
+    transpose,
+    wigner_d,
+    young_ranks,
+)
 from simplexmodes.permgroup import CycleType
-from simplexmodes.reduction import S5_PARTITION_ORDER
 
 pytestmark = pytest.mark.acceptance
 

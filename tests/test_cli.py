@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -109,7 +110,30 @@ class TestBranch:
         assert not check["passed"] and check["residual"] == 4
 
 
+#: sha256 of the stdout of `reduce` at every --max of REDUCE_TOPS, concatenated
+REDUCE_PINS = {
+    ("o2s3c3", "json"): "db61f989a534be68ca4d34aac723d93d83dc957fe2bf1184e488e433897506a9",
+    ("o2s3c3", "csv"): "396ff415408bfd2cea38840799f122d3de148d17129d692b2250d7c1dd7782c2",
+    ("o3s4c4", "json"): "815c9762e20cf15010bc21efd6eab9c8b722fbecb444ace7248e111133d6c96a",
+    ("o3s4c4", "csv"): "f98d4941415d8ff66dd7d9997e926e22697a2756b499037417e430aef14aab72",
+    ("o4s5c5", "json"): "0496d98ff71103cdd50bdaf9c794f7879483ed0b8d2bfc8c8d3752fa5f5be6dd",
+    ("o4s5c5", "csv"): "38f85ed5587b7114e104c765e5bca392ac9c89a3991f49ff12c4968afb746d4d",
+}
+#: both sides of the periods 12 and 60, and the largest tables
+REDUCE_TOPS = (0, 1, 11, 12, 13, 59, 60, 61, 1000, 10000)
+
+
 class TestReduce:
+    @pytest.mark.parametrize("chain, fmt", list(REDUCE_PINS))
+    def test_output_keeps_its_pinned_bytes(self, capsys, chain, fmt):
+        # JSON pins the check names, details and residuals too
+        digest = hashlib.sha256()
+        for top in REDUCE_TOPS:
+            rc, out = run(capsys, "reduce", "--chain", chain, "--max", str(top), "--format", fmt)
+            assert rc == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == REDUCE_PINS[chain, fmt]
+
     def test_o4_table(self, capsys):
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "10")
         assert rc == 0
@@ -282,9 +306,11 @@ class TestReduce:
         assert lattice["passed"] and lattice["residual"] == 0 and lattice["tolerance"] == 0
 
     def test_wrong_lattice_count_fails_it_alone(self, capsys, monkeypatch):
-        # the lattice count is the one route of its check that no other check reads
-        real = reduction.lattice_count_o4
-        monkeypatch.setattr(reduction, "lattice_count_o4", lambda t: real(t) + (t == 7))
+        # the lattice count is the one route of its check that no other check reads;
+        # the check calls it through the chain's row
+        row = reduction.CHAINS["o4s5c5"]
+        monkeypatch.setitem(reduction.CHAINS, "o4s5c5",
+                            row._replace(lattice=lambda t: row.lattice(t) + (t == 7)))
         rc = main(["reduce", "--chain", "o4s5c5", "--max", "10"])
         out, err = capsys.readouterr()
         assert rc == 3 and err == "verification failed: periodic_equals_lattice_count\n"
@@ -619,8 +645,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("fault", ["chartable:x:0:0", "o4:999:0", "o4:10:5:1", ""])
     def test_fault_that_perturbs_nothing_exits_2(self, capsys, fault):
-        rc, _ = run(capsys, "verify", "--all", "--inject-fault", fault)
+        rc = main(["verify", "--all", "--inject-fault", fault])
         assert rc == 2
+        # quoted, so that an empty spec shows as ''
+        assert f"--inject-fault {fault!r} matches no computed entry" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault, tripped", list(FAULTS.items()))
     def test_fault_trips_only_its_check(self, capsys, fault, tripped):

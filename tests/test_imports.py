@@ -62,9 +62,9 @@ REMOVED = {
     "su2wigner": ("WignerMatrix", "q_conjugation", "wigner_d"),
     "weylaction": ("WeylVector", "act_on_point", "operator_matrix"),
     "reduction": ("O2Label", "O3Label", "PERIODIC_CLASSES", "PartitionRecursion",
-                  "RecursionReport", "S4_PARTITION_ORDER", "_columns", "_row",
-                  "multiplicity_o3_s4", "multiplicity_o4_s5", "o2_reduce", "periodic_count_o4",
-                  "recursion_report"),
+                  "RecursionReport", "S4_PARTITION_ORDER", "S5_PARTITION_ORDER", "_RULES",
+                  "_columns", "_row", "multiplicity_o3_s4", "multiplicity_o4_s5", "o2_reduce",
+                  "periodic_count_o4", "recursion_report"),
     "modes": ("ModeComponent", "ModeDescription", "SamplePoint", "cyclic_projector",
               "evaluate_modes", "lower_dim_modes", "sample_points", "young_rank",
               "young_ranks"),

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from oracles import (
+    S5_PARTITION_ORDER,
     _row,
     act_on_point,
     contents,
@@ -26,7 +27,7 @@ from simplexmodes.modes import (
     verify_invariance,
 )
 from simplexmodes.permgroup import Partition, character, partitions_of, trivial_multiplicity
-from simplexmodes.reduction import S5_PARTITION_ORDER, o4_multiplicity_table
+from simplexmodes.reduction import o4_multiplicity_table
 from simplexmodes.report import SPECTRUM_TOL, ConsistencyError
 from simplexmodes.weylaction import (
     act_on_coefficients,

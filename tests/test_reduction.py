@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import _row, class_character, parity
+from oracles import S5_PARTITION_ORDER, _row, class_character, parity
 from simplexmodes import reduction
 from simplexmodes.permgroup import (
     CLASS_ORDER_S5,
@@ -24,7 +24,7 @@ from simplexmodes.su2wigner import chebyshev_u
 from simplexmodes.weylaction import class_operators, operator_character
 from simplexmodes.youngrep import primed_rep_matrix
 from simplexmodes.reduction import (
-    S5_PARTITION_ORDER,
+    CHAINS,
     o2_multiplicity_table,
     o3_multiplicity_table,
     harmonic_dimension,
@@ -308,12 +308,11 @@ def cyclic_average(n: int, d: int) -> int:
 def per_degree_table(chain: str, top: int) -> tuple[list, list]:
     """The rows and the periodic column of a chain's table, one degree at a
     time from `_row` and `class_character`."""
-    if chain != "o2s3c3":
-        parts = S4_PARTITIONS if chain == "o3s4c4" else S5_PARTITION_ORDER
-        n = parts[0].n
+    parts = CHAINS[chain].partitions
+    if CHAINS[chain].label:
         return ([_row(d, parts) for d in range(top + 1)],
-                [cyclic_average(n, d) for d in range(top + 1)])
-    parts, swap = tuple(partitions_of(3)), CycleType((2, 1))
+                [cyclic_average(parts[0].n, d) for d in range(top + 1)])
+    swap = CycleType((2, 1))
     entries, periodic = [], []
     for m in range(top + 1):
         for eps in (1, -1) if m else (1,):
