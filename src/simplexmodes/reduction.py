@@ -152,7 +152,7 @@ def lattice_count_o4(two_j: int) -> int:
 class Chain(NamedTuple):
     """One chain: name, partitions of n in table order, row label(d) of a degree
     chain, texts of the dimension and increment rules (None on O(2), whose rows
-    are not degrees), whether totals print, and a character-free periodic count."""
+    are not degrees), whether totals print, and a character-free periodic count, or None."""
 
     name: str
     partitions: tuple[Partition, ...]
