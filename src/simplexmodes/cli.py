@@ -1,10 +1,10 @@
 """Command-line front end: tables, mode coefficients, and golden-file checks.
 
-Exit codes: 0 success, 2 usage error, 3 a failed check in the report or an
-internal consistency error.  All JSON output is deterministic: sorted keys and
-floats rounded to 15 significant digits.  Each command imports the library
-modules it runs when it is called, so `--version`, `--help` and usage errors
-load none of them.
+Exit codes: 0 success, 2 usage error, 3 a failed check in the report or an internal
+consistency error.  All JSON output is deterministic: sorted keys and floats rounded to
+15 significant digits.  A report is written in pieces, the largest one coefficient row
+or leaf list.  Each command imports the library modules it runs when it is called, so
+`--version`, `--help` and usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import io
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .report import REAL_TOL, SPECTRUM_TOL, ConsistencyError, check, load
@@ -95,16 +95,28 @@ def _json_text(obj, pad: str = "\n") -> str:
     return f"{ends[0]}{inner}{body}{pad}{ends[1]}" if body else ends
 
 
+def _json_chunks(obj, pad: str = "\n"):
+    """`_json_text(obj, pad)` in pieces: each dict entry and matrix row apart, a list whole."""
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    if (ends == "[]" and getattr(obj, "ndim", 0) < 2) or not len(obj):
+        yield _json_text(obj, pad)
+        return
+    inner, sep = pad + " ", ends[0]
+    for k in sorted(obj) if ends == "{}" else range(len(obj)):
+        yield sep + inner + (f"{json.dumps(k)}: " if ends == "{}" else "")
+        yield from _json_chunks(obj[k], inner)
+        sep = ","
+    yield pad + ends[1]
+
+
 def _emit(doc: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = _table_csv(doc["payload"])
-    else:
-        text = _json_text(doc) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the report in pieces: at most one coefficient row, leaf list or CSV line."""
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        if getattr(args, "format", "json") == "csv":
+            _table_csv(doc["payload"], out)
+        else:
+            out.writelines(_json_chunks(doc))
+            out.write("\n")
 
 
 # ----------------------------------------------------------------- commands
@@ -175,21 +187,19 @@ def _table_payload(table) -> dict:
     return payload
 
 
-def _table_csv(payload: dict) -> str:
-    """The `reduce` payload as CSV: one line per row, then the totals if any."""
+def _table_csv(payload: dict, out) -> None:
+    """Write the `reduce` payload to `out` as CSV: one line per row, then the totals if any."""
     import csv
 
     from .permgroup import Partition
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", *(str(Partition(tuple(p))) for p in payload["partitions"]),
                      "periodic"])
     for label, row, per in zip(payload["row_labels"], payload["entries"], payload["periodic"]):
         writer.writerow([label, *row, per])
     if "totals" in payload:
         writer.writerow(["totals", *payload["totals"], payload["grand_total"]])
-    return buf.getvalue()
 
 
 def cmd_reduce(args) -> dict:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -119,6 +120,8 @@ REDUCE_PINS = {
     ("o4s5c5", "json"): "0496d98ff71103cdd50bdaf9c794f7879483ed0b8d2bfc8c8d3752fa5f5be6dd",
     ("o4s5c5", "csv"): "38f85ed5587b7114e104c765e5bca392ac9c89a3991f49ff12c4968afb746d4d",
 }
+#: sha256 of `reduce --chain o4s5c5 --max 10000 --format csv`, as pinned in CI
+O4_CSV_10000_SHA256 = "fb222fcece5862fd0c441e31d4fe15fbe8ab66b0e50b9a272f0cd0551ec268df"
 #: both sides of the periods 12 and 60, and the largest tables
 REDUCE_TOPS = (0, 1, 11, 12, 13, 59, 60, 61, 1000, 10000)
 
@@ -485,26 +488,33 @@ class TestModes:
 
 class TestJsonWriter:
     """`cli._json_text` writes json.dumps(round_floats(doc), sort_keys=True,
-    indent=1) by hand."""
+    indent=1) by hand, and `cli._json_chunks` writes the same text in pieces."""
 
     @pytest.mark.parametrize("argv", [
         ["reduce", "--chain", "o2s3c3", "--max", "13"],
         ["reduce", "--chain", "o3s4c4", "--max", "13"],
         ["reduce", "--chain", "o4s5c5", "--max", "61"],
+        ["reduce", "--chain", "o4s5c5", "--max", "10000", "--format", "csv"],
         ["classchars", "--two-j-max", "61"],
         ["verify", "--all"],
         ["verify", "--all", "--inject-fault", "o4:10:5"],
         ["chartable", "--n", "5"],
         ["branch", "--n", "4"],
+        *(["modes", "--two-j", two_j, "--verify-points", "5"] for two_j in "0 1 2 12".split()),
     ], ids=" ".join)
-    def test_documents_match_json(self, capsys, monkeypatch, argv):
+    def test_documents_match_json(self, capsys, monkeypatch, tmp_path, argv):
         docs, real = [], cli.report_document
         monkeypatch.setattr(cli, "report_document",
                             lambda *args, **kw: docs.append(real(*args, **kw)) or docs[-1])
         rc, out = run(capsys, *argv)
         assert rc == (3 if "--inject-fault" in argv else 0)
-        [doc] = docs
-        assert out == json.dumps(round_floats(doc), sort_keys=True, indent=1) + "\n"
+        target = tmp_path / "report"
+        assert main([*argv, "--output", str(target)]) == rc
+        assert target.read_bytes() == out.encode()
+        if "csv" in argv:
+            assert hashlib.sha256(out.encode()).hexdigest() == O4_CSV_10000_SHA256
+        else:
+            assert out == json.dumps(round_floats(docs[0]), sort_keys=True, indent=1) + "\n"
 
     def test_edge_values_match_json(self):
         nan, inf = float("nan"), float("inf")
@@ -513,8 +523,28 @@ class TestJsonWriter:
                "complex": [complex(1, -0.0), complex(nan, 1)], "z": complex(inf, 2),
                "rows": np.array([[1 + 2j, 3], [0.1 + 0.2j, -1j]]), "ints": np.arange(3),
                "scalar": np.float64(0.1) + np.float64(0.2), "text": "chi \u03c7 \"quoted\"",
-               "nested": [[[]], [{}], [[1], [2.5]]], "empty_rows": np.zeros((0, 4), complex)}
-        assert cli._json_text(doc) == json.dumps(round_floats(doc), sort_keys=True, indent=1)
+               "nested": [[[]], [{}], [[1], [2.5]]], "empty_rows": np.zeros((0, 4), complex),
+               "one_row": np.array([[0.5 - 1j, 1e-320j]]),
+               "dicts": [{"y": [1.5, nan], "x": {}}, {"w": np.arange(2)}]}
+        want = json.dumps(round_floats(doc), sort_keys=True, indent=1)
+        assert cli._json_text(doc) == want
+        assert "".join(cli._json_chunks(doc)) == want
+
+    def test_no_piece_longer_than_one_row(self, monkeypatch):
+        # the largest report reaches stdout a coefficient row at a time, never whole
+        docs, real, sizes = [], cli.cmd_modes, []
+        monkeypatch.setattr(cli, "cmd_modes", lambda args: docs.append(real(args)) or docs[-1])
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["modes", "--two-j", str(MAX_TWO_J_MODES), "--verify-points", "5"]) == 0
+        [doc] = docs
+        row = max(len(cli._json_text(r, "\n   ")) for r in doc["payload"]["coefficients"])
+        assert max(sizes) <= row < sum(sizes) / 100
 
 
 class TestClassChars:
