@@ -70,47 +70,47 @@ def report_document(command: str, parameters: dict, payload: dict,
 def _json_text(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=1) with floats rounded to 15 significant
     digits (null if not finite), complex numbers as [re, im] and numpy values as Python
-    values.  With indent, json encodes in pure Python, so a list of ints and a list of
-    finite complex numbers (a row of `modes` coefficients) are joined here directly."""
-    if hasattr(obj, "tolist"):  # numpy: a matrix row by row, so one row is a list at a time
-        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+    values.  json encodes with indent in pure Python, so lists of ints or of finite complex
+    numbers (`modes` rows) are joined here directly, dicts and matrices from `_json_chunks`."""
+    if isinstance(obj, dict) or getattr(obj, "ndim", 0) > 1:
+        return "".join(_json_chunks(obj, pad))
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
     if isinstance(obj, float):
         return repr(float(format(obj, ".15g"))) if math.isfinite(obj) else "null"
-    if not isinstance(obj, (dict, list, tuple)):
+    if not isinstance(obj, (list, tuple)):
         return json.dumps(obj)
     inner, deeper, types = pad + " ", pad + "  ", set(map(type, obj))
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj))
-    elif types == {int}:
+    if types == {int}:
         items = map(int.__repr__, obj)
     elif types == {complex} and math.isfinite(abs(sum(obj))):
         items = (f"[{deeper}{float(format(c.real, '.15g'))!r},"
                  f"{deeper}{float(format(c.imag, '.15g'))!r}{inner}]" for c in obj)
     else:
         items = (_json_text(v, inner) for v in obj)
-    body, ends = ("," + inner).join(items), "{}" if isinstance(obj, dict) else "[]"
+    body = ("," + inner).join(items)
     # one f-string copies body once, where a chain of + copies it per operand
-    return f"{ends[0]}{inner}{body}{pad}{ends[1]}" if body else ends
+    return f"[{inner}{body}{pad}]" if body else "[]"
 
 
 def _json_chunks(obj, pad: str = "\n"):
-    """`_json_text(obj, pad)` in pieces: each dict entry and matrix row apart, a list whole."""
-    ends = "{}" if isinstance(obj, dict) else "[]"
-    if (ends == "[]" and getattr(obj, "ndim", 0) < 2) or not len(obj):
+    """`_json_text(obj, pad)` in pieces: a dict by entry, a matrix by row, a list whole."""
+    if not isinstance(obj, dict) and getattr(obj, "ndim", 0) < 2:
         yield _json_text(obj, pad)
         return
-    inner, sep = pad + " ", ends[0]
+    ends, inner, sep = "{}" if isinstance(obj, dict) else "[]", pad + " ", ""
     for k in sorted(obj) if ends == "{}" else range(len(obj)):
-        yield sep + inner + (f"{json.dumps(k)}: " if ends == "{}" else "")
+        yield (sep or ends[0]) + inner + (f"{json.dumps(k)}: " if ends == "{}" else "")
         yield from _json_chunks(obj[k], inner)
         sep = ","
-    yield pad + ends[1]
+    yield pad + ends[1] if sep else ends
 
 
 def _emit(doc: dict, args) -> None:
-    """Write the report in pieces: at most one coefficient row, leaf list or CSV line."""
+    """Write the report in pieces, at most one coefficient row, leaf list or CSV line each;
+    an error while rendering (exit 2) leaves the pieces written so far on stdout or in FILE."""
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         if getattr(args, "format", "json") == "csv":
             _table_csv(doc["payload"], out)

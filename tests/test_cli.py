@@ -120,21 +120,22 @@ REDUCE_PINS = {
     ("o4s5c5", "json"): "0496d98ff71103cdd50bdaf9c794f7879483ed0b8d2bfc8c8d3752fa5f5be6dd",
     ("o4s5c5", "csv"): "38f85ed5587b7114e104c765e5bca392ac9c89a3991f49ff12c4968afb746d4d",
 }
-#: sha256 of `reduce --chain o4s5c5 --max 10000 --format csv`, as pinned in CI
-O4_CSV_10000_SHA256 = "fb222fcece5862fd0c441e31d4fe15fbe8ab66b0e50b9a272f0cd0551ec268df"
 #: both sides of the periods 12 and 60, and the largest tables
 REDUCE_TOPS = (0, 1, 11, 12, 13, 59, 60, 61, 1000, 10000)
 
 
 class TestReduce:
     @pytest.mark.parametrize("chain, fmt", list(REDUCE_PINS))
-    def test_output_keeps_its_pinned_bytes(self, capsys, chain, fmt):
-        # JSON pins the check names, details and residuals too
-        digest = hashlib.sha256()
+    def test_output_keeps_its_pinned_bytes(self, capsys, tmp_path, chain, fmt):
+        # JSON pins the check names, details and residuals too; --output holds the same bytes
+        digest, target = hashlib.sha256(), tmp_path / "report"
         for top in REDUCE_TOPS:
-            rc, out = run(capsys, "reduce", "--chain", chain, "--max", str(top), "--format", fmt)
+            argv = ["reduce", "--chain", chain, "--max", str(top), "--format", fmt]
+            rc, out = run(capsys, *argv)
             assert rc == 0
             digest.update(out.encode())
+            assert main([*argv, "--output", str(target)]) == 0
+            assert target.read_bytes() == out.encode()
         assert digest.hexdigest() == REDUCE_PINS[chain, fmt]
 
     def test_o4_table(self, capsys):
@@ -494,7 +495,6 @@ class TestJsonWriter:
         ["reduce", "--chain", "o2s3c3", "--max", "13"],
         ["reduce", "--chain", "o3s4c4", "--max", "13"],
         ["reduce", "--chain", "o4s5c5", "--max", "61"],
-        ["reduce", "--chain", "o4s5c5", "--max", "10000", "--format", "csv"],
         ["classchars", "--two-j-max", "61"],
         ["verify", "--all"],
         ["verify", "--all", "--inject-fault", "o4:10:5"],
@@ -508,13 +508,11 @@ class TestJsonWriter:
                             lambda *args, **kw: docs.append(real(*args, **kw)) or docs[-1])
         rc, out = run(capsys, *argv)
         assert rc == (3 if "--inject-fault" in argv else 0)
+        [doc] = docs
+        assert out == json.dumps(round_floats(doc), sort_keys=True, indent=1) + "\n"
         target = tmp_path / "report"
         assert main([*argv, "--output", str(target)]) == rc
         assert target.read_bytes() == out.encode()
-        if "csv" in argv:
-            assert hashlib.sha256(out.encode()).hexdigest() == O4_CSV_10000_SHA256
-        else:
-            assert out == json.dumps(round_floats(docs[0]), sort_keys=True, indent=1) + "\n"
 
     def test_edge_values_match_json(self):
         nan, inf = float("nan"), float("inf")
@@ -545,6 +543,20 @@ class TestJsonWriter:
         [doc] = docs
         row = max(len(cli._json_text(r, "\n   ")) for r in doc["payload"]["coefficients"])
         assert max(sizes) <= row < sum(sizes) / 100
+
+    def test_render_error_exits_2_and_keeps_the_pieces_written(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # FILE is opened before the report is rendered: a failed render leaves a partial file
+        def broken(obj, pad="\n"):
+            yield "{"
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(cli, "_json_chunks", broken)
+        target = tmp_path / "report"
+        target.write_text("an earlier report")
+        assert main(["chartable", "--n", "3", "--output", str(target)]) == 2
+        assert target.read_text() == "{"
+        assert capsys.readouterr() == ("", "error: cannot render\n")
 
 
 class TestClassChars:
