@@ -13,8 +13,8 @@ O(2) split by the trace of a transposition, and a class sum that the group
 order does not divide raises ConsistencyError; the increment rule of m_f over
 the period P = lcm(1..n) comes from their columns to P + 1.  `table_checks`
 audits the rows of a chain with rules against dim H_d(R^(n-1)) =
-C(d+n-2, n-2) - C(d+n-4, n-2) and their increment over P, read from the P
-rows `ahead`, and the periodic column against sum_f m_f w_f and any lattice count.
+C(d+n-2, n-2) - C(d+n-4, n-2), the increment over P at every degree from the first
+(n-2)P degrees, and the periodic column against sum_f m_f w_f and any lattice count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from operator import add, floordiv, mod, sub
 from typing import NamedTuple
 
@@ -118,14 +118,16 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
     return period, [(at1 - at0, at0) for at0, at1 in zip(*at)]
 
 
-def _increment(cols, ahead, parts) -> tuple[int, int]:
-    """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over the
-    rows d = 0, 1, ... of the multiplicity columns `cols`, with m_f(d+P) read
-    from `cols` followed by the P rows `ahead` of them."""
+def _increment(parts) -> tuple[int, int]:
+    """The period P and the largest |m_f(d+P) - m_f(d) - rule_f(d)| over d < (n-3)P,
+    m_f expanded to (n-2)P - 1 whatever the table's top.  Its series is proper
+    (b + 3 < sum_h h) and every hook divides P, so m_f is a quasi-polynomial of period
+    P at every d >= 0, of degree n - 3, and the residual one of degree <= n - 4: zero
+    on (n-3)P consecutive degrees, it is zero at all (Stanley, EC 1, Sec. 4.4)."""
     period, rule = _increment_rule(parts)
-    return period, max(_deviation(map(sub, (col + more)[period:], col),
-                                  count(icpt, slope))
-                       for col, more, (slope, icpt) in zip(cols, ahead, rule))
+    cols = [multiplicity_column(f, (parts[0].n - 2) * period - 1) for f in parts]
+    return period, max(_deviation(map(sub, col[period:], col), count(icpt, slope))
+                       for col, (slope, icpt) in zip(cols, rule))
 
 
 # ------------------------------------------------------------------- chains
@@ -178,8 +180,7 @@ CHAINS = {chain.name: chain for chain in (
 class MultiplicityTable(NamedTuple):
     """Reduction table for one chain: entries[i][j] is the multiplicity of
     partitions[j] in the representation labelled row_labels[i]; `periodic`
-    counts the cyclic-invariant modes per row, `totals` per partition; on a
-    degree chain, `ahead` holds the P rows past the last, which no report prints."""
+    counts the cyclic-invariant modes per row, `totals` per partition."""
 
     chain: str
     row_labels: tuple[str, ...]
@@ -188,7 +189,6 @@ class MultiplicityTable(NamedTuple):
     periodic: tuple[int, ...]
     totals: tuple[int, ...] | None = None
     grand_total: int | None = None
-    ahead: tuple[tuple[int, ...], ...] = ()
 
 
 def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
@@ -219,19 +219,18 @@ def _degree_table(chain: Chain, top: int) -> MultiplicityTable:
     """Rows d = 0..top of the degree-d harmonics, labelled chain.label(d), with
     the periodic count of each row as the C_n average of its class characters;
     with chain.totals, also each partition's periodic modes m_f w_f over all rows
-    and the grand total of the periodic column.  The P rows past top go `ahead`."""
+    and the grand total of the periodic column."""
     parts, n = chain.partitions, chain.partitions[0].n
     cyclic = _cyclic_weights(n)
-    mults = [multiplicity_column(f, top + math.lcm(*range(1, n + 1))) for f in parts]
+    mults = [multiplicity_column(f, top) for f in parts]
     cols = {k: class_column(k, top) for k in cyclic}
     periodic = tuple(_combine(cyclic, cols, n, "C_%d average at degree %d", n))
     extra = ()
     if chain.totals:
-        extra = (tuple(sum(islice(col, top + 1)) * trivial_multiplicity(f)
-                       for f, col in zip(parts, mults)), sum(periodic))
-    rows = zip(*mults)
+        extra = (tuple(sum(col) * trivial_multiplicity(f) for f, col in zip(parts, mults)),
+                 sum(periodic))
     return MultiplicityTable(chain.name, tuple(map(chain.label, range(top + 1))), parts,
-                             tuple(islice(rows, top + 1)), periodic, *extra, ahead=tuple(rows))
+                             tuple(zip(*mults)), periodic, *extra)
 
 
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
@@ -255,7 +254,7 @@ def table_checks(table: MultiplicityTable) -> list[dict]:
     if chain.rules:
         checks.append(check("dimension_audit", _audit(cols, table.partitions), 0,
                             detail=chain.rules[0]))
-        period, residual = _increment(cols, zip(*table.ahead), table.partitions)
+        period, residual = _increment(table.partitions)
         checks.append(check(f"degree_{period}_increment", residual, 0, detail=chain.rules[1]))
     weights = [trivial_multiplicity(f) for f in table.partitions]
     checks.append(check("periodic_equals_weighted_sum",

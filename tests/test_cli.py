@@ -226,7 +226,8 @@ class TestReduce:
     ], ids=["o3s4c4", "o4s5c5"])
     @pytest.mark.parametrize("top", [0, 10, 200, MAX_ROWS])
     def test_degree_increment_check(self, capsys, chain, name, detail, top):
-        # rows past --max are computed, so --max 0 still compares one pair
+        # the increment reads its own (n-2)P rows of each series, whatever --max
+        # is, so --max 0 checks it at every degree
         rc, doc = run_json(capsys, "reduce", "--chain", chain, "--max", str(top))
         assert rc == 0
         increment = next(c for c in doc["checks"] if c["name"] == name)
@@ -257,6 +258,19 @@ class TestReduce:
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
         assert failed == [("degree_12_increment", 1), ("periodic_equals_weighted_sum", 2)]
 
+    def test_fault_past_the_table_fails_the_increment_alone(self, capsys, monkeypatch):
+        # dim f added to every m_f at 2j = 100, far past a one-row table: the
+        # increment's window to 2j = 179 misses its rule by dim f at 2j = 40 and
+        # 100, at most 6, while the audit, the weighted sum and the lattice
+        # count read row 0 alone
+        break_multiplicities(monkeypatch, lambda f, d: f.dimension * (d == 100))
+        rc = main(["reduce", "--chain", "o4s5c5", "--max", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert err == "verification failed: degree_60_increment\n"
+        failed = [(c["name"], c["residual"]) for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == [("degree_60_increment", 6)]
+
     def test_broken_class_column_fails_the_periodic_routes(self, capsys, monkeypatch):
         # the (5) character at 2j = 61 off by 5 moves the C_5 average by
         # 4 * 5 / 5 = 4, away from the weighted sum and the lattice count; the
@@ -280,20 +294,20 @@ class TestReduce:
         # the increment rule reads the classes of four or more cycles from
         # their columns to P + 1, which no other check reads: the (2)(1)^3
         # character at 2j = 60 off by 12 moves each rule_f(2j) by
-        # chi_f((2)(1)^3) (1 - 2j), at most 2 * 4 = 8 at 2j = 5; the (1)^4
-        # character at l = 12 off by 24 moves it by dim f (1 - l), at most
-        # 3 * 4 = 12 at l = 5
+        # chi_f((2)(1)^3) (1 - 2j), at most 2 * 118 = 236 at 2j = 119, the last
+        # degree of the increment's window; the (1)^4 character at l = 12 off
+        # by 24 moves it by dim f (1 - l), at most 3 * 10 = 30 at l = 11
         break_columns(monkeypatch, reduction, {(CycleType((2, 1, 1, 1)), 60): 12})
         rc, doc = run_json(capsys, "reduce", "--chain", "o4s5c5", "--max", "5")
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
-        assert failed == [("degree_60_increment", 8)]
+        assert failed == [("degree_60_increment", 236)]
         monkeypatch.undo()
         break_columns(monkeypatch, reduction, {(CycleType((1, 1, 1, 1)), 12): 24})
         rc, doc = run_json(capsys, "reduce", "--chain", "o3s4c4", "--max", "5")
         assert rc == 3
         failed = [(c["name"], c["residual"]) for c in doc["checks"] if not c["passed"]]
-        assert failed == [("degree_12_increment", 12)]
+        assert failed == [("degree_12_increment", 30)]
         # off by 1, the class sum 10 chi_f((2)(1)^3) at 2j = 0 is no multiple of 5!
         monkeypatch.undo()
         break_columns(monkeypatch, reduction, {(CycleType((2, 1, 1, 1)), 60): 1})

@@ -207,20 +207,22 @@ class TestRecursionReport:
     `reduce --chain o4s5c5` reports as the check degree_60_increment."""
 
     def test_needs_sixty(self, monkeypatch):
-        # each row d is compared with row d + 60: the table expands each
-        # multiplicity series once, 60 rows past its last, and the check reads
-        # those rows, so a one-row table still compares one pair
+        # each degree d < 120 is compared with d + 60: the table expands each
+        # multiplicity series to its top, and the check expands its own to
+        # (5 - 2) 60 - 1 = 179 whatever the top, which proves the rule at every
+        # degree; the table keeps no row past its last
         calls = []
         column = reduction.multiplicity_column
         monkeypatch.setattr(reduction, "multiplicity_column",
                             lambda f, top: calls.append((f, top)) or column(f, top))
-        for top in (0, 10, 80):
+        for top in (0, 10, 80, 300):
             table = o4_multiplicity_table(top)
             increment = next(c for c in table_checks(table) if c["name"] == "degree_60_increment")
-            assert calls == [(f, top + 60) for f in S5_PARTITION_ORDER]
-            assert len(table.entries) == top + 1 and len(table.ahead) == 60
+            assert calls == [(f, d) for d in (top, 179) for f in S5_PARTITION_ORDER]
+            assert len(table.entries) == top + 1
             assert increment["passed"] and increment["residual"] == 0
             calls.clear()
+        assert "ahead" not in reduction.MultiplicityTable._fields
 
     def test_character_periodicity(self):
         # the classes with at most three cycles repeat with period 60 and
@@ -256,6 +258,17 @@ class TestRecursionReport:
         period, rule = reduction._increment_rule(S4_PARTITIONS)
         assert period == 12 and rule == [(0, f.dimension) for f in S4_PARTITIONS]
 
+    @pytest.mark.parametrize("chain", ["o3s4c4", "o4s5c5"])
+    def test_rule_holds_to_ten_thousand(self, chain):
+        # the window of 12 or 120 degrees proves the rule at every degree; the
+        # series differenced by P confirms it on every d <= 10^4
+        parts = CHAINS[chain].partitions
+        period, rule = reduction._increment_rule(parts)
+        for f, (slope, icpt) in zip(parts, rule):
+            col = reduction.multiplicity_column(f, 10**4 + period)
+            assert [b - a for a, b in zip(col, col[period:])] == [
+                slope * d + icpt for d in range(10**4 + 1)], f
+
     def test_increment_budget(self):
         # summed against dimensions the increments must account for the
         # growth of the harmonic space
@@ -269,8 +282,8 @@ class TestRecursionReport:
 
 
 class TestOneCharacterRowPerDegree:
-    """Each table and its checks expand one hook-length series per partition
-    for the multiplicities, P rows past the table on the degree chains, one
+    """Each table expands one hook-length series per partition to its top,
+    and on the degree chains the increment check one more to (n-2)P - 1; one
     class column to the table's top for each class that the C_n average and
     the O(2) transposition trace read, and one to P + 1 for each class that
     the increment rule reads, all its degrees at once."""
@@ -288,7 +301,8 @@ class TestOneCharacterRowPerDegree:
                             lambda f, d: series.append((f, d)) or multiplicities(f, d))
         table = build(top)
         table_checks(table)
-        assert series == [(f, top + period) for f in table.partitions]
+        window = [(n - 2) * period - 1] if period else []
+        assert series == [(f, d) for d in [top, *window] for f in table.partitions]
         # the classes of C_n and, on O(2), the transposition, to the top; the
         # classes of four or more cycles of the degree chains to P + 1
         read = {p.cycle_type() for p in cyclic_elements(n)}
@@ -357,6 +371,17 @@ class TestEverySimplexDimension:
         cols = [reduction.multiplicity_column(f, 10**4) for f in S5_PARTITION_ORDER]
         for d in [*range(301, 10**4, 97), 9999, 10**4]:
             assert tuple(col[d] for col in cols) == o4_row(d), d
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_series_is_proper_with_hooks_dividing_the_period(self, n):
+        # the premises of the increment's window: the numerator
+        # t^b (1-t)(1-t^2) has degree b + 3 below the sum of the hooks, and
+        # every hook divides P = lcm(1..n)
+        period = math.lcm(*range(1, n + 1))
+        for f in partitions_of(n):
+            b = sum(i * row for i, row in enumerate(f.parts))
+            assert b + 3 < sum(f.hooks), f
+            assert all(period % h == 0 for h in f.hooks), f
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_row_audit_and_non_negative(self, n):
