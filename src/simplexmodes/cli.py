@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 2 usage error, 3 a failed check in the report or an internal
 consistency error.  All JSON output is deterministic: sorted keys and floats rounded to
-15 significant digits.  A report is written in pieces, the largest one coefficient row
-or leaf list.  Each command imports the library modules it runs when it is called, so
+15 significant digits.  Every report has the keys command, version, parameters (the
+parsed options but --output, --format and --seed), seed (null but for `modes`),
+tolerances, payload and checks; `main` builds them around the payload and checks a
+command returns.  A report is written in pieces, the largest one coefficient row or
+leaf list.  Each command imports the library modules it runs when it is called, so
 `--version`, `--help` and usage errors load none of them.
 """
 
@@ -39,6 +42,8 @@ LIMITS = {
 #: the table builder in `reduction` of each chain that `reduce --chain` takes
 CHAINS = {"o2s3c3": "o2_multiplicity_table", "o3s4c4": "o3_multiplicity_table",
           "o4s5c5": "o4_multiplicity_table"}
+#: parsed options that are not report parameters: how it is written, or its own key
+NOT_PARAMETERS = {"command", "output", "format", "seed"}
 
 
 # The interpreter's final collection walks every tracked object, numpy's too,
@@ -53,19 +58,6 @@ class UsageError(Exception):
 
 
 # ------------------------------------------------------------ serialization
-
-def report_document(command: str, parameters: dict, payload: dict,
-                    checks: list[dict], seed: int | None = None) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "parameters": parameters,
-        "seed": seed,
-        "tolerances": {"integer": 0, "real": REAL_TOL},
-        "payload": payload,
-        "checks": checks,
-    }
-
 
 def _json_text(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=1) with floats rounded to 15 significant
@@ -111,7 +103,7 @@ def _json_chunks(obj, pad: str = "\n"):
 def _emit(doc: dict, args) -> None:
     """Write the report in pieces, at most one coefficient row, leaf list or CSV line each;
     an error while rendering (exit 2) leaves the pieces written so far on stdout or in FILE."""
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+    with open(args.output, "w") if args.output is not None else nullcontext(sys.stdout) as out:
         if getattr(args, "format", "json") == "csv":
             _table_csv(doc["payload"], out)
         else:
@@ -121,7 +113,7 @@ def _emit(doc: dict, args) -> None:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_chartable(args) -> dict:
+def cmd_chartable(args) -> tuple[dict, list[dict]]:
     from .permgroup import character_table
 
     table = character_table(args.n)
@@ -147,10 +139,10 @@ def cmd_chartable(args) -> dict:
         "class_sizes": list(table.class_sizes()),
         "characters": [list(row) for row in table.values],
     }
-    return report_document("chartable", {"n": args.n}, payload, checks)
+    return payload, checks
 
 
-def cmd_branch(args) -> dict:
+def cmd_branch(args) -> tuple[dict, list[dict]]:
     from .permgroup import Partition, character_table, cyclic_elements, trivial_multiplicity
 
     table = character_table(args.n)
@@ -168,23 +160,7 @@ def cmd_branch(args) -> dict:
         "partitions": [list(f.parts) for f in parts],
         "trivial_multiplicity": column,
     }
-    return report_document("branch", {"n": args.n}, payload, checks)
-
-
-def _table_payload(table) -> dict:
-    """The `reduce` payload of one `reduction.MultiplicityTable`."""
-    payload = {
-        "chain": table.chain,
-        "row_labels": list(table.row_labels),
-        "partitions": [list(f.parts) for f in table.partitions],
-        "entries": [list(r) for r in table.entries],
-        "periodic": list(table.periodic),
-    }
-    if table.totals is not None:
-        payload["totals"] = list(table.totals)
-    if table.grand_total is not None:
-        payload["grand_total"] = table.grand_total
-    return payload
+    return payload, checks
 
 
 def _table_csv(payload: dict, out) -> None:
@@ -202,15 +178,16 @@ def _table_csv(payload: dict, out) -> None:
         writer.writerow(["totals", *payload["totals"], payload["grand_total"]])
 
 
-def cmd_reduce(args) -> dict:
+def cmd_reduce(args) -> tuple[dict, list[dict]]:
     from . import reduction
 
     table = getattr(reduction, CHAINS[args.chain])(args.max)
-    return report_document("reduce", {"chain": args.chain, "max": args.max},
-                           _table_payload(table), reduction.table_checks(table))
+    payload = {k: v for k, v in table._asdict().items() if v is not None}
+    payload["partitions"] = [f.parts for f in table.partitions]
+    return payload, reduction.table_checks(table)
 
 
-def cmd_modes(args) -> dict:
+def cmd_modes(args) -> tuple[dict, list[dict]]:
     from . import modes
 
     basis = modes.periodic_basis(args.two_j)
@@ -232,16 +209,10 @@ def cmd_modes(args) -> dict:
         "partitions": [str(f) if f else None for f in basis.partitions],
         "coefficients": basis.coefficients.T,
     }
-    return report_document(
-        "modes",
-        {"two_j": args.two_j, "verify_points": args.verify_points},
-        payload,
-        checks,
-        seed=args.seed,
-    )
+    return payload, checks
 
 
-def cmd_classchars(args) -> dict:
+def cmd_classchars(args) -> tuple[dict, list[dict]]:
     from .weylaction import class_character_table, class_operators, operator_character
 
     rows = class_character_table(args.two_j_max)
@@ -265,14 +236,12 @@ def cmd_classchars(args) -> dict:
         for t in range(min(args.two_j_max, 11) + 1)
     )
     checks = [check("characters_match_operator_traces", traces, REAL_TOL)]
-    return report_document(
-        "classchars", {"two_j_max": args.two_j_max}, payload, checks
-    )
+    return payload, checks
 
 
 # ------------------------------------------------------------------- verify
 
-def cmd_verify(args) -> dict:
+def cmd_verify(args) -> tuple[dict, list[dict]]:
     from . import golden
 
     data = load()
@@ -284,9 +253,7 @@ def cmd_verify(args) -> dict:
         "checks_total": len(checks),
         "checks_failed": sum(not c["passed"] for c in checks),
     }
-    return report_document(
-        "verify", {"all": True, "inject_fault": args.inject_fault}, payload, checks
-    )
+    return payload, checks
 
 
 # --------------------------------------------------------------------- main
@@ -348,15 +315,19 @@ def main(argv: list[str] | None = None) -> int:
         for dest, (low, high) in LIMITS.items():
             if not low <= getattr(args, dest, low) <= high:
                 raise UsageError(f"--{dest.replace('_', '-')} must lie in {low}..{high}")
-        doc = commands[args.command](args)
-        _emit(doc, args)
+        payload, checks = commands[args.command](args)
+        _emit({"command": args.command, "version": __version__,
+               "parameters": {k: v for k, v in vars(args).items() if k not in NOT_PARAMETERS},
+               "seed": getattr(args, "seed", None),
+               "tolerances": {"integer": 0, "real": REAL_TOL},
+               "payload": payload, "checks": checks}, args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    failed = [c["name"] for c in checks if not c["passed"]]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_INCONSISTENT

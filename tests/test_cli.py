@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import io
@@ -8,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import round_floats
 from simplexmodes import cli, modes, permgroup, reduction, report, weylaction
@@ -24,6 +26,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     rc, out = run(capsys, *argv)
     return rc, json.loads(out)
+
+
+def capture_documents(monkeypatch) -> list[dict]:
+    """The list that each report document joins as `cli._emit` writes it."""
+    docs, real = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, args: docs.append(doc) or real(doc, args))
+    return docs
 
 
 def break_columns(monkeypatch, module, faults):
@@ -442,8 +451,7 @@ class TestModes:
     @pytest.mark.parametrize("two_j", [0, 1, 2, 7, 12, 24])
     def test_coefficient_writer_matches_json(self, capsys, monkeypatch, tmp_path, two_j):
         # 2j = 1 has no periodic mode: an empty matrix
-        docs, real = [], cli.cmd_modes
-        monkeypatch.setattr(cli, "cmd_modes", lambda args: docs.append(real(args)) or docs[-1])
+        docs = capture_documents(monkeypatch)
         argv = ["modes", "--two-j", str(two_j), "--verify-points", "5"]
         rc, out = run(capsys, *argv)
         target = tmp_path / "modes.json"
@@ -517,9 +525,7 @@ class TestJsonWriter:
         *(["modes", "--two-j", two_j, "--verify-points", "5"] for two_j in "0 1 2 12".split()),
     ], ids=" ".join)
     def test_documents_match_json(self, capsys, monkeypatch, tmp_path, argv):
-        docs, real = [], cli.report_document
-        monkeypatch.setattr(cli, "report_document",
-                            lambda *args, **kw: docs.append(real(*args, **kw)) or docs[-1])
+        docs = capture_documents(monkeypatch)
         rc, out = run(capsys, *argv)
         assert rc == (3 if "--inject-fault" in argv else 0)
         [doc] = docs
@@ -544,8 +550,7 @@ class TestJsonWriter:
 
     def test_no_piece_longer_than_one_row(self, monkeypatch):
         # the largest report reaches stdout a coefficient row at a time, never whole
-        docs, real, sizes = [], cli.cmd_modes, []
-        monkeypatch.setattr(cli, "cmd_modes", lambda args: docs.append(real(args)) or docs[-1])
+        docs, sizes = capture_documents(monkeypatch), []
 
         class Sink(io.StringIO):
             def write(self, text):
@@ -799,6 +804,11 @@ class TestInterface:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_output_to_empty_path_exits_2(self, capsys):
+        # an empty FILE names no file, not stdout
+        assert main(["chartable", "--n", "3", "--output", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
     def test_library_value_error_exits_2(self, capsys, monkeypatch):
         def refuse(args):
             raise ValueError("n out of range")
@@ -826,3 +836,102 @@ class TestInterface:
             ])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+#: argv, exit code, parameters, seed and payload keys of one report of each kind
+ENVELOPES = [
+    (["chartable", "--n", "5"], 0, {"n": 5}, None,
+     {"n", "order", "partitions", "classes", "class_sizes", "characters"}),
+    (["branch", "--n", "4"], 0, {"n": 4}, None, {"n", "partitions", "trivial_multiplicity"}),
+    *((["reduce", "--chain", chain, "--max", "3", "--format", "json"], 0,
+       {"chain": chain, "max": 3}, None,
+       {"chain", "row_labels", "partitions", "entries", "periodic", *totals})
+      for chain, totals in [("o2s3c3", ()), ("o3s4c4", ()),
+                            ("o4s5c5", ("totals", "grand_total"))]),
+    (["modes", "--two-j", "2", "--verify-points", "5"], 0, {"two_j": 2, "verify_points": 5},
+     20080514, {"two_j", "count", "partitions", "coefficients"}),
+    (["modes", "--two-j", "2", "--verify-points", "5", "--seed", "7"], 0,
+     {"two_j": 2, "verify_points": 5}, 7, {"two_j", "count", "partitions", "coefficients"}),
+    (["classchars", "--two-j-max", "5"], 0, {"two_j_max": 5}, None, {"two_j_max", "rows"}),
+    (["verify", "--all"], 0, {"all": True, "inject_fault": None}, None,
+     {"golden_version", "checks_total", "checks_failed"}),
+    (["verify", "--all", "--inject-fault", "o4:10:5"], 3, {"all": True, "inject_fault": "o4:10:5"},
+     None, {"golden_version", "checks_total", "checks_failed"}),
+]
+
+
+class TestEnvelope:
+    """`main` builds every report's envelope from the parsed options: --output,
+    --format and --seed are no parameters, and only `modes` has a seed."""
+
+    @pytest.mark.parametrize("argv, code, parameters, seed, payload", ENVELOPES,
+                             ids=[" ".join(e[0]) for e in ENVELOPES])
+    def test_envelope(self, tmp_path, argv, code, parameters, seed, payload):
+        target = tmp_path / "report.json"
+        assert main([*argv, "--output", str(target)]) == code
+        doc = json.loads(target.read_text())
+        assert set(doc) == {"command", "version", "parameters", "seed", "tolerances", "payload",
+                            "checks"}
+        assert (doc["command"], doc["version"]) == (argv[0], cli.__version__)
+        assert doc["parameters"] == parameters and doc["seed"] == seed
+        assert doc["tolerances"] == {"integer": 0, "real": 1e-9}
+        assert set(doc["payload"]) == payload
+
+
+def option_values(action, tmp):
+    """What the fuzz passes to one option.  A flag takes nothing and --output a file,
+    a missing directory or ''.  An option with choices takes one of them, an integer
+    option its LIMITS low edge, one below it, one above the high edge (never the slow
+    high edge itself) or a small degree, and --inject-fault a spec that matches; each
+    of these may also take malformed text."""
+    if action.nargs == 0:
+        return st.just([])
+    if action.dest == "output":
+        pool = [str(tmp / "report"), str(tmp / "missing" / "report"), ""]
+    elif action.choices:
+        pool = [*map(str, action.choices), "", "x"]
+    elif action.type is int:
+        low, high = cli.LIMITS[action.dest]
+        pool = [str(low), str(low - 1), str(high + 1), "1", "2", "3", "", "x", "1.5"]
+    else:
+        pool = ["o4:10:5", "", "x"]
+    return st.sampled_from(pool).map(lambda value: [value])
+
+
+#: each command's options, read from the parser
+[COMMANDS] = [{name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+               for name, sub in action.choices.items()}
+              for action in cli.build_parser()._actions if action.dest == "command"]
+
+
+@st.composite
+def command_lines(draw, tmp):
+    """One command with any of its optional options, its required ones but maybe
+    one of them, and maybe an unknown flag; the repeated entries tilt the draws
+    toward lines that parse."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[command]
+    missing = draw(st.sampled_from([None, None, None, *(a for a in options if a.required)]))
+    argv = [command]
+    for action in options:
+        if action is not missing and (action.required or draw(st.booleans())):
+            argv += [action.option_strings[0], *draw(option_values(action, tmp))]
+    return argv + draw(st.sampled_from([[], [], [], ["--frobnicate"]]))
+
+
+class TestArgvFuzz:
+    def test_every_command_line_exits_0_2_or_3(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+
+        @settings(derandomize=True, max_examples=200, deadline=None)
+        @given(command_lines(tmp))
+        def exits_0_2_or_3(argv):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2, 3), argv
+
+        exits_0_2_or_3()

@@ -56,6 +56,7 @@ INTROSPECTION = {"inspect", "ast", "dis", "tokenize"}
 #: wrappers of a value the caller already holds, routes no command reached and
 #: duplicated constants
 REMOVED = {
+    "cli": ("_table_payload", "report_document"),
     "permgroup": ("_molien_terms", "class_character", "cyclic_character", "cycle_type",
                   "full_cycle"),
     "youngrep": ("FixedSubspace", "ReprMatrix", "StandardTableau", "standard_tableaux"),
