@@ -4,10 +4,10 @@ Exit codes: 0 success, 2 usage error, 3 a failed check in the report or an inter
 consistency error.  All JSON output is deterministic: sorted keys and floats rounded to
 15 significant digits.  Every report has the keys command, version, parameters (the
 parsed options but --output, --format and --seed), seed (null but for `modes`),
-tolerances, payload and checks; `main` builds them around the payload and checks a
-command returns.  A report is written in pieces, the largest one coefficient row or
-leaf list.  Each command imports the library modules it runs when it is called, so
-`--version`, `--help` and usage errors load none of them.
+tolerances, payload (the computed values, never an input) and checks; `main` builds
+them around the payload and checks a command returns.  A report is written in pieces,
+the largest one coefficient row or leaf list.  Each command imports the library modules
+it runs when it is called, so `--version`, `--help` and usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ def cmd_chartable(args) -> tuple[dict, list[dict]]:
         check("sum_of_squared_dimensions", abs(dim_sq - table.order), 0),
     ]
     payload = {
-        "n": args.n,
         "order": table.order,
         "partitions": [list(f.parts) for f in table.partitions],
         "classes": [list(k.parts) for k in table.cycle_types],
@@ -156,7 +155,6 @@ def cmd_branch(args) -> tuple[dict, list[dict]]:
     )
     checks = [check("matches_elementwise_average", residual, 0)]
     payload = {
-        "n": args.n,
         "partitions": [list(f.parts) for f in parts],
         "trivial_multiplicity": column,
     }
@@ -184,7 +182,7 @@ def cmd_reduce(args) -> tuple[dict, list[dict]]:
     table = getattr(reduction, CHAINS[args.chain])(args.max)
     payload = {k: v for k, v in table._asdict().items() if v is not None}
     payload["partitions"] = [f.parts for f in table.partitions]
-    return payload, reduction.table_checks(table)
+    return payload, reduction.table_checks(reduction.CHAINS[args.chain], table)
 
 
 def cmd_modes(args) -> tuple[dict, list[dict]]:
@@ -204,9 +202,8 @@ def cmd_modes(args) -> tuple[dict, list[dict]]:
         check("invariance_max_deviation", deviation, REAL_TOL),
     ]
     payload = {
-        "two_j": args.two_j,
         "count": basis.count,
-        "partitions": [str(f) if f else None for f in basis.partitions],
+        "partitions": [str(f) for f in basis.partitions],
         "coefficients": basis.coefficients.T,
     }
     return payload, checks
@@ -217,7 +214,6 @@ def cmd_classchars(args) -> tuple[dict, list[dict]]:
 
     rows = class_character_table(args.two_j_max)
     payload = {
-        "two_j_max": args.two_j_max,
         "rows": [
             {
                 "class": list(r.cycle_type.parts),

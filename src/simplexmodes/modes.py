@@ -39,13 +39,13 @@ PIVOT_TIE = 1e-9  # relative gap of pivot ties; 2j <= 24: rounding < 6e-15, real
 
 class ModeBasis(NamedTuple):
     """Orthonormal periodic modes of one degree in the harmonics D^j_{m1 m2}
-    flattened row-major, one optional partition tag per column, and the tag
+    flattened row-major, one partition tag per column, and the tag
     margins of periodic_basis: the largest distance of an eigenvalue of M from
     its integer and of a content block's squared norm from m_f w_f."""
 
     two_j: int
     coefficients: np.ndarray  # (2j+1)^2 x count, complex
-    partitions: tuple[Partition | None, ...]
+    partitions: tuple[Partition, ...]
     spectrum_margin: float = 0.0
     trace_margin: float = 0.0
 

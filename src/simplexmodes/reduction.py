@@ -12,7 +12,7 @@ characters (`permgroup.class_column`) over the powers of the full cycle, on
 O(2) split by the trace of a transposition, and a class sum that the group
 order does not divide raises ConsistencyError; the increment rule of m_f over
 the period P = lcm(1..n) comes from their columns to P + 1.  `table_checks`
-audits the rows of a chain with rules against dim H_d(R^(n-1)) =
+audits a table by its chain's row: one with rules against dim H_d(R^(n-1)) =
 C(d+n-2, n-2) - C(d+n-4, n-2), the increment over P at every degree from the first
 (n-2)P degrees, and the periodic column against sum_f m_f w_f and any lattice count.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable
-from functools import lru_cache
 from itertools import compress, count, repeat
 from operator import add, floordiv, mod, sub
 from typing import NamedTuple
@@ -39,11 +38,6 @@ from .permgroup import (
     trivial_multiplicity,
 )
 from .report import check
-
-
-@lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[CycleType, ...]:
-    return tuple(CycleType(p.parts) for p in partitions_of(n))
 
 
 def _cyclic_weights(n: int) -> Counter:
@@ -110,7 +104,8 @@ def _increment_rule(parts) -> tuple[int, list[tuple[int, int]]]:
     c - 4 <= 1 in d: read off their class columns at d = 0 and 1."""
     n = parts[0].n
     period = math.lcm(*range(1, n + 1))
-    cols = {k: class_column(k, period + 1) for k in _classes(n) if len(k.parts) >= 4}
+    cols = {k: class_column(k, period + 1)
+            for k in (CycleType(p.parts) for p in partitions_of(n) if len(p.parts) >= 4)}
     at = [[exact_quotient(sum(k.class_size * character(f, k) * (col[d + period] - col[d])
                               for k, col in cols.items()),
                           math.factorial(n), "increment of m(%s) at degree %d", f, d)
@@ -182,7 +177,6 @@ class MultiplicityTable(NamedTuple):
     partitions[j] in the representation labelled row_labels[i]; `periodic`
     counts the cyclic-invariant modes per row, `totals` per partition."""
 
-    chain: str
     row_labels: tuple[str, ...]
     partitions: tuple[Partition, ...]
     entries: tuple[tuple[int, ...], ...]
@@ -211,7 +205,7 @@ def o2_multiplicity_table(m_max: int) -> MultiplicityTable:
         fixed[eps] = _combine(weights, cols, 6, "C_3-fixed part of eps=%+d at m=%d", eps)
     picks = [(1, 0)] + [(eps, m) for m in range(1, m_max + 1) for eps in (1, -1)]
     labels = tuple(f"m={m},eps={'+' if eps == 1 else '-'}" if m else "m=0" for eps, m in picks)
-    return MultiplicityTable("o2s3c3", labels, parts, tuple(rows[eps][m] for eps, m in picks),
+    return MultiplicityTable(labels, parts, tuple(rows[eps][m] for eps, m in picks),
                              tuple(fixed[eps][m] for eps, m in picks))
 
 
@@ -229,8 +223,8 @@ def _degree_table(chain: Chain, top: int) -> MultiplicityTable:
     if chain.totals:
         extra = (tuple(sum(col) * trivial_multiplicity(f) for f, col in zip(parts, mults)),
                  sum(periodic))
-    return MultiplicityTable(chain.name, tuple(map(chain.label, range(top + 1))), parts,
-                             tuple(zip(*mults)), periodic, *extra)
+    return MultiplicityTable(tuple(map(chain.label, range(top + 1))), parts, tuple(zip(*mults)),
+                             periodic, *extra)
 
 
 def o3_multiplicity_table(l_max: int) -> MultiplicityTable:
@@ -246,11 +240,11 @@ def o4_multiplicity_table(two_j_max: int) -> MultiplicityTable:
     return _degree_table(CHAINS["o4s5c5"], two_j_max)
 
 
-def table_checks(table: MultiplicityTable) -> list[dict]:
-    """The exact checks of one `reduce` table, each passing at residual 0: the
+def table_checks(chain: Chain, table: MultiplicityTable) -> list[dict]:
+    """The exact checks of the table of `chain`, each passing at residual 0: the
     dimension audit and the degree increment of a chain with rules, periodic =
     sum_f m_f w_f on every chain, and the lattice count of a chain that has one."""
-    chain, checks, cols = CHAINS[table.chain], [], list(zip(*table.entries))
+    checks, cols = [], list(zip(*table.entries))
     if chain.rules:
         checks.append(check("dimension_audit", _audit(cols, table.partitions), 0,
                             detail=chain.rules[0]))

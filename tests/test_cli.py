@@ -122,11 +122,11 @@ class TestBranch:
 
 #: sha256 of the stdout of `reduce` at every --max of REDUCE_TOPS, concatenated
 REDUCE_PINS = {
-    ("o2s3c3", "json"): "db61f989a534be68ca4d34aac723d93d83dc957fe2bf1184e488e433897506a9",
+    ("o2s3c3", "json"): "b5ab6082ee46cd558310d57f7a85e40ca238ccf1e54b8498d06d2328e7753698",
     ("o2s3c3", "csv"): "396ff415408bfd2cea38840799f122d3de148d17129d692b2250d7c1dd7782c2",
-    ("o3s4c4", "json"): "815c9762e20cf15010bc21efd6eab9c8b722fbecb444ace7248e111133d6c96a",
+    ("o3s4c4", "json"): "1b012c1b72a174f757de43efec867cf1659cfc8aca6004f4d2a498553ebc54c2",
     ("o3s4c4", "csv"): "f98d4941415d8ff66dd7d9997e926e22697a2756b499037417e430aef14aab72",
-    ("o4s5c5", "json"): "0496d98ff71103cdd50bdaf9c794f7879483ed0b8d2bfc8c8d3752fa5f5be6dd",
+    ("o4s5c5", "json"): "d8e05e1949e8b9e0addd02d599e4bfe9e6fa7f6c05d83e722af7c25b5f43bb14",
     ("o4s5c5", "csv"): "38f85ed5587b7114e104c765e5bca392ac9c89a3991f49ff12c4968afb746d4d",
 }
 #: both sides of the periods 12 and 60, and the largest tables
@@ -482,6 +482,25 @@ class TestModes:
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["columns_fixed_by_projector"]
 
+    def test_non_orthonormal_columns_exit_3(self, capsys, monkeypatch):
+        # column 0 stretched by 1 + 1e-6: its squared norm is off by about 2e-6
+        real = modes.periodic_basis
+
+        def stretched(two_j):
+            basis = real(two_j)
+            coefficients = basis.coefficients.copy()
+            coefficients[:, 0] *= 1 + 1e-6
+            return basis._replace(coefficients=coefficients)
+
+        monkeypatch.setattr(modes, "periodic_basis", stretched)
+        rc = main(["modes", "--two-j", "4"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert err == "verification failed: columns_orthonormal\n"
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["columns_orthonormal"]
+        assert failed[0]["residual"] == pytest.approx(2e-6, rel=1e-3)
+
     def test_off_integer_spectrum_exits_3(self, capsys, monkeypatch):
         # the true content blocks, reported with eigenvalues a whole unit off
         real = modes.integer_eigenspaces
@@ -825,7 +844,7 @@ class TestInterface:
         rc = main(["chartable", "--n", "3", "--output", str(target)])
         assert rc == 0
         doc = json.loads(target.read_text())
-        assert doc["payload"]["n"] == 3
+        assert doc["parameters"]["n"] == 3
 
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -841,18 +860,18 @@ class TestInterface:
 #: argv, exit code, parameters, seed and payload keys of one report of each kind
 ENVELOPES = [
     (["chartable", "--n", "5"], 0, {"n": 5}, None,
-     {"n", "order", "partitions", "classes", "class_sizes", "characters"}),
-    (["branch", "--n", "4"], 0, {"n": 4}, None, {"n", "partitions", "trivial_multiplicity"}),
+     {"order", "partitions", "classes", "class_sizes", "characters"}),
+    (["branch", "--n", "4"], 0, {"n": 4}, None, {"partitions", "trivial_multiplicity"}),
     *((["reduce", "--chain", chain, "--max", "3", "--format", "json"], 0,
        {"chain": chain, "max": 3}, None,
-       {"chain", "row_labels", "partitions", "entries", "periodic", *totals})
+       {"row_labels", "partitions", "entries", "periodic", *totals})
       for chain, totals in [("o2s3c3", ()), ("o3s4c4", ()),
                             ("o4s5c5", ("totals", "grand_total"))]),
     (["modes", "--two-j", "2", "--verify-points", "5"], 0, {"two_j": 2, "verify_points": 5},
-     20080514, {"two_j", "count", "partitions", "coefficients"}),
+     20080514, {"count", "partitions", "coefficients"}),
     (["modes", "--two-j", "2", "--verify-points", "5", "--seed", "7"], 0,
-     {"two_j": 2, "verify_points": 5}, 7, {"two_j", "count", "partitions", "coefficients"}),
-    (["classchars", "--two-j-max", "5"], 0, {"two_j_max": 5}, None, {"two_j_max", "rows"}),
+     {"two_j": 2, "verify_points": 5}, 7, {"count", "partitions", "coefficients"}),
+    (["classchars", "--two-j-max", "5"], 0, {"two_j_max": 5}, None, {"rows"}),
     (["verify", "--all"], 0, {"all": True, "inject_fault": None}, None,
      {"golden_version", "checks_total", "checks_failed"}),
     (["verify", "--all", "--inject-fault", "o4:10:5"], 3, {"all": True, "inject_fault": "o4:10:5"},
@@ -862,7 +881,8 @@ ENVELOPES = [
 
 class TestEnvelope:
     """`main` builds every report's envelope from the parsed options: --output,
-    --format and --seed are no parameters, and only `modes` has a seed."""
+    --format and --seed are no parameters, and only `modes` has a seed.  The
+    payload holds computed values only: no input is restated there."""
 
     @pytest.mark.parametrize("argv, code, parameters, seed, payload", ENVELOPES,
                              ids=[" ".join(e[0]) for e in ENVELOPES])
@@ -875,6 +895,7 @@ class TestEnvelope:
         assert (doc["command"], doc["version"]) == (argv[0], cli.__version__)
         assert doc["parameters"] == parameters and doc["seed"] == seed
         assert doc["tolerances"] == {"integer": 0, "real": 1e-9}
+        assert not set(doc["payload"]) & set(doc["parameters"])
         assert set(doc["payload"]) == payload
 
 

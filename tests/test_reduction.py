@@ -34,6 +34,9 @@ from simplexmodes.reduction import (
 )
 
 S4_PARTITIONS = tuple(partitions_of(4))
+#: the table builder of each chain
+BUILDERS = {"o2s3c3": o2_multiplicity_table, "o3s4c4": o3_multiplicity_table,
+            "o4s5c5": o4_multiplicity_table}
 
 
 def o3_row(l: int) -> tuple[int, ...]:
@@ -188,7 +191,8 @@ class TestThreeSphereChain:
     def test_dimension_audit_runs_to_60(self):
         table = o4_multiplicity_table(60)
         assert len(table.entries) == 61
-        audit = next(c for c in table_checks(table) if c["name"] == "dimension_audit")
+        audit = next(c for c in table_checks(CHAINS["o4s5c5"], table)
+                     if c["name"] == "dimension_audit")
         assert audit["passed"] and audit["residual"] == 0
 
     def test_forbidden_partitions_never_contribute(self):
@@ -217,7 +221,8 @@ class TestRecursionReport:
                             lambda f, top: calls.append((f, top)) or column(f, top))
         for top in (0, 10, 80, 300):
             table = o4_multiplicity_table(top)
-            increment = next(c for c in table_checks(table) if c["name"] == "degree_60_increment")
+            increment = next(c for c in table_checks(CHAINS["o4s5c5"], table)
+                             if c["name"] == "degree_60_increment")
             assert calls == [(f, d) for d in (top, 179) for f in S5_PARTITION_ORDER]
             assert len(table.entries) == top + 1
             assert increment["passed"] and increment["residual"] == 0
@@ -231,7 +236,7 @@ class TestRecursionReport:
         assert len(bounded) == 5
         for k in bounded:
             assert all(class_character(k, t + 60) == class_character(k, t) for t in range(121))
-        checks = {c["name"]: c for c in table_checks(o4_multiplicity_table(120))}
+        checks = {c["name"]: c for c in table_checks(CHAINS["o4s5c5"], o4_multiplicity_table(120))}
         assert checks["dimension_audit"]["residual"] == 0
         assert checks["degree_60_increment"]["residual"] == 0
 
@@ -288,19 +293,18 @@ class TestOneCharacterRowPerDegree:
     the O(2) transposition trace read, and one to P + 1 for each class that
     the increment rule reads, all its degrees at once."""
 
-    @pytest.mark.parametrize("build, top, n, period", [
-        (o2_multiplicity_table, 40, 3, 0), (o3_multiplicity_table, 30, 4, 12),
-        (o4_multiplicity_table, 20, 5, 60),
+    @pytest.mark.parametrize("chain, top, n, period", [
+        ("o2s3c3", 40, 3, 0), ("o3s4c4", 30, 4, 12), ("o4s5c5", 20, 5, 60),
     ], ids=["o2s3c3", "o3s4c4", "o4s5c5"])
-    def test_each_class_character_once(self, monkeypatch, build, top, n, period):
+    def test_each_class_character_once(self, monkeypatch, chain, top, n, period):
         calls, series = [], []
         column, multiplicities = reduction.class_column, reduction.multiplicity_column
         monkeypatch.setattr(reduction, "class_column",
                             lambda k, d: calls.append((k, d)) or column(k, d))
         monkeypatch.setattr(reduction, "multiplicity_column",
                             lambda f, d: series.append((f, d)) or multiplicities(f, d))
-        table = build(top)
-        table_checks(table)
+        table = BUILDERS[chain](top)
+        table_checks(CHAINS[chain], table)
         window = [(n - 2) * period - 1] if period else []
         assert series == [(f, d) for d in [top, *window] for f in table.partitions]
         # the classes of C_n and, on O(2), the transposition, to the top; the
@@ -343,12 +347,10 @@ class TestColumnRoute:
     per-degree character route on both sides of the periods 12 and 60."""
 
     @pytest.mark.parametrize("top", [0, 1, 11, 12, 13, 59, 60, 61, 1000])
-    @pytest.mark.parametrize("build", [o2_multiplicity_table, o3_multiplicity_table,
-                                       o4_multiplicity_table],
-                             ids=["o2s3c3", "o3s4c4", "o4s5c5"])
-    def test_table_equals_per_degree_rows(self, build, top):
-        table = build(top)
-        entries, periodic = per_degree_table(table.chain, top)
+    @pytest.mark.parametrize("chain", list(BUILDERS))
+    def test_table_equals_per_degree_rows(self, chain, top):
+        table = BUILDERS[chain](top)
+        entries, periodic = per_degree_table(chain, top)
         assert list(table.entries) == entries
         assert list(table.periodic) == periodic
         if table.totals is not None:
@@ -546,7 +548,7 @@ class TestExactDivision:
             lambda f, top: [m + character(f, CycleType((5,))) * (t == 61)
                             for t, m in enumerate(exact(f, top))],
         )
-        checks = {c["name"]: c for c in table_checks(o4_multiplicity_table(61))}
+        checks = {c["name"]: c for c in table_checks(CHAINS["o4s5c5"], o4_multiplicity_table(61))}
         # m_f(61) moves by chi_f((5)), at most 1, against sum_f dim(f) chi_f((5)) = 0
         assert checks["degree_60_increment"]["residual"] == 1
         assert not checks["degree_60_increment"]["passed"]
